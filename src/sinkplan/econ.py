@@ -7,7 +7,7 @@ annual load, -0.8 elasticity, 1% segments) steps by exactly $3.125 between
 adjacent segments.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import MarketSegment
 
@@ -128,7 +128,3 @@ def build_demand_curve(spec, annual_load_mwh):
         segments.append(MarketSegment(index=q, max_supply=seg_size, value=val))
         q += 1
     return segments
-
-
-def curve_for_base_price(spec, base_price):
-    return replace(spec, base_price=base_price)

@@ -15,9 +15,19 @@ constraints (backlog balance, nonnegative backlog, rolling-window service
 deadline) are this module's own standard formulation: the source material
 names only the deferral share and delay parameters, so the equations here are
 extrapolated.
+
+Layout: each variable family is one contiguous Block of columns, the families
+in index_variables order.  In a family with hours, column (entity, t) is
+start + rank(entity)*T + t, rank being the entity's position in id order
+(segment order for sink sales); a family without hours has column
+start + rank(entity).  Each hourly constraint family is added as numpy triplet
+blocks, one add_rows call per entity with its rows hour-major.  The
+demand-balance rows follow the same rule as the Block vmap.bal, which prices
+are read from.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+import operator
 
 import numpy as np
 
@@ -33,43 +43,79 @@ def _sorted(entities):
     return sorted(entities, key=lambda e: e.id)
 
 
-@dataclass
+class Block(Mapping):
+    """One family's contiguous run of columns or rows, read-only.
+
+    With T hours, the entry for (entity, t) is start + rank(entity)*T + t;
+    a family without hours (T == 0) has one entry per entity,
+    start + rank(entity).  Keys are entity ids for a family without hours,
+    else an hourly entity tuple plus the hour: (id, t), or (zone, segment, t)
+    for curtailment.
+    """
+
+    def __init__(self, start, entities, hours):
+        self.start = start
+        self.entities = list(entities)
+        self.hours = hours
+        self.stop = start + len(self.entities) * (hours or 1)
+        self._rank = {e: r for r, e in enumerate(self.entities)}
+
+    def of(self, *entity):
+        """Indices of an hourly entity's entries for t = 0 .. T-1."""
+        first = self.start + self._rank[entity] * self.hours
+        return np.arange(first, first + self.hours)
+
+    def __getitem__(self, key):
+        if not self.hours:
+            return self.start + self._rank[key]
+        try:
+            t = operator.index(key[-1])
+        except (TypeError, IndexError):
+            raise KeyError(key) from None
+        if not 0 <= t < self.hours:
+            raise KeyError(key)
+        return self.start + self._rank[key[:-1]] * self.hours + t
+
+    def __iter__(self):
+        if not self.hours:
+            return iter(self.entities)
+        return (e + (t,) for e in self.entities for t in range(self.hours))
+
+    def __len__(self):
+        return self.stop - self.start
+
+
 class VariableMap:
-    """Contiguous column ranges per variable family, with name encodings."""
+    """One column Block per variable family, as the attribute of that name
+    (`vm.inj[(cluster, t)]`, `vm.cap[cluster]`), plus `bal`, the
+    demand-balance row Block that add_demand_balance records."""
 
-    n_cols: int = 0
-    col_names: list = field(default_factory=list)
-    blocks: dict = field(default_factory=dict)   # family -> (start, count)
-    new: dict = field(default_factory=dict)      # cluster id -> col
-    ret: dict = field(default_factory=dict)
-    cap: dict = field(default_factory=dict)
-    tnew: dict = field(default_factory=dict)     # line id -> col
-    tcap: dict = field(default_factory=dict)
-    inj: dict = field(default_factory=dict)      # (cluster, t) -> col
-    chg: dict = field(default_factory=dict)      # storage charging
-    soc: dict = field(default_factory=dict)      # storage level
-    nse: dict = field(default_factory=dict)      # (zone, seg, t) -> col
-    flow: dict = field(default_factory=dict)     # (line, t) -> col
-    commit: dict = field(default_factory=dict)   # (cluster, t) -> col
-    start: dict = field(default_factory=dict)
-    shut: dict = field(default_factory=dict)
-    ecap: dict = field(default_factory=dict)     # storage energy capacity
-    sink_cap: dict = field(default_factory=dict)  # zone -> col
-    prod: dict = field(default_factory=dict)     # (zone, t) -> col
-    sale: dict = field(default_factory=dict)     # segment index -> col
-    dr_out: dict = field(default_factory=dict)   # (load, t) -> col
-    dr_in: dict = field(default_factory=dict)
-    dr_bkl: dict = field(default_factory=dict)
+    def __init__(self):
+        self.n_cols = 0
+        self.col_names = []
+        self.families = []
+        self.bal = None
 
-    def _open(self, family):
-        self.blocks[family] = (self.n_cols, 0)
+    def add(self, family, entities, hours):
+        """Append the next family's columns, named after the family without
+        its underscores: inj[g,t], sinkcap[z], drout[f,t]."""
+        blk = Block(self.n_cols, entities, hours)
+        prefix = family.replace("_", "")
+        if hours:
+            labels = [",".join(map(str, e)) for e in blk.entities]
+            self.col_names += [f"{prefix}[{label},{t}]"
+                               for label in labels for t in range(hours)]
+        else:
+            self.col_names += [f"{prefix}[{e}]" for e in blk.entities]
+        self.n_cols = blk.stop
+        self.families.append(family)
+        setattr(self, family, blk)
 
-    def _add(self, family, mapping, key, name):
-        start, count = self.blocks[family]
-        mapping[key] = self.n_cols
-        self.col_names.append(name)
-        self.n_cols += 1
-        self.blocks[family] = (start, count + 1)
+    @property
+    def blocks(self):
+        """family -> (start, count)"""
+        return {f: (getattr(self, f).start, len(getattr(self, f)))
+                for f in self.families}
 
 
 def unit_size_eff(cluster):
@@ -81,92 +127,46 @@ def unit_size_eff(cluster):
 def index_variables(scenario):
     """Deterministic column map: ordered by family, then entity id, then t."""
     T = scenario.time.n_hours
-    vm = VariableMap()
     clusters = _sorted(scenario.clusters)
-    zones = _sorted(scenario.zones)
     lines = _sorted(scenario.lines)
     storage = [g for g in clusters if g.is_storage]
     ucs = [g for g in clusters if g.is_uc]
     drs = _sorted(scenario.deferrable_loads)
-    sink_zones = scenario.sink.zones(scenario) if scenario.sink else []
-    sink_zones = sorted(sink_zones)
+    sink = scenario.sink is not None
+    sink_zones = sorted(scenario.sink.zones(scenario)) if sink else []
+    independent = scenario.storage_sizing_mode == M.INDEPENDENT_ENERGY
 
-    vm._open("new")
-    for g in clusters:
-        vm._add("new", vm.new, g.id, f"new[{g.id}]")
-    vm._open("ret")
-    for g in clusters:
-        vm._add("ret", vm.ret, g.id, f"ret[{g.id}]")
-    vm._open("cap")
-    for g in clusters:
-        vm._add("cap", vm.cap, g.id, f"cap[{g.id}]")
-    vm._open("tnew")
-    for ln in lines:
-        vm._add("tnew", vm.tnew, ln.id, f"tnew[{ln.id}]")
-    vm._open("tcap")
-    for ln in lines:
-        vm._add("tcap", vm.tcap, ln.id, f"tcap[{ln.id}]")
-    vm._open("inj")
-    for g in clusters:
-        for t in range(T):
-            vm._add("inj", vm.inj, (g.id, t), f"inj[{g.id},{t}]")
-    vm._open("chg")
-    for g in storage:
-        for t in range(T):
-            vm._add("chg", vm.chg, (g.id, t), f"chg[{g.id},{t}]")
-    vm._open("soc")
-    for g in storage:
-        for t in range(T):
-            vm._add("soc", vm.soc, (g.id, t), f"soc[{g.id},{t}]")
-    vm._open("nse")
-    for z in zones:
-        for s in range(len(z.nse_segments)):
-            for t in range(T):
-                vm._add("nse", vm.nse, (z.id, s, t), f"nse[{z.id},{s},{t}]")
-    vm._open("flow")
-    for ln in lines:
-        for t in range(T):
-            vm._add("flow", vm.flow, (ln.id, t), f"flow[{ln.id},{t}]")
-    vm._open("commit")
-    for g in ucs:
-        for t in range(T):
-            vm._add("commit", vm.commit, (g.id, t), f"commit[{g.id},{t}]")
-    vm._open("start")
-    for g in ucs:
-        for t in range(T):
-            vm._add("start", vm.start, (g.id, t), f"start[{g.id},{t}]")
-    vm._open("shut")
-    for g in ucs:
-        for t in range(T):
-            vm._add("shut", vm.shut, (g.id, t), f"shut[{g.id},{t}]")
-    if scenario.storage_sizing_mode == M.INDEPENDENT_ENERGY:
-        vm._open("ecap")
-        for g in storage:
-            vm._add("ecap", vm.ecap, g.id, f"ecap[{g.id}]")
-    if scenario.sink is not None:
-        vm._open("sink_cap")
-        for zid in sink_zones:
-            vm._add("sink_cap", vm.sink_cap, zid, f"sinkcap[{zid}]")
-        vm._open("prod")
-        for zid in sink_zones:
-            for t in range(T):
-                vm._add("prod", vm.prod, (zid, t), f"prod[{zid},{t}]")
-        vm._open("sale")
-        for seg in scenario.segments:
-            vm._add("sale", vm.sale, seg.index, f"sale[{seg.index}]")
-    if drs:
-        vm._open("dr_out")
-        for f in drs:
-            for t in range(T):
-                vm._add("dr_out", vm.dr_out, (f.id, t), f"drout[{f.id},{t}]")
-        vm._open("dr_in")
-        for f in drs:
-            for t in range(T):
-                vm._add("dr_in", vm.dr_in, (f.id, t), f"drin[{f.id},{t}]")
-        vm._open("dr_bkl")
-        for f in drs:
-            for t in range(T):
-                vm._add("dr_bkl", vm.dr_bkl, (f.id, t), f"drbkl[{f.id},{t}]")
+    def ids(entities):
+        return [e.id for e in entities]
+
+    def hourly(entities):
+        return [(e.id,) for e in entities]
+
+    vm = VariableMap()
+    for family, entities, hours in (
+        ("new", ids(clusters), 0),
+        ("ret", ids(clusters), 0),
+        ("cap", ids(clusters), 0),
+        ("tnew", ids(lines), 0),
+        ("tcap", ids(lines), 0),
+        ("inj", hourly(clusters), T),
+        ("chg", hourly(storage), T),
+        ("soc", hourly(storage), T),
+        ("nse", [(z.id, s) for z in _sorted(scenario.zones)
+                 for s in range(len(z.nse_segments))], T),
+        ("flow", hourly(lines), T),
+        ("commit", hourly(ucs), T),
+        ("start", hourly(ucs), T),
+        ("shut", hourly(ucs), T),
+        ("ecap", ids(storage) if independent else [], 0),
+        ("sink_cap", sink_zones, 0),
+        ("prod", [(z,) for z in sink_zones], T),
+        ("sale", [seg.index for seg in scenario.segments] if sink else [], 0),
+        ("dr_out", hourly(drs), T),
+        ("dr_in", hourly(drs), T),
+        ("dr_bkl", hourly(drs), T),
+    ):
+        vm.add(family, entities, hours)
     return vm
 
 
@@ -174,30 +174,24 @@ def build_objective(scenario, vmap):
     """Objective vector: investment + fixed O&M + weighted operating costs +
     start costs + sink annuity - sink sales revenue."""
     hw = scenario.time.hour_weight
-    T = scenario.time.n_hours
     obj = np.zeros(vmap.n_cols)
     for g in scenario.clusters:
         obj[vmap.new[g.id]] = g.inv_cost * unit_size_eff(g)
         obj[vmap.cap[g.id]] = g.fom_cost
-        for t in range(T):
-            obj[vmap.inj[(g.id, t)]] = (g.vom_cost + g.fuel_cost) * hw
+        obj[vmap.inj.of(g.id)] = (g.vom_cost + g.fuel_cost) * hw
         if g.is_storage:
-            for t in range(T):
-                obj[vmap.chg[(g.id, t)]] = g.vom_cost * hw
+            obj[vmap.chg.of(g.id)] = g.vom_cost * hw
             if vmap.ecap:
                 obj[vmap.ecap[g.id]] = g.energy_inv_cost + g.energy_fom_cost
         if g.is_uc:
-            for t in range(T):
-                obj[vmap.start[(g.id, t)]] = g.start_cost
+            obj[vmap.start.of(g.id)] = g.start_cost
     for ln in scenario.lines:
         obj[vmap.tnew[ln.id]] = ln.inv_cost
     for z in scenario.zones:
         for s, seg in enumerate(z.nse_segments):
-            for t in range(T):
-                obj[vmap.nse[(z.id, s, t)]] = seg.cost * hw
+            obj[vmap.nse.of(z.id, s)] = seg.cost * hw
     if scenario.sink is not None:
-        for zid, j in vmap.sink_cap.items():
-            obj[j] = scenario.sink.annuity
+        obj[vmap.sink_cap.start:vmap.sink_cap.stop] = scenario.sink.annuity
         for seg in scenario.segments:
             obj[vmap.sale[seg.index]] = -seg.value
     return obj
@@ -205,7 +199,6 @@ def build_objective(scenario, vmap):
 
 def column_bounds(scenario, vmap):
     """Per-column [lower, upper]; single-variable limits live here."""
-    T = scenario.time.n_hours
     lower = np.zeros(vmap.n_cols)
     upper = np.full(vmap.n_cols, INF)
     for g in scenario.clusters:
@@ -218,10 +211,8 @@ def column_bounds(scenario, vmap):
             upper[vmap.tnew[ln.id]] = ln.max_new_cap
     for z in scenario.zones:
         for s, seg in enumerate(z.nse_segments):
-            for t in range(T):
-                upper[vmap.nse[(z.id, s, t)]] = seg.size_fraction * z.load[t]
-    for (lid, t), j in vmap.flow.items():
-        lower[j] = -INF
+            upper[vmap.nse.of(z.id, s)] = seg.size_fraction * z.load
+    lower[vmap.flow.start:vmap.flow.stop] = -INF
     if scenario.storage_sizing_mode == M.INDEPENDENT_ENERGY:
         for g in scenario.clusters:
             if g.is_storage:
@@ -229,135 +220,128 @@ def column_bounds(scenario, vmap):
     for seg in scenario.segments:
         upper[vmap.sale[seg.index]] = seg.max_supply
     for f in scenario.deferrable_loads:
-        for t in range(T):
-            upper[vmap.dr_out[(f.id, t)]] = f.defer_fraction * f.base_profile[t]
+        upper[vmap.dr_out.of(f.id)] = f.defer_fraction * f.base_profile
     return lower, upper
 
 
 def new_builder(scenario, vmap=None, name=None):
     """Builder pre-populated with all columns, bounds, and objective."""
     vmap = vmap or index_variables(scenario)
-    obj = build_objective(scenario, vmap)
-    lower, upper = column_bounds(scenario, vmap)
     b = LinearProgramBuilder(name or scenario.name)
-    for j, cname in enumerate(vmap.col_names):
-        b.add_col(cname, obj=obj[j], lower=lower[j], upper=upper[j])
+    b.add_cols(vmap.col_names, build_objective(scenario, vmap),
+               *column_bounds(scenario, vmap))
     return b, vmap
+
+
+def _add_hourly(b, entity, rhs, kinds):
+    """Add the rows f"{kind}[{entity},{t}]" for every hour t and kind as one
+    block, hour-major: every kind at t=0, then every kind at t=1, and so on.
+
+    rhs holds one value per hour.  A kind is (name, sense, terms) and a term
+    is (columns, coefficient); each is one value, or an array with one per
+    hour.
+    """
+    T, K = len(rhs), len(kinds)
+    first_rows = np.arange(T) * K
+    rows, cols, vals = [], [], []
+    for k, (_, _, terms) in enumerate(kinds):
+        for col, coef in terms:
+            rows.append(first_rows + k)
+            cols.append(np.broadcast_to(col, T))
+            vals.append(np.broadcast_to(coef, T))
+    b.add_rows([f"{name}[{entity},{t}]" for t in range(T) for name, _, _ in kinds],
+               [sense for _, sense, _ in kinds] * T,
+               np.repeat(rhs, K),
+               np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
 def add_demand_balance(scenario, vmap, b):
     """One equality per (zone, hour): injections - charging + curtailment
-    - line net exports + deferral adjustment - sink consumption = demand."""
-    T = scenario.time.n_hours
-    for z in _sorted(scenario.zones):
-        members = [g for g in scenario.clusters if g.zone == z.id]
-        drs = [f for f in scenario.deferrable_loads if f.zone == z.id]
-        for t in range(T):
-            coeffs = []
-            for g in members:
-                coeffs.append((vmap.inj[(g.id, t)], 1.0))
+    - line net exports + deferral adjustment - sink consumption = demand.
+    The rows form one Block, recorded as vmap.bal."""
+    zones = _sorted(scenario.zones)
+    start = len(b.row_names)
+    for z in zones:
+        terms = []
+        for g in scenario.clusters:
+            if g.zone == z.id:
+                terms.append((vmap.inj.of(g.id), 1.0))
                 if g.is_storage:
-                    coeffs.append((vmap.chg[(g.id, t)], -1.0))
-            for s in range(len(z.nse_segments)):
-                coeffs.append((vmap.nse[(z.id, s, t)], 1.0))
-            for ln in scenario.lines:
-                sign = 1.0 if ln.from_zone == z.id else (
-                    -1.0 if ln.to_zone == z.id else 0.0)
-                if sign:
-                    coeffs.append((vmap.flow[(ln.id, t)], -sign))
-            for f in drs:
-                coeffs.append((vmap.dr_out[(f.id, t)], 1.0))
-                coeffs.append((vmap.dr_in[(f.id, t)], -1.0))
-            if (z.id, t) in vmap.prod:
-                coeffs.append((vmap.prod[(z.id, t)], -1.0))
-            b.add_row(f"bal[{z.id},{t}]", EQ, float(z.load[t]), coeffs)
+                    terms.append((vmap.chg.of(g.id), -1.0))
+        for s in range(len(z.nse_segments)):
+            terms.append((vmap.nse.of(z.id, s), 1.0))
+        for ln in scenario.lines:
+            sign = 1.0 if ln.from_zone == z.id else (
+                -1.0 if ln.to_zone == z.id else 0.0)
+            if sign:
+                terms.append((vmap.flow.of(ln.id), -sign))
+        for f in scenario.deferrable_loads:
+            if f.zone == z.id:
+                terms.append((vmap.dr_out.of(f.id), 1.0))
+                terms.append((vmap.dr_in.of(f.id), -1.0))
+        if (z.id,) in vmap.prod.entities:
+            terms.append((vmap.prod.of(z.id), -1.0))
+        _add_hourly(b, z.id, z.load, [("bal", EQ, terms)])
+    vmap.bal = Block(start, [(z.id,) for z in zones], scenario.time.n_hours)
 
 
 def add_policy_constraints(scenario, vmap, b):
-    """Emission caps and clean-energy standards; the demand side counts net
-    storage losses, whose variable terms move to the left-hand side."""
+    """Emission caps and clean-energy standards, per zone or system-wide;
+    the demand side counts net storage losses, whose variable terms move to
+    the left-hand side."""
     hw = scenario.time.hour_weight
-    T = scenario.time.n_hours
+    known = set(z.id for z in scenario.zones)
 
-    def zone_demand(zid):
-        return float(scenario.zone(zid).load.sum())
-
-    def co2_terms(zid, rate):
-        coeffs = {}
+    def zone_terms(zid, weight, loss_rate):
+        """(columns, coefficients) pairs for zone zid's injections, weighted
+        by weight(g) per MWh, and for its storage losses at loss_rate."""
+        terms = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
         for g in scenario.clusters:
             if g.zone != zid:
                 continue
-            for t in range(T):
-                j = vmap.inj[(g.id, t)]
-                coeffs[j] = coeffs.get(j, 0.0) + g.emissions_rate * hw
-                if g.is_storage:
-                    coeffs[j] = coeffs.get(j, 0.0) + rate * hw
-                    jc = vmap.chg[(g.id, t)]
-                    coeffs[jc] = coeffs.get(jc, 0.0) - rate * hw
-        return coeffs
-
-    def std_terms(zid, frac, standard_id):
-        coeffs = {}
-        for g in scenario.clusters:
-            if g.zone != zid:
-                continue
-            for t in range(T):
-                j = vmap.inj[(g.id, t)]
-                if standard_id in g.qualifies_for:
-                    coeffs[j] = coeffs.get(j, 0.0) + hw
-                if g.is_storage:
-                    coeffs[j] = coeffs.get(j, 0.0) + frac * hw
-                    jc = vmap.chg[(g.id, t)]
-                    coeffs[jc] = coeffs.get(jc, 0.0) - frac * hw
-        return coeffs
-
-    def emit(name, sense, rhs, coeffs):
-        live = {j: v for j, v in coeffs.items() if v != 0.0}
-        if live:
-            b.add_row(name, sense, rhs, live.items())
-            return
-        # all-zero left-hand side: a cap is trivially met, a positive
-        # requirement is structurally impossible
-        if sense == GE and rhs > 0.0:
-            raise FormulationError(
-                f"policy row {name!r} requires {rhs:g} MWh but no resource "
-                "qualifies")
+            inj = vmap.inj.of(g.id)
+            v = weight(g) * hw
+            if g.is_storage:
+                v += loss_rate * hw
+                terms.append((np.column_stack((inj, vmap.chg.of(g.id))).ravel(),
+                              np.tile((v, -loss_rate * hw), len(inj))))
+            else:
+                terms.append((inj, np.full(len(inj), v)))
+        return terms
 
     for k, p in enumerate(scenario.policies):
-        known = set(z.id for z in scenario.zones)
-        zones = p.rates if p.kind in (M.CO2_CAP_ZONAL, M.CO2_CAP_SYSTEM) else p.fractions
-        for zid in zones:
+        co2 = p.kind in (M.CO2_CAP_ZONAL, M.CO2_CAP_SYSTEM)
+        shares = p.rates if co2 else p.fractions
+        for zid in shares:
             if zid not in known:
                 raise FormulationError(f"policy[{k}] references unknown zone {zid!r}")
-        if p.kind == M.CO2_CAP_ZONAL:
-            for zid in sorted(p.rates):
-                rate = p.rates[zid]
-                rhs = rate * hw * zone_demand(zid)
-                emit(f"co2[{zid}]", LE, rhs, co2_terms(zid, rate))
-        elif p.kind == M.CO2_CAP_SYSTEM:
-            coeffs = {}
+        if co2:
+            sense, weight = LE, (lambda g: g.emissions_rate)
+        else:
+            sense, weight = GE, (lambda g: float(p.standard_id in g.qualifies_for))
+        if p.kind in (M.CO2_CAP_ZONAL, M.STANDARD_ZONAL):
+            rows = [(f"co2[{zid}]" if co2 else f"std[{p.standard_id},{zid}]",
+                     [zid]) for zid in sorted(shares)]
+        else:
+            rows = [("co2_sys" if co2 else f"std_sys[{p.standard_id}]",
+                     sorted(shares))]
+        for name, zids in rows:
             rhs = 0.0
-            for zid in sorted(p.rates):
-                rate = p.rates[zid]
-                rhs += rate * hw * zone_demand(zid)
-                for j, v in co2_terms(zid, rate).items():
-                    coeffs[j] = coeffs.get(j, 0.0) + v
-            emit("co2_sys", LE, rhs, coeffs)
-        elif p.kind == M.STANDARD_ZONAL:
-            for zid in sorted(p.fractions):
-                frac = p.fractions[zid]
-                rhs = frac * hw * zone_demand(zid)
-                emit(f"std[{p.standard_id},{zid}]", GE, rhs,
-                     std_terms(zid, frac, p.standard_id))
-        elif p.kind == M.STANDARD_SYSTEM:
-            coeffs = {}
-            rhs = 0.0
-            for zid in sorted(p.fractions):
-                frac = p.fractions[zid]
-                rhs += frac * hw * zone_demand(zid)
-                for j, v in std_terms(zid, frac, p.standard_id).items():
-                    coeffs[j] = coeffs.get(j, 0.0) + v
-            emit(f"std_sys[{p.standard_id}]", GE, rhs, coeffs)
+            for zid in zids:
+                rhs += shares[zid] * hw * float(scenario.zone(zid).load.sum())
+            terms = [t for zid in zids
+                     for t in zone_terms(zid, weight, shares[zid])]
+            cols = np.concatenate([c for c, _ in terms])
+            vals = np.concatenate([v for _, v in terms])
+            live = vals != 0.0
+            if live.any():
+                b.add_row(name, sense, rhs, zip(cols[live], vals[live]))
+            elif sense == GE and rhs > 0.0:
+                # all-zero left-hand side: a cap is trivially met, a
+                # positive requirement is structurally impossible
+                raise FormulationError(
+                    f"policy row {name!r} requires {rhs:g} MWh but no "
+                    "resource qualifies")
 
 
 def add_investment_constraints(scenario, vmap, b):
@@ -378,80 +362,65 @@ def add_dispatch_constraints(scenario, vmap, b):
     """Ramping, min/max output and discharge limits for non-committed
     clusters; min-output rows are omitted when the minimum is zero."""
     T = scenario.time.n_hours
+    prev = np.roll(np.arange(T), 1)   # the hour before t on the ring
     for g in _sorted(scenario.clusters):
         if g.is_uc:
             continue
-        cf = g.cap_factor_series(T)
-        for t in range(T):
-            tp = (t - 1) % T
-            if g.ramp_down < 1.0:
-                b.add_row(f"rdn[{g.id},{t}]", LE, 0.0,
-                          [(vmap.inj[(g.id, tp)], 1.0),
-                           (vmap.inj[(g.id, t)], -1.0),
-                           (vmap.cap[g.id], -g.ramp_down)])
-            if g.ramp_up < 1.0:
-                b.add_row(f"rup[{g.id},{t}]", LE, 0.0,
-                          [(vmap.inj[(g.id, t)], 1.0),
-                           (vmap.inj[(g.id, tp)], -1.0),
-                           (vmap.cap[g.id], -g.ramp_up)])
-            if g.min_stable > 0.0:
-                b.add_row(f"minout[{g.id},{t}]", GE, 0.0,
-                          [(vmap.inj[(g.id, t)], 1.0),
-                           (vmap.cap[g.id], -g.min_stable)])
-            b.add_row(f"maxout[{g.id},{t}]", LE, 0.0,
-                      [(vmap.inj[(g.id, t)], 1.0),
-                       (vmap.cap[g.id], -cf[t])])
+        inj, cap = vmap.inj.of(g.id), vmap.cap[g.id]
+        kinds = []
+        if g.ramp_down < 1.0:
+            kinds.append(("rdn", LE, [(inj[prev], 1.0), (inj, -1.0),
+                                      (cap, -g.ramp_down)]))
+        if g.ramp_up < 1.0:
+            kinds.append(("rup", LE, [(inj, 1.0), (inj[prev], -1.0),
+                                      (cap, -g.ramp_up)]))
+        if g.min_stable > 0.0:
+            kinds.append(("minout", GE, [(inj, 1.0), (cap, -g.min_stable)]))
+        kinds.append(("maxout", LE, [(inj, 1.0),
+                                     (cap, -g.cap_factor_series(T))]))
+        _add_hourly(b, g.id, np.zeros(T), kinds)
         if g.is_storage:
-            for t in range(T):
-                b.add_row(f"dislim[{g.id},{t}]", LE, 0.0,
-                          [(vmap.chg[(g.id, t)], 1.0),
-                           (vmap.cap[g.id], -1.0)])
+            _add_hourly(b, g.id, np.zeros(T), [
+                ("dislim", LE, [(vmap.chg.of(g.id), 1.0), (cap, -1.0)])])
 
 
 def add_storage_constraints(scenario, vmap, b):
     """Ring-wrapped state of charge, energy cap, charge/discharge headroom,
     and the simultaneous-operation limit."""
     T = scenario.time.n_hours
+    nxt = np.roll(np.arange(T), -1)   # the hour after t on the ring
     independent = scenario.storage_sizing_mode == M.INDEPENDENT_ENERGY
     for g in _sorted(scenario.clusters):
         if not g.is_storage:
             continue
-        for t in range(T):
-            tn = (t + 1) % T
-            b.add_row(f"socbal[{g.id},{t}]", EQ, 0.0,
-                      [(vmap.soc[(g.id, tn)], 1.0),
-                       (vmap.soc[(g.id, t)], -(1.0 - g.self_discharge)),
-                       (vmap.chg[(g.id, t)], -g.charge_eff),
-                       (vmap.inj[(g.id, t)], 1.0 / g.discharge_eff)])
-            if independent:
-                energy = [(vmap.ecap[g.id], -1.0)]
-            else:
-                energy = [(vmap.cap[g.id], -g.duration)]
-            b.add_row(f"socmax[{g.id},{t}]", LE, 0.0,
-                      [(vmap.soc[(g.id, t)], 1.0)] + energy)
-            b.add_row(f"dchlim[{g.id},{t}]", LE, 0.0,
-                      [(vmap.inj[(g.id, t)], 1.0),
-                       (vmap.soc[(g.id, t)], -g.discharge_eff)])
-            b.add_row(f"room[{g.id},{t}]", LE, 0.0,
-                      [(vmap.chg[(g.id, t)], 1.0),
-                       (vmap.soc[(g.id, t)], 1.0)] + energy)
-            b.add_row(f"simul[{g.id},{t}]", LE, 0.0,
-                      [(vmap.inj[(g.id, t)], 1.0),
-                       (vmap.chg[(g.id, t)], 1.0),
-                       (vmap.cap[g.id], -1.0)])
+        inj, chg, soc = (vmap.inj.of(g.id), vmap.chg.of(g.id),
+                         vmap.soc.of(g.id))
+        cap = vmap.cap[g.id]
+        if independent:
+            energy = [(vmap.ecap[g.id], -1.0)]
+        else:
+            energy = [(cap, -g.duration)]
+        _add_hourly(b, g.id, np.zeros(T), [
+            ("socbal", EQ, [(soc[nxt], 1.0),
+                            (soc, -(1.0 - g.self_discharge)),
+                            (chg, -g.charge_eff),
+                            (inj, 1.0 / g.discharge_eff)]),
+            ("socmax", LE, [(soc, 1.0)] + energy),
+            ("dchlim", LE, [(inj, 1.0), (soc, -g.discharge_eff)]),
+            ("room", LE, [(chg, 1.0), (soc, 1.0)] + energy),
+            ("simul", LE, [(inj, 1.0), (chg, 1.0), (cap, -1.0)]),
+        ])
 
 
 def add_transmission_constraints(scenario, vmap, b):
     """Bidirectional transport-flow limits against total line capacity."""
     T = scenario.time.n_hours
     for ln in _sorted(scenario.lines):
-        for t in range(T):
-            b.add_row(f"fpos[{ln.id},{t}]", LE, 0.0,
-                      [(vmap.flow[(ln.id, t)], 1.0),
-                       (vmap.tcap[ln.id], -1.0)])
-            b.add_row(f"fneg[{ln.id},{t}]", LE, 0.0,
-                      [(vmap.flow[(ln.id, t)], -1.0),
-                       (vmap.tcap[ln.id], -1.0)])
+        flow, tcap = vmap.flow.of(ln.id), vmap.tcap[ln.id]
+        _add_hourly(b, ln.id, np.zeros(T), [
+            ("fpos", LE, [(flow, 1.0), (tcap, -1.0)]),
+            ("fneg", LE, [(flow, -1.0), (tcap, -1.0)]),
+        ])
 
 
 def add_uc_constraints(scenario, vmap, b):
@@ -459,6 +428,8 @@ def add_uc_constraints(scenario, vmap, b):
     ramping, output bounds, state transition, and rolling min up/down windows
     (all wrapped across the horizon seam)."""
     T = scenario.time.n_hours
+    hours = np.arange(T)
+    prev = np.roll(hours, 1)
     for g in _sorted(scenario.clusters):
         if not g.is_uc:
             continue
@@ -470,54 +441,37 @@ def add_uc_constraints(scenario, vmap, b):
         du = g.unit_size
         inv_du = 1.0 / du
         cf = g.cap_factor_series(T)
-        for t in range(T):
-            tp = (t - 1) % T
-            b.add_row(f"onlim[{g.id},{t}]", LE, 0.0,
-                      [(vmap.commit[(g.id, t)], 1.0),
-                       (vmap.cap[g.id], -inv_du)])
-            b.add_row(f"stlim[{g.id},{t}]", LE, 0.0,
-                      [(vmap.start[(g.id, t)], 1.0),
-                       (vmap.cap[g.id], -inv_du)])
-            b.add_row(f"shlim[{g.id},{t}]", LE, 0.0,
-                      [(vmap.shut[(g.id, t)], 1.0),
-                       (vmap.cap[g.id], -inv_du)])
-            dn_mix = min(cf[t], max(g.min_stable, g.ramp_down))
-            b.add_row(f"ucrdn[{g.id},{t}]", LE, 0.0,
-                      [(vmap.inj[(g.id, tp)], 1.0),
-                       (vmap.inj[(g.id, t)], -1.0),
-                       (vmap.commit[(g.id, t)], -g.ramp_down * du),
-                       (vmap.start[(g.id, t)], (g.ramp_down + g.min_stable) * du),
-                       (vmap.shut[(g.id, t)], -dn_mix * du)])
-            up_mix = min(cf[t], max(g.min_stable, g.ramp_up))
-            b.add_row(f"ucrup[{g.id},{t}]", LE, 0.0,
-                      [(vmap.inj[(g.id, t)], 1.0),
-                       (vmap.inj[(g.id, tp)], -1.0),
-                       (vmap.commit[(g.id, t)], -g.ramp_up * du),
-                       (vmap.start[(g.id, t)], (g.ramp_up - up_mix) * du),
-                       (vmap.shut[(g.id, t)], g.min_stable * du)])
-            if g.min_stable > 0.0:
-                b.add_row(f"ucmin[{g.id},{t}]", LE, 0.0,
-                          [(vmap.commit[(g.id, t)], g.min_stable * du),
-                           (vmap.inj[(g.id, t)], -1.0)])
-            b.add_row(f"ucmax[{g.id},{t}]", LE, 0.0,
-                      [(vmap.inj[(g.id, t)], 1.0),
-                       (vmap.commit[(g.id, t)], -cf[t] * du)])
-            b.add_row(f"uctrans[{g.id},{t}]", EQ, 0.0,
-                      [(vmap.commit[(g.id, t)], 1.0),
-                       (vmap.commit[(g.id, tp)], -1.0),
-                       (vmap.start[(g.id, t)], -1.0),
-                       (vmap.shut[(g.id, t)], 1.0)])
-            if g.min_down >= 1:
-                coeffs = [(vmap.commit[(g.id, t)], 1.0),
-                          (vmap.cap[g.id], -inv_du)]
-                for k in range(g.min_down):
-                    coeffs.append((vmap.shut[(g.id, (t - k) % T)], 1.0))
-                b.add_row(f"mindn[{g.id},{t}]", LE, 0.0, coeffs)
-            if g.min_up >= 1:
-                coeffs = [(vmap.commit[(g.id, t)], -1.0)]
-                for k in range(g.min_up):
-                    coeffs.append((vmap.start[(g.id, (t - k) % T)], 1.0))
-                b.add_row(f"minup[{g.id},{t}]", LE, 0.0, coeffs)
+        inj, commit, start, shut = (vmap.inj.of(g.id), vmap.commit.of(g.id),
+                                    vmap.start.of(g.id), vmap.shut.of(g.id))
+        cap = vmap.cap[g.id]
+        dn_mix = np.minimum(cf, max(g.min_stable, g.ramp_down))
+        up_mix = np.minimum(cf, max(g.min_stable, g.ramp_up))
+        kinds = [
+            ("onlim", LE, [(commit, 1.0), (cap, -inv_du)]),
+            ("stlim", LE, [(start, 1.0), (cap, -inv_du)]),
+            ("shlim", LE, [(shut, 1.0), (cap, -inv_du)]),
+            ("ucrdn", LE, [(inj[prev], 1.0), (inj, -1.0),
+                           (commit, -g.ramp_down * du),
+                           (start, (g.ramp_down + g.min_stable) * du),
+                           (shut, -dn_mix * du)]),
+            ("ucrup", LE, [(inj, 1.0), (inj[prev], -1.0),
+                           (commit, -g.ramp_up * du),
+                           (start, (g.ramp_up - up_mix) * du),
+                           (shut, g.min_stable * du)]),
+        ]
+        if g.min_stable > 0.0:
+            kinds.append(("ucmin", LE, [(commit, g.min_stable * du),
+                                        (inj, -1.0)]))
+        kinds.append(("ucmax", LE, [(inj, 1.0), (commit, -cf * du)]))
+        kinds.append(("uctrans", EQ, [(commit, 1.0), (commit[prev], -1.0),
+                                      (start, -1.0), (shut, 1.0)]))
+        if g.min_down >= 1:
+            kinds.append(("mindn", LE, [(commit, 1.0), (cap, -inv_du)] + [
+                (shut[(hours - k) % T], 1.0) for k in range(g.min_down)]))
+        if g.min_up >= 1:
+            kinds.append(("minup", LE, [(commit, -1.0)] + [
+                (start[(hours - k) % T], 1.0) for k in range(g.min_up)]))
+        _add_hourly(b, g.id, np.zeros(T), kinds)
 
 
 def add_demand_sink_constraints(scenario, vmap, b):
@@ -526,35 +480,32 @@ def add_demand_sink_constraints(scenario, vmap, b):
     if scenario.sink is None:
         return
     hw = scenario.time.hour_weight
-    T = scenario.time.n_hours
-    coeffs = [(j, 1.0) for _, j in sorted(vmap.sale.items())]
-    coeffs += [(j, -hw) for _, j in sorted(vmap.prod.items())]
+    coeffs = [(vmap.sale[k], 1.0) for k in sorted(vmap.sale)]
+    coeffs += [(j, -hw) for j in range(vmap.prod.start, vmap.prod.stop)]
     if coeffs:
         b.add_row("saletot", LE, 0.0, coeffs)
-    for zid in sorted(vmap.sink_cap):
-        for t in range(T):
-            b.add_row(f"prodcap[{zid},{t}]", LE, 0.0,
-                      [(vmap.prod[(zid, t)], 1.0),
-                       (vmap.sink_cap[zid], -1.0)])
+    T = scenario.time.n_hours
+    for zid in vmap.sink_cap:
+        _add_hourly(b, zid, np.zeros(T), [
+            ("prodcap", LE, [(vmap.prod.of(zid), 1.0),
+                             (vmap.sink_cap[zid], -1.0)])])
 
 
 def add_deferrable_load_constraints(scenario, vmap, b):
     """Backlog balance and rolling service deadline per deferrable load (the
     per-hour deferral cap is a column bound)."""
     T = scenario.time.n_hours
+    hours = np.arange(T)
+    prev = np.roll(hours, 1)
     for f in _sorted(scenario.deferrable_loads):
-        win = min(f.max_delay, T)
-        for t in range(T):
-            tp = (t - 1) % T
-            b.add_row(f"drbal[{f.id},{t}]", EQ, 0.0,
-                      [(vmap.dr_bkl[(f.id, t)], 1.0),
-                       (vmap.dr_bkl[(f.id, tp)], -1.0),
-                       (vmap.dr_out[(f.id, t)], -1.0),
-                       (vmap.dr_in[(f.id, t)], 1.0)])
-            coeffs = [(vmap.dr_bkl[(f.id, t)], 1.0)]
-            for k in range(win):
-                coeffs.append((vmap.dr_out[(f.id, (t - k) % T)], -1.0))
-            b.add_row(f"drwin[{f.id},{t}]", LE, 0.0, coeffs)
+        out, inn, bkl = (vmap.dr_out.of(f.id), vmap.dr_in.of(f.id),
+                         vmap.dr_bkl.of(f.id))
+        _add_hourly(b, f.id, np.zeros(T), [
+            ("drbal", EQ, [(bkl, 1.0), (bkl[prev], -1.0), (out, -1.0),
+                           (inn, 1.0)]),
+            ("drwin", LE, [(bkl, 1.0)] + [(out[(hours - k) % T], -1.0)
+                                          for k in range(min(f.max_delay, T))]),
+        ])
 
 
 _BUILDERS = (

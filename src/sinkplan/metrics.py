@@ -117,11 +117,9 @@ def price_duration_curve(solved):
 
 
 def sink_production_series(solved):
-    T = solved.scenario.time.n_hours
-    out = np.zeros(T)
-    for (zid, t), j in solved.vmap.prod.items():
-        out[t] += solved.solution.primal[j]
-    return out
+    prod = solved.vmap.prod
+    hourly = solved.solution.primal[prod.start:prod.stop]
+    return hourly.reshape(-1, solved.scenario.time.n_hours).sum(axis=0)
 
 
 def sink_capacity(solved):
@@ -132,16 +130,15 @@ def sink_capacity(solved):
 def sink_weighted_price(solved):
     """Production-weighted mean price paid by the sink; None if it never ran."""
     _require_optimal(solved)
-    num = 0.0
-    den = 0.0
-    for (zid, t), j in solved.vmap.prod.items():
-        p = solved.solution.primal[j]
-        if p > _TOL:
-            num += p * solved.price(zid, t)
-            den += p
+    prod = solved.vmap.prod
+    zones, prices = solved.price_matrix()
+    prices = prices[[zones.index(z) for z, in prod.entities]]
+    p = solved.solution.primal[prod.start:prod.stop].reshape(prices.shape)
+    ran = p > _TOL
+    den = p[ran].sum()
     if den <= _TOL:
         return None
-    return num / den
+    return float(p[ran] @ prices[ran] / den)
 
 
 def capacity_factor(solved, group):

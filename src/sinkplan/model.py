@@ -119,11 +119,6 @@ class ResourceCluster:
         object.__setattr__(self, "cap_factor", _series(cf))
         object.__setattr__(self, "qualifies_for", frozenset(self.qualifies_for))
 
-    def cap_factor_at(self, t):
-        if len(self.cap_factor) == 1:
-            return float(self.cap_factor[0])
-        return float(self.cap_factor[t])
-
     def cap_factor_series(self, n_hours):
         if len(self.cap_factor) == 1:
             return np.full(n_hours, float(self.cap_factor[0]))

@@ -1,8 +1,6 @@
 """Scenario-level solve pipeline: assemble, solve, certify, bundle."""
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .formulation import assemble
 from .lp import OPTIMAL, certify
@@ -22,7 +20,6 @@ class Solved:
     vmap: object
     solution: object
     report_card: object = None       # ResidualReport when certified
-    _rows: dict = field(default=None, repr=False)
 
     @property
     def status(self):
@@ -32,38 +29,28 @@ class Solved:
     def objective(self):
         return self.solution.objective
 
-    def row(self, name):
-        if self._rows is None:
-            object.__setattr__(self, "_rows",
-                               {n: i for i, n in enumerate(self.lp.row_names)})
-        return self._rows[name]
-
     def dual(self, name):
-        return float(self.solution.duals[self.row(name)])
+        return float(self.solution.duals[self.lp.row_names.index(name)])
 
     def value(self, col_index):
         return float(self.solution.primal[col_index])
 
     def series(self, mapping, entity_id):
-        """Primal series over t for one entity in a (id, t)-keyed family."""
-        T = self.scenario.time.n_hours
-        return np.array([self.solution.primal[mapping[(entity_id, t)]]
-                         for t in range(T)])
+        """Primal series over t for one entity of an hourly family."""
+        return self.solution.primal[mapping.of(entity_id)]
 
     def price(self, zone_id, t):
         """Electricity price, $/MWh: demand-balance dual over hour weight."""
-        return self.dual(f"bal[{zone_id},{t}]") / self.scenario.time.hour_weight
+        dual = float(self.solution.duals[self.vmap.bal[(zone_id, t)]])
+        return dual / self.scenario.time.hour_weight
 
     def price_matrix(self):
         """(zones x T) price array in sorted-zone order."""
-        T = self.scenario.time.n_hours
-        zones = sorted(z.id for z in self.scenario.zones)
-        hw = self.scenario.time.hour_weight
-        out = np.empty((len(zones), T))
-        for k, zid in enumerate(zones):
-            for t in range(T):
-                out[k, t] = self.solution.duals[self.row(f"bal[{zid},{t}]")] / hw
-        return zones, out
+        bal = self.vmap.bal
+        duals = self.solution.duals[bal.start:bal.stop]
+        prices = duals.reshape(len(bal.entities), bal.hours)
+        return ([z for z, in bal.entities],
+                prices / self.scenario.time.hour_weight)
 
 
 def solve_scenario(scenario, options=None, certify_tol=1e-6):

@@ -213,7 +213,7 @@ def solve(lp, options=None):
         if outcome == "iteration_limit":
             return _finish(lp, ws, ITERATION_LIMIT, feasible=False)
         art = ws.art_cols
-        infeas = float(ws.cost1 @ _current_x(ws))
+        infeas = float(ws.cost1 @ ws.x)
         if infeas > opts.feas_tol:
             return _finish(lp, ws, INFEASIBLE, feasible=False)
         for j in art:
@@ -256,10 +256,6 @@ def _solve_unconstrained(lp):
                 lp.upper[j] if lp.upper[j] < INF else 0.0
             )
     return Solution(OPTIMAL, float(lp.obj @ x), x, np.zeros(0), lp.obj.copy())
-
-
-def _current_x(ws):
-    return ws.x
 
 
 def _iterate(ws, cost, phase, max_iter):

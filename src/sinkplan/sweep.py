@@ -3,12 +3,15 @@
 Each (capex, base price) cell derives the sink annuity, builds the stepwise
 demand curve for that base price, assembles and solves the full LP, and
 reports metrics against the no-sink reference.  Cells are independent: one
-failed cell is recorded and the rest of the sweep continues.  Results are
-sorted by grid position, so the output is identical at any parallelism.
+failed cell is recorded and the rest of the sweep continues.  A worker
+process that dies breaks its pool, so every cell not yet finished is then
+recorded as an error and the finished ones are kept.  Results are sorted by
+grid position, so the output is identical at any parallelism.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -103,13 +106,25 @@ def _solve_cell(args):
         return CellResult(capex, base_price, "error", error=str(exc))
 
 
+def _cell_outcome(future, task):
+    """The cell's result, or an error cell if the pool broke before it
+    finished."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        _, _, capex, base_price, _ = task
+        return CellResult(capex, base_price, "error",
+                          error=f"{type(exc).__name__}: {exc}")
+
+
 def run_sweep(scenario, grid, parallelism=1, options=None, reference=None):
     """Solve every grid cell (optionally in parallel) against the reference."""
     ref = reference or run_reference(scenario, options)
     tasks = [(scenario, grid, cx, bp, ref) for cx, bp in grid.cells()]
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            cells = list(pool.map(_solve_cell, tasks))
+            futures = [pool.submit(_solve_cell, t) for t in tasks]
+            cells = [_cell_outcome(f, t) for f, t in zip(futures, tasks)]
     else:
         cells = [_solve_cell(t) for t in tasks]
     order = {(cx, bp): k for k, (cx, bp) in enumerate(grid.cells())}

@@ -96,6 +96,25 @@ class TestSinkPrices:
             sink=sh.sink_spec(0.01), segments=sh.segments((0.5, 1e6))))
         assert sink_weighted_price(solved) is None
 
+    def test_matches_the_per_hour_loop(self, tiny_solved):
+        # the loop over (zone, hour) columns the array form replaced; its
+        # sums run in another order, so they agree to rounding
+        from dataclasses import replace
+        from test_formulation_deep import kitchen_sink_instance
+
+        two_zones = replace(kitchen_sink_instance(), sink=sh.sink_spec(50.0),
+                            segments=sh.segments((60.0, 2e6), (35.0, 2e6)))
+        for solved in (tiny_solved, solve_scenario(two_zones)):
+            num = den = 0.0
+            for (zid, t), j in solved.vmap.prod.items():
+                p = solved.solution.primal[j]
+                if p > 1e-9:
+                    num += p * solved.price(zid, t)
+                    den += p
+            assert den > 0.0
+            assert sink_weighted_price(solved) == pytest.approx(num / den,
+                                                                rel=1e-12)
+
     def test_sink_pays_at_most_the_average_price(self, tiny_solved):
         swp = sink_weighted_price(tiny_solved)
         assert swp is not None

@@ -1,5 +1,8 @@
 """Sweep orchestration: determinism, emission, isolation, and LP economics."""
 
+import os
+import time
+
 import pytest
 
 import scen_helpers as sh
@@ -15,6 +18,19 @@ from sinkplan.sweep import (
     run_sweep,
     write_cell_mps,
 )
+
+
+_SOLVE_CELL = sweep_mod._solve_cell
+
+
+def _cell_that_kills_its_worker(args):
+    """Sweep cell whose worker process dies at cx800_bp60, the last cell,
+    after giving the other worker time to finish the cells before it."""
+    _, _, capex, base_price, _ = args
+    if (capex, base_price) == (800.0, 60.0):
+        time.sleep(3.0)
+        os._exit(1)
+    return _SOLVE_CELL(args)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +113,22 @@ class TestRunSweep:
         bad = [c for c in result.cells if c.status != "optimal"]
         assert len(bad) == 1 and "synthetic failure" in bad[0].error
         assert sum(c.status == "optimal" for c in result.cells) == 3
+
+    def test_dead_worker_is_isolated(self, small_scenario, small_grid,
+                                     swept, monkeypatch):
+        # module-level stand-in, so the pool can pickle it by reference
+        monkeypatch.setattr(sweep_mod, "_solve_cell",
+                            _cell_that_kills_its_worker)
+        result = run_sweep(small_scenario, small_grid, parallelism=2,
+                           reference=swept.reference)
+        assert [c.cell_id for c in result.cells] == [
+            c.cell_id for c in swept.cells]
+        dead = result.cells[-1]
+        assert dead.status == "error"
+        assert dead.error.startswith("BrokenProcessPool")
+        for c, ref in zip(result.cells[:-1], swept.cells):
+            assert c.status == "optimal"
+            assert c.report.to_row() == ref.report.to_row()
 
 
 class TestRevealedPreference:
