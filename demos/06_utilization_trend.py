@@ -3,7 +3,7 @@
 Cheap sinks run opportunistically on surplus renewables (low capacity factor,
 lots of capacity); expensive sinks must run nearly always to recover their
 annuity.  Expect the capacity factor to climb with capex while installed
-capacity falls - takes a minute or so.
+capacity falls - takes half a minute or so.
 """
 
 from pathlib import Path
@@ -21,8 +21,10 @@ print(f"  avg price {ref.average_price:.2f} $/MWh, "
 
 print(f"\n{'capex $/kW':>11} {'sink MW':>9} {'CF':>6} {'corr(net load)':>15}")
 for capex in grid.capex_values:
+    # warm-started from the reference's basis, as run_sweep does
     solved = solve_scenario(cell_scenario(scenario, grid, capex,
-                                          grid.base_prices[0]))
+                                          grid.base_prices[0]),
+                            start=ref.basis)
     rep = report(solved, reference=ref)
     corr = (f"{rep.daily_net_load_correlation:+.2f}"
             if rep.daily_net_load_correlation is not None else "-")

@@ -233,7 +233,10 @@ class Solution:
     primal: np.ndarray         # value per column
     duals: np.ndarray          # value per row
     reduced_costs: np.ndarray  # value per column
-    iterations: int = 0
+    iterations: int = 0        # total, phase 1 included
+    basis: tuple = None        # (column statuses, row statuses), see simplex
+    phase1_iterations: int = 0
+    warm_start: bool = False   # True only when the given start was used
 
 
 @dataclass

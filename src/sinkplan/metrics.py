@@ -45,6 +45,9 @@ class MetricsReport:
     delta_capacity_by_group: dict = field(default_factory=dict)
     system_cost_change_fraction: float = None
     start_cost_change_fraction: float = None
+    # the solve's final basis keyed by name, kept by run_reference to start
+    # sweep cells from; not a results.csv field
+    basis: tuple = field(default=None, repr=False, compare=False)
 
     ROW_FIELDS = (
         "status", "objective", "total_system_cost", "average_price",

@@ -2,9 +2,11 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .formulation import assemble
 from .lp import OPTIMAL, certify
-from .simplex import SolveOptions, solve
+from .simplex import BASIC, SolveOptions, cold_status, solve
 
 
 class SolveError(RuntimeError):
@@ -28,6 +30,13 @@ class Solved:
     @property
     def objective(self):
         return self.solution.objective
+
+    def basis_by_name(self):
+        """The final basis keyed by name, `({column: status}, {row: status})`,
+        to start a related scenario from (see `solve_scenario`)."""
+        cols, rows = self.solution.basis
+        return (dict(zip(self.lp.col_names, cols.tolist())),
+                dict(zip(self.lp.row_names, rows.tolist())))
 
     def dual(self, name):
         return float(self.solution.duals[self.lp.row_names.index(name)])
@@ -53,10 +62,25 @@ class Solved:
                 prices / self.scenario.time.hour_weight)
 
 
-def solve_scenario(scenario, options=None, certify_tol=1e-6):
-    """Assemble and solve; optimal solutions are certified before returning."""
+def _start_on(lp, basis):
+    """A basis keyed by name as a start for lp: a column it does not name is
+    nonbasic by the cold rule, a row it does not name has its slack basic."""
+    cols, rows = basis
+    cold = cold_status(lp.lower, lp.upper).tolist()
+    return (np.array([cols.get(c, st) for c, st in zip(lp.col_names, cold)]),
+            np.array([rows.get(r, BASIC) for r in lp.row_names]))
+
+
+def solve_scenario(scenario, options=None, certify_tol=1e-6, start=None):
+    """Assemble and solve; optimal solutions are certified before returning.
+
+    start: a basis keyed by name (`Solved.basis_by_name` of a related
+    scenario) to warm-start from; the solver falls back to a cold start when
+    it does not fit.
+    """
     lp, vmap = assemble(scenario)
-    solution = solve(lp, options or SolveOptions())
+    solution = solve(lp, options or SolveOptions(),
+                     start=None if start is None else _start_on(lp, start))
     card = None
     if solution.status == OPTIMAL:
         card = certify(lp, solution)

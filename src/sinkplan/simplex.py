@@ -9,8 +9,15 @@ engine falls back to Bland's rule until it makes progress again, which
 guarantees termination.  Rows are equilibrated (divided by their largest
 absolute coefficient) before solving and duals are rescaled on return.
 
-Determinism: identical LPs and options take identical pivot sequences, so two
-solves return bit-identical Solutions.
+Warm starts: `solve` may be given a starting basis, one status per column and
+one per row (the row's slack, or for an equality row its artificial), in the
+form every Solution returns as `basis`.  A start with exactly one basic per
+row that factorizes and puts every basic within `feas_tol` of its bounds
+skips phase 1; any other start is dropped for the cold slack crash, and
+`Solution.warm_start` says which of the two ran.
+
+Determinism: identical LPs, options and starts take identical pivot
+sequences, so two solves return bit-identical Solutions.
 """
 
 from dataclasses import dataclass
@@ -30,12 +37,38 @@ from .lp import (
     OPTIMAL,
     Solution,
     UNBOUNDED,
+    certify,
 )
 
 AT_LOWER = 0
 AT_UPPER = 1
 FREE_ZERO = 2
 BASIC = 3
+
+# An "optimal" that pricing on a fresh factorization never confirmed must
+# certify to this tolerance to be reported as optimal.
+_CERTIFY_TOL = 1e-6
+
+
+def cold_status(lower, upper):
+    """Nonbasic status by the cold rule: finite lower, else finite upper,
+    else free at zero."""
+    lower, upper = np.asarray(lower), np.asarray(upper)
+    return np.where(lower > -INF, AT_LOWER,
+                    np.where(upper < INF, AT_UPPER, FREE_ZERO)).astype(np.int8)
+
+
+def _nonbasic_value(status, lower, upper):
+    return np.where(status == AT_LOWER, lower,
+                    np.where(status == AT_UPPER, upper, 0.0))
+
+
+def _valid_status(status, lower, upper):
+    """Where a status is one a column with these bounds can take."""
+    return (((status == AT_LOWER) & (lower > -INF))
+            | ((status == AT_UPPER) & (upper < INF))
+            | ((status == FREE_ZERO) & (lower == -INF) & (upper == INF))
+            | (status == BASIC))
 
 
 @dataclass
@@ -49,9 +82,15 @@ class SolveOptions:
 
 
 class _Workspace:
-    """Mutable solver state over the slack-extended, row-scaled problem."""
+    """Mutable solver state over the slack-extended, row-scaled problem.
 
-    def __init__(self, lp, options):
+    Without a start the basis is the slack crash, with artificials where a
+    slack cannot be basic.  With a start the basis is the given one; equality
+    rows whose artificial it makes basic get that artificial fixed at zero,
+    and `basis` is None when the start is malformed or has not m basics.
+    """
+
+    def __init__(self, lp, options, start=None):
         self.opts = options
         m = lp.n_rows
         n = lp.n_cols
@@ -70,7 +109,7 @@ class _Workspace:
         cost = list(lp.obj)
 
         # one slack per inequality row: <= gets s in [0, inf), >= gets s in (-inf, 0]
-        self.slack_of_row = [-1] * m
+        self.slack_of_row = np.full(m, -1, dtype=np.int64)
         for i, sense in enumerate(lp.senses):
             if sense == EQ:
                 continue
@@ -88,55 +127,32 @@ class _Workspace:
             self.slack_of_row[i] = j
         self.n_logical = len(lower)
 
-        # nonbasic start: finite lower, else finite upper, else free at zero
-        status = np.empty(self.n_logical + m, dtype=np.int8)
-        x = np.zeros(self.n_logical + m)
-        for j in range(self.n_logical):
-            if lower[j] > -INF:
-                status[j] = AT_LOWER
-                x[j] = lower[j]
-            elif upper[j] < INF:
-                status[j] = AT_UPPER
-                x[j] = upper[j]
-            else:
-                status[j] = FREE_ZERO
-                x[j] = 0.0
+        self.warm_start = start is not None
+        if start is None:
+            status = cold_status(lower, upper)
+            x = _nonbasic_value(status, np.asarray(lower), np.asarray(upper))
+            basis, art_rows, art_sign = self._crash(lp, rows, cols, data, x)
+            art_upper = INF
+        else:
+            picked = self._from_start(start, np.asarray(lower),
+                                      np.asarray(upper))
+            if picked is None:
+                self.basis = None
+                return
+            status, x, basis, art_rows = picked
+            art_sign = np.ones(len(art_rows))
+            art_upper = 0.0
 
-        partial = csc_matrix(
-            (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
-            shape=(m, self.n_logical),
-        )
-        resid = self.b - partial @ x[: self.n_logical]
-
-        # crash: slack basic where its bound allows, artificial otherwise
-        basis = np.full(m, -1, dtype=np.int64)
-        art_sign = np.zeros(m)
-        for i in range(m):
-            j = self.slack_of_row[i]
-            ok_slack = j >= 0 and (
-                (lp.senses[i] == LE and resid[i] >= 0.0)
-                or (lp.senses[i] == GE and resid[i] <= 0.0)
-            )
-            if ok_slack:
-                basis[i] = j
-            else:
-                art_sign[i] = 1.0 if resid[i] >= 0.0 else -1.0
-
-        self.art_cols = []
-        for i in range(m):
-            if basis[i] >= 0:
-                continue
-            j = self.n_logical + len(self.art_cols)
-            rows.append(i)
-            cols.append(j)
-            data.append(art_sign[i])
-            lower.append(0.0)
-            upper.append(INF)
-            cost.append(0.0)
-            basis[i] = j
-            self.art_cols.append(j)
-        n_art = len(self.art_cols)
+        n_art = len(art_rows)
         n_total = self.n_logical + n_art
+        self.art_rows = np.asarray(art_rows, dtype=np.int64)
+        self.art_cols = np.arange(self.n_logical, n_total)
+        rows += list(art_rows)
+        cols += list(self.art_cols)
+        data += list(art_sign)
+        lower += [0.0] * n_art
+        upper += [art_upper] * n_art
+        cost += [0.0] * n_art
 
         self.A = csc_matrix(
             (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
@@ -149,17 +165,65 @@ class _Workspace:
         self.cost1 = np.zeros(n_total)
         self.cost1[self.n_logical :] = 1.0
 
-        self.status = np.concatenate([status[: self.n_logical],
+        self.status = np.concatenate([status,
                                       np.full(n_art, AT_LOWER, dtype=np.int8)])
-        self.x = np.concatenate([x[: self.n_logical], np.zeros(n_art)])
+        self.x = np.concatenate([x, np.zeros(n_art)])
         self.basis = basis
-        for i in range(m):
-            self.status[basis[i]] = BASIC
+        self.status[basis] = BASIC
 
         self.lu = None
         self.etas = []          # list of (row, ftran'd column)
         self.iterations = 0
-        self.need_phase1 = n_art > 0
+        self.phase1_iterations = 0
+        self.need_phase1 = n_art > 0 and start is None
+
+    def _crash(self, lp, rows, cols, data, x):
+        """Slack basic where its bound allows, artificial otherwise."""
+        m = self.m
+        partial = csc_matrix(
+            (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
+            shape=(m, self.n_logical),
+        )
+        resid = self.b - partial @ x
+        basis = np.full(m, -1, dtype=np.int64)
+        art_rows, art_sign = [], []
+        for i in range(m):
+            j = self.slack_of_row[i]
+            ok_slack = j >= 0 and (
+                (lp.senses[i] == LE and resid[i] >= 0.0)
+                or (lp.senses[i] == GE and resid[i] <= 0.0)
+            )
+            if ok_slack:
+                basis[i] = j
+            else:
+                basis[i] = self.n_logical + len(art_rows)
+                art_rows.append(i)
+                art_sign.append(1.0 if resid[i] >= 0.0 else -1.0)
+        return basis, art_rows, art_sign
+
+    def _from_start(self, start, lower, upper):
+        """Statuses, values, basis and basic-artificial rows of a start, or
+        None if it does not fit this LP or has not m basics."""
+        col_st, row_st = (np.asarray(a) for a in start)
+        if col_st.shape != (self.n_struct,) or row_st.shape != (self.m,):
+            return None
+        slack = self.slack_of_row
+        has_slack = slack >= 0
+        status = np.empty(self.n_logical, dtype=np.int64)
+        status[: self.n_struct] = col_st
+        status[slack[has_slack]] = row_st[has_slack]
+        eq_st = row_st[~has_slack]      # an equality row's artificial: [0, 0]
+        if not (np.all(_valid_status(status, lower, upper))
+                and np.all(_valid_status(eq_st, 0.0, 0.0))):
+            return None
+        art_rows = np.flatnonzero(~has_slack)[eq_st == BASIC]
+        basics = np.flatnonzero(status == BASIC)
+        if len(basics) + len(art_rows) != self.m:
+            return None
+        basis = np.concatenate([
+            basics, self.n_logical + np.arange(len(art_rows), dtype=np.int64)])
+        status = status.astype(np.int8)
+        return status, _nonbasic_value(status, lower, upper), basis, art_rows
 
     # -- factorization ----------------------------------------------------
 
@@ -196,26 +260,38 @@ def _btran(ws, v):
     return ws.lu.solve(z, trans="T")
 
 
-def solve(lp, options=None):
-    """Solve a LinearProgram; returns a Solution with duals and reduced costs."""
+def solve(lp, options=None, start=None):
+    """Solve a LinearProgram; returns a Solution with duals, reduced costs
+    and its final basis.
+
+    start: a basis to begin from, `(column statuses, row statuses)` as in
+    `Solution.basis`.  It is used only if it has exactly one basic per row,
+    factorizes and is primal feasible to `feas_tol`; otherwise the solve
+    starts cold, exactly as with no start.
+    """
     opts = options or SolveOptions()
     _check_finite(lp)
 
     if lp.n_rows == 0:
         return _solve_unconstrained(lp)
 
-    ws = _Workspace(lp, opts)
+    ws = _started(lp, opts, start) if start is not None else None
+    if ws is None:
+        ws = _Workspace(lp, opts)
+        ws.refactorize()
     max_iter = opts.max_iter or (50 * (ws.m + ws.n_logical) + 10000)
 
-    ws.refactorize()
     if ws.need_phase1:
         outcome = _iterate(ws, ws.cost1, phase=1, max_iter=max_iter)
+        ws.phase1_iterations = ws.iterations
         if outcome == "iteration_limit":
             return _finish(lp, ws, ITERATION_LIMIT, feasible=False)
         art = ws.art_cols
         infeas = float(ws.cost1 @ ws.x)
         if infeas > opts.feas_tol:
-            return _finish(lp, ws, INFEASIBLE, feasible=False)
+            # infeasibility is proven only by a phase-1 optimum
+            status = INFEASIBLE if outcome == "optimal" else ITERATION_LIMIT
+            return _finish(lp, ws, status, feasible=False)
         for j in art:
             ws.upper[j] = 0.0
             if ws.status[j] != BASIC:
@@ -226,7 +302,27 @@ def solve(lp, options=None):
         return _finish(lp, ws, UNBOUNDED, feasible=True)
     if outcome == "iteration_limit":
         return _finish(lp, ws, ITERATION_LIMIT, feasible=True)
-    return _finish(lp, ws, OPTIMAL, feasible=True)
+    solution = _finish(lp, ws, OPTIMAL, feasible=True)
+    if (outcome == "unverified"
+            and not certify(lp, solution).within(_CERTIFY_TOL)):
+        solution.status = ITERATION_LIMIT
+    return solution
+
+
+def _started(lp, opts, start):
+    """A workspace factorized on the start's basis, or None when the start
+    is malformed, singular or primal infeasible."""
+    ws = _Workspace(lp, opts, start)
+    if ws.basis is None:
+        return None
+    try:
+        ws.refactorize()
+    except RuntimeError:     # SuperLU: the basis matrix is exactly singular
+        return None
+    xb = ws.x[ws.basis]
+    inside = ((xb >= ws.lower[ws.basis] - opts.feas_tol)
+              & (xb <= ws.upper[ws.basis] + opts.feas_tol))
+    return ws if np.all(inside) else None
 
 
 def _check_finite(lp):
@@ -241,21 +337,25 @@ def _check_finite(lp):
 def _solve_unconstrained(lp):
     n = lp.n_cols
     x = np.zeros(n)
+    status = cold_status(lp.lower, lp.upper)
     for j in range(n):
         c = lp.obj[j]
         if c > 0:
             if lp.lower[j] == -INF:
                 return Solution(UNBOUNDED, -INF, x, np.zeros(0), lp.obj.copy())
             x[j] = lp.lower[j]
+            status[j] = AT_LOWER
         elif c < 0:
             if lp.upper[j] == INF:
                 return Solution(UNBOUNDED, -INF, x, np.zeros(0), lp.obj.copy())
             x[j] = lp.upper[j]
+            status[j] = AT_UPPER
         else:
             x[j] = lp.lower[j] if lp.lower[j] > -INF else (
                 lp.upper[j] if lp.upper[j] < INF else 0.0
             )
-    return Solution(OPTIMAL, float(lp.obj @ x), x, np.zeros(0), lp.obj.copy())
+    return Solution(OPTIMAL, float(lp.obj @ x), x, np.zeros(0), lp.obj.copy(),
+                    basis=(status, np.zeros(0, dtype=np.int8)))
 
 
 def _iterate(ws, cost, phase, max_iter):
@@ -284,7 +384,7 @@ def _iterate(ws, cost, phase, max_iter):
                 if q < 0:
                     return "optimal"
                 if verify_rounds > 5:
-                    return "optimal"
+                    return "unverified"
             else:
                 return "optimal"
 
@@ -294,7 +394,9 @@ def _iterate(ws, cost, phase, max_iter):
         elif ws.status[q] == FREE_ZERO and d[q] > 0:
             direction = -1.0
 
-        col = np.asarray(ws.A[:, q].todense()).ravel()
+        col = np.zeros(ws.m)
+        lo, hi = ws.A.indptr[q], ws.A.indptr[q + 1]
+        col[ws.A.indices[lo:hi]] = ws.A.data[lo:hi]
         w = ws.ftran(col)
 
         step, leave_row, leave_to = _ratio_test(ws, q, w, direction, opts)
@@ -411,4 +513,18 @@ def _finish(lp, ws, status, feasible):
         duals=np.asarray(duals, dtype=float),
         reduced_costs=np.asarray(reduced, dtype=float),
         iterations=ws.iterations,
+        basis=_final_basis(ws),
+        phase1_iterations=ws.phase1_iterations,
+        warm_start=ws.warm_start,
     )
+
+
+def _final_basis(ws):
+    """(column statuses, row statuses): a row takes its slack's status, and
+    is basic when its artificial is."""
+    st = ws.status
+    rows = np.full(ws.m, AT_LOWER, dtype=np.int8)
+    has_slack = ws.slack_of_row >= 0
+    rows[has_slack] = st[ws.slack_of_row[has_slack]]
+    rows[ws.art_rows[st[ws.art_cols] == BASIC]] = BASIC
+    return st[: ws.n_struct].copy(), rows

@@ -2,11 +2,16 @@
 
 Each (capex, base price) cell derives the sink annuity, builds the stepwise
 demand curve for that base price, assembles and solves the full LP, and
-reports metrics against the no-sink reference.  Cells are independent: one
-failed cell is recorded and the rest of the sweep continues.  A worker
-process that dies breaks its pool, so every cell not yet finished is then
-recorded as an error and the finished ones are kept.  Results are sorted by
-grid position, so the output is identical at any parallelism.
+reports metrics against the no-sink reference.  A cell is the reference plus
+the sink's columns and its `<=` rows, so every cell is warm-started from the
+reference's optimal basis, mapped by column and row name: the sink columns
+start nonbasic at zero and the new rows' slacks basic, which is feasible, so
+phase 1 is skipped.  Cells are independent: each starts from the same
+reference basis, never from another cell, and one failed cell is recorded
+and the rest of the sweep continues.  A worker process that dies breaks its
+pool, so every cell not yet finished is then recorded as an error and the
+finished ones are kept.  Results are sorted by grid position, so the output
+is identical at any parallelism.
 """
 
 import os
@@ -84,19 +89,23 @@ def cell_scenario(scenario, grid, capex, base_price):
 
 
 def run_reference(scenario, options=None):
-    """Solve the scenario with the sink removed; basis for all deltas."""
+    """Solve the scenario with the sink removed: the report every cell's
+    deltas are taken against, carrying the optimal basis every cell starts
+    from."""
     solved = solve_scenario(scenario.without_sink(), options)
     if solved.status != "optimal":
         raise RuntimeError(
             f"reference solve for {scenario.name} ended {solved.status}")
-    return report(solved)
+    rep = report(solved)
+    rep.basis = solved.basis_by_name()
+    return rep
 
 
 def _solve_cell(args):
     scenario, grid, capex, base_price, ref = args
     try:
         cell = cell_scenario(scenario, grid, capex, base_price)
-        solved = solve_scenario(cell)
+        solved = solve_scenario(cell, start=ref.basis)
         if solved.status != "optimal":
             return CellResult(capex, base_price, solved.status,
                               error=f"solver status {solved.status}")

@@ -70,7 +70,8 @@ def trend_material():
     ref_report = run_reference(scenario)
     cells = {}
     for capex in (200.0, 800.0, 1400.0):
-        solved = solve_scenario(cell_scenario(scenario, grid, capex, 50.0))
+        solved = solve_scenario(cell_scenario(scenario, grid, capex, 50.0),
+                                start=ref_report.basis)
         assert solved.status == "optimal"
         cells[capex] = solved
     return scenario, ref_report, cells

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from lp_oracle import oracle_solve_lp
+import sinkplan.simplex as simplex_mod
 from sinkplan.lp import EQ, GE, LE, LinearProgramBuilder, LPError, certify
-from sinkplan.simplex import SolveOptions, solve
+from sinkplan.simplex import (
+    AT_LOWER,
+    AT_UPPER,
+    BASIC,
+    SolveOptions,
+    cold_status,
+    solve,
+)
 
 
 def build(cols, rows, name="t"):
@@ -155,3 +163,150 @@ class TestInvariants:
         s1, s2 = solve(b1.build()), solve(b2.build())
         assert s1.objective == pytest.approx(s2.objective)
         assert s2.duals[0] * 1.0e6 == pytest.approx(s1.duals[0])
+
+
+def assert_identical(a, b):
+    assert a.status == b.status
+    assert a.objective == b.objective
+    assert np.array_equal(a.primal, b.primal)
+    assert np.array_equal(a.duals, b.duals)
+    assert np.array_equal(a.reduced_costs, b.reduced_costs)
+    assert a.iterations == b.iterations
+    assert a.phase1_iterations == b.phase1_iterations
+    assert a.warm_start == b.warm_start
+    for x, y in zip(a.basis, b.basis):
+        assert np.array_equal(x, y)
+
+
+def singular_pair():
+    """Two columns with the same coefficients: basic together, singular."""
+    return build([("x", dict(obj=-1.0)), ("y", dict(obj=-2.0))],
+                 [("r0", LE, 4.0, [(0, 1.0), (1, 1.0)]),
+                  ("r1", LE, 6.0, [(0, 1.0), (1, 1.0)])])
+
+
+def _slack_basis(lp):
+    return cold_status(lp.lower, lp.upper), np.full(lp.n_rows, BASIC)
+
+
+GARBAGE_STARTS = {
+    "short": lambda lp: (np.zeros(lp.n_cols - 1), np.zeros(lp.n_rows)),
+    "all basic": lambda lp: (np.full(lp.n_cols, BASIC),
+                             np.full(lp.n_rows, BASIC)),
+    "unknown status": lambda lp: (np.full(lp.n_cols, 7),
+                                  np.full(lp.n_rows, 7)),
+    "upper without bound": lambda lp: (np.full(lp.n_cols, AT_UPPER),
+                                       np.full(lp.n_rows, BASIC)),
+    "infeasible slack basis": _slack_basis,
+}
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", [0, 2, 8, 9])
+    def test_optimal_basis_restarts_without_pivots(self, seed):
+        lp = random_lp(seed)
+        cold = solve(lp)
+        warm = solve(lp, start=cold.basis)
+        assert cold.status == warm.status == "optimal"
+        assert (cold.warm_start, warm.warm_start) == (False, True)
+        assert warm.iterations == warm.phase1_iterations == 0
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
+        assert certify(lp, warm).within(1e-6)
+
+    def test_basis_has_one_basic_per_row(self, tiny_solved):
+        cols, rows = tiny_solved.solution.basis
+        lp = tiny_solved.lp
+        assert cols.shape == (lp.n_cols,) and rows.shape == (lp.n_rows,)
+        assert np.sum(cols == BASIC) + np.sum(rows == BASIC) == lp.n_rows
+        assert tiny_solved.solution.phase1_iterations > 0
+        assert not tiny_solved.solution.warm_start
+
+    def test_redundant_equality_restarts_on_its_artificial(self):
+        # one of the two equal rows keeps its artificial basic at zero
+        lp = build([("x", dict(obj=1.0)), ("y", dict(obj=2.0))],
+                   [("r0", EQ, 2.0, [(0, 1.0), (1, 1.0)]),
+                    ("r1", EQ, 4.0, [(0, 2.0), (1, 2.0)])])
+        cold = solve(lp)
+        cols, rows = cold.basis
+        assert list(cols) == [BASIC, AT_LOWER] and BASIC in rows
+        warm = solve(lp, start=cold.basis)
+        assert warm.warm_start and warm.iterations == 0
+        assert warm.objective == cold.objective == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("kind", sorted(GARBAGE_STARTS))
+    def test_garbage_start_falls_back_bit_identically(self, kind,
+                                                      tiny_solved):
+        lp = tiny_solved.lp
+        got = solve(lp, start=GARBAGE_STARTS[kind](lp))
+        assert not got.warm_start
+        assert_identical(got, solve(lp))
+
+    def test_singular_start_falls_back_bit_identically(self):
+        lp = singular_pair()
+        start = (np.full(2, BASIC), np.full(2, AT_LOWER))
+        got = solve(lp, start=start)
+        assert not got.warm_start
+        assert_identical(got, solve(lp))
+
+
+def _claiming_price(real):
+    """Pricing that claims optimality on every regular call, so that every
+    claim goes to verification on a fresh factorization.  There it prices
+    honestly, but at an optimum it offers a nonbasic column with zero
+    reduced cost, so the claim is never confirmed."""
+    calls = []
+
+    def price(ws, d, bland, tol):
+        calls.append(None)
+        if len(calls) % 2:
+            return -1
+        q = real(ws, d, bland, tol)
+        if q >= 0:
+            return q
+        n = ws.n_struct
+        tied = np.flatnonzero((ws.status[:n] != BASIC)
+                              & (np.abs(d[:n]) <= tol))
+        return int(tied[0]) if len(tied) else -1
+
+    price.calls = calls
+    return price
+
+
+class TestUnconfirmedOptimum:
+    """Six verification rounds that still find an entering column end the
+    solve; the answer is optimal only if it certifies."""
+
+    def test_uncertified_claim_is_an_iteration_limit(self, monkeypatch):
+        # eight unit boxes: five pivots in, pricing still finds a column
+        n = 8
+        lp = build([(f"x{j}", dict(obj=-1.0)) for j in range(n)],
+                   [(f"r{j}", LE, 1.0, [(j, 1.0)]) for j in range(n)])
+        price = _claiming_price(simplex_mod._price)
+        monkeypatch.setattr(simplex_mod, "_price", price)
+        s = solve(lp)
+        assert len(price.calls) == 12
+        assert s.status == "iteration_limit"
+        assert s.iterations == 5
+        assert not certify(lp, s).within(1e-6)
+
+    def test_certified_claim_stays_optimal(self, monkeypatch):
+        # two columns tie, so verification keeps swapping optimal vertices
+        lp = build([("x", dict(obj=-1.0)), ("y", dict(obj=-1.0))],
+                   [("r", LE, 1.0, [(0, 1.0), (1, 1.0)])])
+        price = _claiming_price(simplex_mod._price)
+        monkeypatch.setattr(simplex_mod, "_price", price)
+        s = solve(lp)
+        assert len(price.calls) == 12
+        assert s.status == "optimal"
+        assert s.objective == pytest.approx(-1.0)
+
+    def test_unconfirmed_phase1_is_not_infeasible(self, monkeypatch):
+        # eight floors: phase 1 stops after five pivots with artificials left
+        n = 8
+        lp = build([(f"x{j}", dict(obj=1.0)) for j in range(n)],
+                   [(f"r{j}", GE, 1.0, [(j, 1.0)]) for j in range(n)])
+        monkeypatch.setattr(simplex_mod, "_price",
+                            _claiming_price(simplex_mod._price))
+        s = solve(lp)
+        assert s.status == "iteration_limit"
+        assert s.phase1_iterations == s.iterations == 5

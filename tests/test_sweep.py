@@ -3,11 +3,13 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
 import scen_helpers as sh
 import sinkplan.sweep as sweep_mod
 from sinkplan.econ import DemandCurveSpec, FinanceSpec
+from sinkplan.lp import certify
 from sinkplan.metrics import report
 from sinkplan.runner import solve_scenario
 from sinkplan.sweep import (
@@ -87,9 +89,30 @@ class TestRunSweep:
 
     def test_parallel_results_identical(self, small_scenario, small_grid,
                                         swept):
-        par = run_sweep(small_scenario, small_grid, parallelism=4)
-        for a, b in zip(swept.cells, par.cells):
-            assert a.cell_id == b.cell_id
+        for parallelism in (2, 4):
+            par = run_sweep(small_scenario, small_grid,
+                            parallelism=parallelism)
+            for a, b in zip(swept.cells, par.cells):
+                assert a.cell_id == b.cell_id
+                assert a.report.to_row() == b.report.to_row()
+                assert np.array_equal(a.report.price_duration_curve,
+                                      b.report.price_duration_curve)
+
+    def test_cells_start_from_the_reference_basis(self, small_scenario,
+                                                  small_grid, swept,
+                                                  monkeypatch):
+        starts = []
+
+        def recording(scenario, *a, start=None, **kw):
+            starts.append(start)
+            return solve_scenario(scenario, *a, start=start, **kw)
+
+        monkeypatch.setattr(sweep_mod, "solve_scenario", recording)
+        result = run_sweep(small_scenario, small_grid, parallelism=1,
+                           reference=swept.reference)
+        assert len(starts) == 4
+        assert all(st is swept.reference.basis for st in starts)
+        for a, b in zip(swept.cells, result.cells):
             assert a.report.to_row() == b.report.to_row()
 
     def test_cells_derive_curve_from_base_price(self, small_scenario,
@@ -129,6 +152,55 @@ class TestRunSweep:
         for c, ref in zip(result.cells[:-1], swept.cells):
             assert c.status == "optimal"
             assert c.report.to_row() == ref.report.to_row()
+
+
+WARM_CASES = ["small", "tiny"] + [f"random{seed}" for seed in range(6)]
+
+
+@pytest.fixture(params=WARM_CASES)
+def sink_scenario(request):
+    """A scenario with a sink: a sweep cell of small or tiny, or a random
+    instance."""
+    case = request.param
+    if case.startswith("random"):
+        return sh.random_instance(int(case[len("random"):]), with_sink=True)
+    prefix, capex, price = (("small", 200.0, 30.0) if case == "small"
+                            else ("tiny", 800.0, 50.0))
+    return cell_scenario(request.getfixturevalue(f"{prefix}_scenario"),
+                         request.getfixturevalue(f"{prefix}_grid"),
+                         capex, price)
+
+
+def _identical(a, b):
+    sa, sb = a.solution, b.solution
+    return (sa.status == sb.status and sa.objective == sb.objective
+            and sa.iterations == sb.iterations
+            and sa.warm_start == sb.warm_start
+            and all(np.array_equal(getattr(sa, f), getattr(sb, f))
+                    for f in ("primal", "duals", "reduced_costs")))
+
+
+class TestWarmStart:
+    def test_warm_matches_cold_without_phase1(self, sink_scenario):
+        ref = solve_scenario(sink_scenario.without_sink())
+        warm = solve_scenario(sink_scenario, start=ref.basis_by_name())
+        cold = solve_scenario(sink_scenario)
+        assert warm.solution.warm_start and not cold.solution.warm_start
+        assert warm.solution.phase1_iterations == 0
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert certify(warm.lp, warm.solution).within(1e-6)
+
+    def test_unknown_names_fall_back_bit_identically(self, sink_scenario):
+        start = ({"no_such_col": 0}, {"no_such_row": 3})
+        got = solve_scenario(sink_scenario, start=start)
+        assert not got.solution.warm_start
+        assert _identical(got, solve_scenario(sink_scenario))
+
+    def test_reference_report_carries_its_basis(self, small_scenario):
+        ref = run_reference(small_scenario)
+        solved = solve_scenario(small_scenario.without_sink())
+        assert ref.basis == solved.basis_by_name()
+        assert "basis" not in ref.to_row()
 
 
 class TestRevealedPreference:
