@@ -13,7 +13,7 @@ from .lp import (
     Solution,
     certify,
 )
-from .simplex import SolveOptions, solve
+from .simplex import solve
 from .model import (
     DeferrableLoad,
     DemandSinkSpec,

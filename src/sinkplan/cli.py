@@ -63,7 +63,7 @@ def cmd_solve(args):
             print("--solver external needs --sol-in FILE", file=sys.stderr)
             return 2
         lp, vmap = assemble(scenario)
-        solution = read_external_solution(lp, args.sol_in, args.sol_in)
+        solution = read_external_solution(lp, args.sol_in)
         solved = Solved(scenario, lp, vmap, solution)
     else:
         solved = solve_scenario(scenario)
@@ -128,7 +128,7 @@ def cmd_curve(args):
 
 def cmd_certify(args):
     lp = parse_mps(Path(args.mps).read_text())
-    solution = read_external_solution(lp, args.sol, args.sol)
+    solution = read_external_solution(lp, args.sol)
     rep = certify(lp, solution)
     print(f"status = {solution.status}")
     print(f"objective = {solution.objective!r}")

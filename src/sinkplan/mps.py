@@ -2,13 +2,13 @@
 
 The writer emits fixed-format MPS (aligned fields; a token longer than its
 field simply overflows and stays whitespace-delimited, which every modern
-reader accepts) or fully free-format when asked.  Row/column names longer than
-8 characters are replaced by generated R####### / C####### names; the mangling
-table is emitted alongside the data as `* NAMEMAP <mangled> <original>`
-comment lines so a single artifact round-trips original names while external
-solvers skip the comments.  Numbers are rendered with shortest exact
-round-trip representation, so parse(write(lp)) reproduces every float bit for
-bit.
+reader accepts); the parser splits on whitespace, so it reads free-format
+files as well.  Row/column names longer than 8 characters are replaced by
+generated R####### / C####### names; the mangling table is emitted alongside
+the data as `* NAMEMAP <mangled> <original>` comment lines so a single
+artifact round-trips original names while external solvers skip the
+comments.  Numbers are rendered with shortest exact round-trip
+representation, so parse(write(lp)) reproduces every float bit for bit.
 
 Solution exchange: `STATUS <status> OBJ <value>` header, then `COL <name>
 <value>` and `ROW <name> <dual>` lines, whitespace-separated and keyed by
@@ -74,16 +74,14 @@ def _num(v):
     return r
 
 
-def _line(fields, widths, free):
-    if free:
-        return " " + " ".join(fields)
+def _line(fields, widths):
     parts = []
     for f, w in zip(fields, widths):
         parts.append(f.ljust(w) if len(f) < w else f)
     return (" " + "  ".join(parts)).rstrip()
 
 
-def write_mps(lp, free_format=False):
+def write_mps(lp):
     """Serialize a LinearProgram to MPS text."""
     row_short = mangle_names(lp.row_names, "R")
     col_short = mangle_names(lp.col_names, "C")
@@ -96,11 +94,11 @@ def write_mps(lp, free_format=False):
         if short != orig:
             out.append(f"* NAMEMAP {short} {orig}")
 
-    out.append(f"NAME          {lp.name}" if not free_format else f"NAME {lp.name}")
+    out.append(f"NAME          {lp.name}")
     out.append("ROWS")
-    out.append(_line(["N", _OBJ_NAME], [2, 8], free_format))
+    out.append(_line(["N", _OBJ_NAME], [2, 8]))
     for i, sense in enumerate(lp.senses):
-        out.append(_line([_SENSE_TO_TYPE[sense], row_short[i]], [2, 8], free_format))
+        out.append(_line([_SENSE_TO_TYPE[sense], row_short[i]], [2, 8]))
 
     # per-column entries, rows in ascending row order
     by_col = [[] for _ in range(lp.n_cols)]
@@ -111,14 +109,14 @@ def write_mps(lp, free_format=False):
     out.append("COLUMNS")
     widths = [8, 8, 14]
     for j in range(lp.n_cols):
-        out.append(_line([col_short[j], _OBJ_NAME, _num(lp.obj[j])], widths, free_format))
+        out.append(_line([col_short[j], _OBJ_NAME, _num(lp.obj[j])], widths))
         for i, v in by_col[j]:
-            out.append(_line([col_short[j], row_short[i], _num(v)], widths, free_format))
+            out.append(_line([col_short[j], row_short[i], _num(v)], widths))
 
     out.append("RHS")
     for i in range(lp.n_rows):
         if lp.rhs[i] != 0.0:
-            out.append(_line(["RHS", row_short[i], _num(lp.rhs[i])], widths, free_format))
+            out.append(_line(["RHS", row_short[i], _num(lp.rhs[i])], widths))
 
     out.append("RANGES")
 
@@ -129,17 +127,17 @@ def write_mps(lp, free_format=False):
         if lo == 0.0 and up == INF:
             continue
         if lo == up:
-            out.append(_line(["FX", "BND", name, _num(lo)], [2, 8, 8, 14], free_format))
+            out.append(_line(["FX", "BND", name, _num(lo)], [2, 8, 8, 14]))
             continue
         if lo == -INF and up == INF:
-            out.append(_line(["FR", "BND", name], [2, 8, 8], free_format))
+            out.append(_line(["FR", "BND", name], [2, 8, 8]))
             continue
         if lo == -INF:
-            out.append(_line(["MI", "BND", name], [2, 8, 8], free_format))
+            out.append(_line(["MI", "BND", name], [2, 8, 8]))
         elif lo != 0.0:
-            out.append(_line(["LO", "BND", name, _num(lo)], [2, 8, 8, 14], free_format))
+            out.append(_line(["LO", "BND", name, _num(lo)], [2, 8, 8, 14]))
         if up < INF:
-            out.append(_line(["UP", "BND", name, _num(up)], [2, 8, 8, 14], free_format))
+            out.append(_line(["UP", "BND", name, _num(up)], [2, 8, 8, 14]))
 
     out.append("ENDATA")
     return "\n".join(out) + "\n"
@@ -341,7 +339,7 @@ def lp_equal(a, b):
 
 
 def write_solution_text(lp, solution):
-    """Solution exchange text for a solved LP (usable as primal and dual file)."""
+    """Solution exchange text for a solved LP: primal values and duals."""
     row_short = mangle_names(lp.row_names, "R")
     col_short = mangle_names(lp.col_names, "C")
     out = [f"STATUS {solution.status} OBJ {_num(solution.objective)}"]
@@ -373,13 +371,12 @@ def _parse_solution_file(path):
     return status, cols, rows
 
 
-def read_external_solution(lp, primal_file, dual_file, tol=1e-6):
-    """Load an externally produced solution, map names back, and certify it."""
-    status, cols, _ = _parse_solution_file(primal_file)
-    dstatus, _, rows = _parse_solution_file(dual_file)
-    status = status or dstatus
+def read_external_solution(lp, path):
+    """Load an externally produced solution file, map names back, and
+    certify it to 1e-6 when it claims to be optimal."""
+    status, cols, rows = _parse_solution_file(path)
     if status is None:
-        raise MPSError("no STATUS header in solution files")
+        raise MPSError(f"{path}: no STATUS header")
 
     col_short = mangle_names(lp.col_names, "C")
     row_short = mangle_names(lp.row_names, "R")
@@ -402,7 +399,7 @@ def read_external_solution(lp, primal_file, dual_file, tol=1e-6):
     )
     if status == "optimal":
         report = certify(lp, solution)
-        if not report.within(tol):
+        if not report.within(1e-6):
             raise CertificationError(
                 "external solution failed certification: "
                 f"row residual {report.max_row_residual:.3g}, "

@@ -6,7 +6,7 @@ import numpy as np
 
 from .formulation import assemble
 from .lp import OPTIMAL, certify
-from .simplex import BASIC, SolveOptions, cold_status, solve
+from .simplex import BASIC, cold_status, solve
 
 
 class SolveError(RuntimeError):
@@ -71,20 +71,21 @@ def _start_on(lp, basis):
             np.array([rows.get(r, BASIC) for r in lp.row_names]))
 
 
-def solve_scenario(scenario, options=None, certify_tol=1e-6, start=None):
-    """Assemble and solve; optimal solutions are certified before returning.
+def solve_scenario(scenario, start=None):
+    """Assemble and solve.  An optimal solution is certified (feasibility,
+    duality gap and complementarity within 1e-6) before it is returned, and
+    raises SolveError when it is not.
 
     start: a basis keyed by name (`Solved.basis_by_name` of a related
     scenario) to warm-start from; the solver falls back to a cold start when
     it does not fit.
     """
     lp, vmap = assemble(scenario)
-    solution = solve(lp, options or SolveOptions(),
-                     start=None if start is None else _start_on(lp, start))
+    solution = solve(lp, start=None if start is None else _start_on(lp, start))
     card = None
     if solution.status == OPTIMAL:
         card = certify(lp, solution)
-        if certify_tol is not None and not card.within(certify_tol):
+        if not card.within(1e-6):
             raise SolveError(
                 f"certification failed for {scenario.name}: "
                 f"row residual {card.max_row_residual:.3g}, "

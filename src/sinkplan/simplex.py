@@ -12,15 +12,13 @@ absolute coefficient) before solving and duals are rescaled on return.
 Warm starts: `solve` may be given a starting basis, one status per column and
 one per row (the row's slack, or for an equality row its artificial), in the
 form every Solution returns as `basis`.  A start with exactly one basic per
-row that factorizes and puts every basic within `feas_tol` of its bounds
+row that factorizes and puts every basic within `_FEAS_TOL` of its bounds
 skips phase 1; any other start is dropped for the cold slack crash, and
 `Solution.warm_start` says which of the two ran.
 
-Determinism: identical LPs, options and starts take identical pivot
-sequences, so two solves return bit-identical Solutions.
+Determinism: identical LPs and starts take identical pivot sequences, so two
+solves return bit-identical Solutions.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -45,9 +43,20 @@ AT_UPPER = 1
 FREE_ZERO = 2
 BASIC = 3
 
+_FEAS_TOL = 1e-6        # absolute primal feasibility on equilibrated rows
+_OPT_TOL = 1e-9         # reduced-cost threshold for entering candidates
+_PIVOT_TOL = 1e-9       # minimum acceptable pivot magnitude
+_REFACTOR_EVERY = 80    # eta-file length before refactorization
+_BLAND_AFTER = 300      # degenerate steps before the Bland fallback
+
 # An "optimal" that pricing on a fresh factorization never confirmed must
 # certify to this tolerance to be reported as optimal.
 _CERTIFY_TOL = 1e-6
+
+
+def _max_iter(ws):
+    """Iteration limit of a solve, scaled with the problem size."""
+    return 50 * (ws.m + ws.n_logical) + 10000
 
 
 def cold_status(lower, upper):
@@ -71,16 +80,6 @@ def _valid_status(status, lower, upper):
             | (status == BASIC))
 
 
-@dataclass
-class SolveOptions:
-    feas_tol: float = 1e-6      # absolute primal feasibility on equilibrated rows
-    opt_tol: float = 1e-9       # reduced-cost threshold for entering candidates
-    pivot_tol: float = 1e-9     # minimum acceptable pivot magnitude
-    max_iter: int = 0           # 0 = automatic (scales with problem size)
-    refactor_every: int = 80    # eta-file length before refactorization
-    bland_after: int = 300      # degenerate steps before the Bland fallback
-
-
 class _Workspace:
     """Mutable solver state over the slack-extended, row-scaled problem.
 
@@ -90,52 +89,37 @@ class _Workspace:
     and `basis` is None when the start is malformed or has not m basics.
     """
 
-    def __init__(self, lp, options, start=None):
-        self.opts = options
-        m = lp.n_rows
-        n = lp.n_cols
+    def __init__(self, lp, start=None):
+        m, n = lp.n_rows, lp.n_cols
         self.m = m
         self.n_struct = n
-
         self.scales = lp.row_scales()
-        vals = lp.values / self.scales[lp.row_idx]
         self.b = lp.rhs / self.scales
 
-        rows = list(lp.row_idx)
-        cols = list(lp.col_idx)
-        data = list(vals)
-        lower = list(lp.lower)
-        upper = list(lp.upper)
-        cost = list(lp.obj)
-
         # one slack per inequality row: <= gets s in [0, inf), >= gets s in (-inf, 0]
+        senses = np.asarray(lp.senses)
+        slack_rows = np.flatnonzero(senses != EQ)
+        self.n_logical = n + len(slack_rows)
+        slack_cols = np.arange(n, self.n_logical)
         self.slack_of_row = np.full(m, -1, dtype=np.int64)
-        for i, sense in enumerate(lp.senses):
-            if sense == EQ:
-                continue
-            j = len(lower)
-            rows.append(i)
-            cols.append(j)
-            data.append(1.0)
-            cost.append(0.0)
-            if sense == LE:
-                lower.append(0.0)
-                upper.append(INF)
-            else:
-                lower.append(-INF)
-                upper.append(0.0)
-            self.slack_of_row[i] = j
-        self.n_logical = len(lower)
+        self.slack_of_row[slack_rows] = slack_cols
+        le = senses[slack_rows] == LE
+        lower = np.concatenate([lp.lower, np.where(le, 0.0, -INF)])
+        upper = np.concatenate([lp.upper, np.where(le, INF, 0.0)])
+        rows = np.concatenate([lp.row_idx, slack_rows])
+        cols = np.concatenate([lp.col_idx, slack_cols])
+        data = np.concatenate([lp.values / self.scales[lp.row_idx],
+                               np.ones(len(slack_rows))])
 
         self.warm_start = start is not None
         if start is None:
             status = cold_status(lower, upper)
-            x = _nonbasic_value(status, np.asarray(lower), np.asarray(upper))
-            basis, art_rows, art_sign = self._crash(lp, rows, cols, data, x)
+            x = _nonbasic_value(status, lower, upper)
+            logical = csc_matrix((data, (rows, cols)), shape=(m, self.n_logical))
+            basis, art_rows, art_sign = self._crash(senses, self.b - logical @ x)
             art_upper = INF
         else:
-            picked = self._from_start(start, np.asarray(lower),
-                                      np.asarray(upper))
+            picked = self._from_start(start, lower, upper)
             if picked is None:
                 self.basis = None
                 return
@@ -145,23 +129,18 @@ class _Workspace:
 
         n_art = len(art_rows)
         n_total = self.n_logical + n_art
-        self.art_rows = np.asarray(art_rows, dtype=np.int64)
+        self.art_rows = art_rows
         self.art_cols = np.arange(self.n_logical, n_total)
-        rows += list(art_rows)
-        cols += list(self.art_cols)
-        data += list(art_sign)
-        lower += [0.0] * n_art
-        upper += [art_upper] * n_art
-        cost += [0.0] * n_art
-
         self.A = csc_matrix(
-            (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
+            (np.concatenate([data, art_sign]),
+             (np.concatenate([rows, art_rows]),
+              np.concatenate([cols, self.art_cols]))),
             shape=(m, n_total),
         )
         self.AT = self.A.T.tocsc()
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
-        self.cost2 = np.asarray(cost, dtype=float)
+        self.lower = np.concatenate([lower, np.zeros(n_art)])
+        self.upper = np.concatenate([upper, np.full(n_art, art_upper)])
+        self.cost2 = np.concatenate([lp.obj, np.zeros(n_total - n)])
         self.cost1 = np.zeros(n_total)
         self.cost1[self.n_logical :] = 1.0
 
@@ -177,29 +156,14 @@ class _Workspace:
         self.phase1_iterations = 0
         self.need_phase1 = n_art > 0 and start is None
 
-    def _crash(self, lp, rows, cols, data, x):
-        """Slack basic where its bound allows, artificial otherwise."""
-        m = self.m
-        partial = csc_matrix(
-            (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
-            shape=(m, self.n_logical),
-        )
-        resid = self.b - partial @ x
-        basis = np.full(m, -1, dtype=np.int64)
-        art_rows, art_sign = [], []
-        for i in range(m):
-            j = self.slack_of_row[i]
-            ok_slack = j >= 0 and (
-                (lp.senses[i] == LE and resid[i] >= 0.0)
-                or (lp.senses[i] == GE and resid[i] <= 0.0)
-            )
-            if ok_slack:
-                basis[i] = j
-            else:
-                basis[i] = self.n_logical + len(art_rows)
-                art_rows.append(i)
-                art_sign.append(1.0 if resid[i] >= 0.0 else -1.0)
-        return basis, art_rows, art_sign
+    def _crash(self, senses, resid):
+        """Slack basic where its bound allows, artificial otherwise: basis,
+        artificial rows and the artificials' signs."""
+        ok = ((senses == LE) & (resid >= 0.0)) | ((senses == GE) & (resid <= 0.0))
+        art_rows = np.flatnonzero(~ok)
+        basis = self.slack_of_row.copy()
+        basis[art_rows] = self.n_logical + np.arange(len(art_rows))
+        return basis, art_rows, np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
 
     def _from_start(self, start, lower, upper):
         """Statuses, values, basis and basic-artificial rows of a start, or
@@ -228,8 +192,7 @@ class _Workspace:
     # -- factorization ----------------------------------------------------
 
     def refactorize(self):
-        basis_mat = self.A[:, self.basis].tocsc()
-        self.lu = splu(basis_mat.tocsc(), permc_spec="COLAMD",
+        self.lu = splu(self.A[:, self.basis].tocsc(), permc_spec="COLAMD",
                        options={"SymmetricMode": False})
         self.etas = []
         self.recompute_basics()
@@ -260,44 +223,41 @@ def _btran(ws, v):
     return ws.lu.solve(z, trans="T")
 
 
-def solve(lp, options=None, start=None):
+def solve(lp, start=None):
     """Solve a LinearProgram; returns a Solution with duals, reduced costs
     and its final basis.
 
     start: a basis to begin from, `(column statuses, row statuses)` as in
     `Solution.basis`.  It is used only if it has exactly one basic per row,
-    factorizes and is primal feasible to `feas_tol`; otherwise the solve
+    factorizes and is primal feasible to `_FEAS_TOL`; otherwise the solve
     starts cold, exactly as with no start.
     """
-    opts = options or SolveOptions()
     _check_finite(lp)
 
     if lp.n_rows == 0:
         return _solve_unconstrained(lp)
 
-    ws = _started(lp, opts, start) if start is not None else None
+    ws = _started(lp, start) if start is not None else None
     if ws is None:
-        ws = _Workspace(lp, opts)
+        ws = _Workspace(lp)
         ws.refactorize()
-    max_iter = opts.max_iter or (50 * (ws.m + ws.n_logical) + 10000)
+    max_iter = _max_iter(ws)
 
     if ws.need_phase1:
-        outcome = _iterate(ws, ws.cost1, phase=1, max_iter=max_iter)
+        outcome = _iterate(ws, ws.cost1, max_iter)
         ws.phase1_iterations = ws.iterations
         if outcome == "iteration_limit":
             return _finish(lp, ws, ITERATION_LIMIT, feasible=False)
-        art = ws.art_cols
-        infeas = float(ws.cost1 @ ws.x)
-        if infeas > opts.feas_tol:
+        if float(ws.cost1 @ ws.x) > _FEAS_TOL:
             # infeasibility is proven only by a phase-1 optimum
             status = INFEASIBLE if outcome == "optimal" else ITERATION_LIMIT
             return _finish(lp, ws, status, feasible=False)
-        for j in art:
-            ws.upper[j] = 0.0
-            if ws.status[j] != BASIC:
-                ws.status[j] = AT_LOWER
-                ws.x[j] = 0.0
-    outcome = _iterate(ws, ws.cost2, phase=2, max_iter=max_iter)
+        art = ws.art_cols
+        ws.upper[art] = 0.0
+        nonbasic = art[ws.status[art] != BASIC]
+        ws.status[nonbasic] = AT_LOWER
+        ws.x[nonbasic] = 0.0
+    outcome = _iterate(ws, ws.cost2, max_iter)
     if outcome == "unbounded":
         return _finish(lp, ws, UNBOUNDED, feasible=True)
     if outcome == "iteration_limit":
@@ -309,10 +269,10 @@ def solve(lp, options=None, start=None):
     return solution
 
 
-def _started(lp, opts, start):
+def _started(lp, start):
     """A workspace factorized on the start's basis, or None when the start
     is malformed, singular or primal infeasible."""
-    ws = _Workspace(lp, opts, start)
+    ws = _Workspace(lp, start)
     if ws.basis is None:
         return None
     try:
@@ -320,8 +280,8 @@ def _started(lp, opts, start):
     except RuntimeError:     # SuperLU: the basis matrix is exactly singular
         return None
     xb = ws.x[ws.basis]
-    inside = ((xb >= ws.lower[ws.basis] - opts.feas_tol)
-              & (xb <= ws.upper[ws.basis] + opts.feas_tol))
+    inside = ((xb >= ws.lower[ws.basis] - _FEAS_TOL)
+              & (xb <= ws.upper[ws.basis] + _FEAS_TOL))
     return ws if np.all(inside) else None
 
 
@@ -335,51 +295,41 @@ def _check_finite(lp):
 
 
 def _solve_unconstrained(lp):
-    n = lp.n_cols
-    x = np.zeros(n)
-    status = cold_status(lp.lower, lp.upper)
-    for j in range(n):
-        c = lp.obj[j]
-        if c > 0:
-            if lp.lower[j] == -INF:
-                return Solution(UNBOUNDED, -INF, x, np.zeros(0), lp.obj.copy())
-            x[j] = lp.lower[j]
-            status[j] = AT_LOWER
-        elif c < 0:
-            if lp.upper[j] == INF:
-                return Solution(UNBOUNDED, -INF, x, np.zeros(0), lp.obj.copy())
-            x[j] = lp.upper[j]
-            status[j] = AT_UPPER
-        else:
-            x[j] = lp.lower[j] if lp.lower[j] > -INF else (
-                lp.upper[j] if lp.upper[j] < INF else 0.0
-            )
-    return Solution(OPTIMAL, float(lp.obj @ x), x, np.zeros(0), lp.obj.copy(),
+    """No rows: each column sits at the bound its cost points to, or by the
+    cold rule when it costs nothing."""
+    c = lp.obj
+    if np.any(((c > 0) & (lp.lower == -INF)) | ((c < 0) & (lp.upper == INF))):
+        return Solution(UNBOUNDED, -INF, np.zeros(lp.n_cols), np.zeros(0),
+                        c.copy())
+    status = np.where(c > 0, AT_LOWER,
+                      np.where(c < 0, AT_UPPER, cold_status(lp.lower, lp.upper)))
+    status = status.astype(np.int8)
+    x = _nonbasic_value(status, lp.lower, lp.upper)
+    return Solution(OPTIMAL, float(c @ x), x, np.zeros(0), c.copy(),
                     basis=(status, np.zeros(0, dtype=np.int8)))
 
 
-def _iterate(ws, cost, phase, max_iter):
-    opts = ws.opts
+def _iterate(ws, cost, max_iter):
     degen_run = 0
     bland = False
     verify_rounds = 0
     while True:
         if ws.iterations >= max_iter:
             return "iteration_limit"
-        if len(ws.etas) >= opts.refactor_every:
+        if len(ws.etas) >= _REFACTOR_EVERY:
             ws.refactorize()
 
         y = _btran(ws, cost[ws.basis].astype(float))
         d = cost - ws.AT @ y
 
-        q = _price(ws, d, bland, opts.opt_tol)
+        q = _price(ws, d, bland, _OPT_TOL)
         if q < 0:
             # claimed optimal: verify on a fresh factorization
             if ws.etas or verify_rounds == 0:
                 ws.refactorize()
                 y = _btran(ws, cost[ws.basis].astype(float))
                 d = cost - ws.AT @ y
-                q = _price(ws, d, bland, opts.opt_tol)
+                q = _price(ws, d, bland, _OPT_TOL)
                 verify_rounds += 1
                 if q < 0:
                     return "optimal"
@@ -399,14 +349,14 @@ def _iterate(ws, cost, phase, max_iter):
         col[ws.A.indices[lo:hi]] = ws.A.data[lo:hi]
         w = ws.ftran(col)
 
-        step, leave_row, leave_to = _ratio_test(ws, q, w, direction, opts)
+        step, leave_row, leave_to = _ratio_test(ws, q, w, direction)
         if step == INF:
             return "unbounded"
 
         ws.iterations += 1
         if step <= 1e-12:
             degen_run += 1
-            if degen_run > opts.bland_after:
+            if degen_run > _BLAND_AFTER:
                 bland = True
         else:
             degen_run = 0
@@ -448,7 +398,7 @@ def _price(ws, d, bland, tol):
     return int(np.argmax(viol))
 
 
-def _ratio_test(ws, q, w, direction, opts):
+def _ratio_test(ws, q, w, direction):
     """Largest feasible step; returns (step, leaving_row or -1, bound hit)."""
     m = ws.m
     xb = ws.x[ws.basis]
@@ -463,8 +413,8 @@ def _ratio_test(ws, q, w, direction, opts):
     leave_to = AT_LOWER
     best_piv = 0.0
 
-    dec = dx < -opts.pivot_tol
-    inc = dx > opts.pivot_tol
+    dec = dx < -_PIVOT_TOL
+    inc = dx > _PIVOT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         r_dec = np.where(dec & (lb > -INF), (xb - lb) / np.where(dec, -dx, 1.0), INF)
         r_inc = np.where(inc & (ub < INF), (ub - xb) / np.where(inc, dx, 1.0), INF)

@@ -58,6 +58,8 @@ class CellResult:
     status: str
     report: MetricsReport = None
     error: str = ""
+    iterations: int = 0          # the cell's simplex iterations
+    warm_start: bool = False     # whether it started from the reference basis
 
     @property
     def cell_id(self):
@@ -88,11 +90,11 @@ def cell_scenario(scenario, grid, capex, base_price):
                    sink=sink, segments=tuple(segments))
 
 
-def run_reference(scenario, options=None):
+def run_reference(scenario):
     """Solve the scenario with the sink removed: the report every cell's
     deltas are taken against, carrying the optimal basis every cell starts
     from."""
-    solved = solve_scenario(scenario.without_sink(), options)
+    solved = solve_scenario(scenario.without_sink())
     if solved.status != "optimal":
         raise RuntimeError(
             f"reference solve for {scenario.name} ended {solved.status}")
@@ -106,11 +108,13 @@ def _solve_cell(args):
     try:
         cell = cell_scenario(scenario, grid, capex, base_price)
         solved = solve_scenario(cell, start=ref.basis)
+        counts = dict(iterations=solved.solution.iterations,
+                      warm_start=solved.solution.warm_start)
         if solved.status != "optimal":
             return CellResult(capex, base_price, solved.status,
-                              error=f"solver status {solved.status}")
+                              error=f"solver status {solved.status}", **counts)
         return CellResult(capex, base_price, "optimal",
-                          report=report(solved, reference=ref))
+                          report=report(solved, reference=ref), **counts)
     except Exception as exc:  # cell isolation: a bad corner must not kill the batch
         return CellResult(capex, base_price, "error", error=str(exc))
 
@@ -126,9 +130,12 @@ def _cell_outcome(future, task):
                           error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(scenario, grid, parallelism=1, options=None, reference=None):
-    """Solve every grid cell (optionally in parallel) against the reference."""
-    ref = reference or run_reference(scenario, options)
+def run_sweep(scenario, grid, parallelism=1, reference=None):
+    """Solve every grid cell (optionally in parallel) against the reference:
+    the given `run_reference` report, or a fresh one when none is given.
+    Each cell records its iteration count and whether it started from the
+    reference's basis."""
+    ref = reference or run_reference(scenario)
     tasks = [(scenario, grid, cx, bp, ref) for cx, bp in grid.cells()]
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
@@ -141,7 +148,7 @@ def run_sweep(scenario, grid, parallelism=1, options=None, reference=None):
     return SweepResult(scenario.name, grid, ref, cells)
 
 
-def write_cell_mps(scenario, grid, out_dir, free_format=False):
+def write_cell_mps(scenario, grid, out_dir):
     """Emit one MPS file per grid cell without solving anything."""
     out = Path(out_dir) / "mps"
     out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +157,7 @@ def write_cell_mps(scenario, grid, out_dir, free_format=False):
         cell = cell_scenario(scenario, grid, cx, bp)
         lp, _ = assemble(cell)
         path = out / f"{cell_id(cx, bp)}.mps"
-        path.write_text(write_mps(lp, free_format=free_format))
+        path.write_text(write_mps(lp))
         paths.append(path)
     return paths
 

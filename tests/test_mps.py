@@ -1,5 +1,6 @@
 """MPS round trips, error diagnostics, and the solution exchange format."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,20 @@ class TestGolden:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("free", [False, True])
-    def test_write_parse_write_fixpoint(self, free):
+    def test_write_parse_write_fixpoint(self):
         lp = awkward_lp()
-        text = write_mps(lp, free_format=free)
+        text = write_mps(lp)
         lp2 = parse_mps(text)
         assert lp_equal(lp, lp2)
-        assert write_mps(lp2, free_format=free) == text
+        assert write_mps(lp2) == text
+
+    def test_free_format_file_parses(self):
+        # external files may be free-format: single spaces between fields
+        lp = awkward_lp()
+        free = "\n".join(re.sub(r"(?<=\S) +", " ", ln)
+                         for ln in write_mps(lp).splitlines())
+        assert free != write_mps(lp)
+        assert lp_equal(parse_mps(free), lp)
 
     def test_column_order_preserved(self):
         lp = awkward_lp()
@@ -177,7 +185,7 @@ class TestSolutionExchange:
         sol = solve(lp)
         path = tmp_path / "t.sol"
         path.write_text(write_solution_text(lp, sol))
-        back = read_external_solution(lp, path, path)
+        back = read_external_solution(lp, path)
         assert back.status == sol.status
         assert np.array_equal(back.primal, sol.primal)
         assert np.array_equal(back.duals, sol.duals)
@@ -191,7 +199,7 @@ class TestSolutionExchange:
         path = tmp_path / "t.sol"
         path.write_text("\n".join(lines))
         with pytest.raises(MPSError, match="y"):
-            read_external_solution(lp, path, path)
+            read_external_solution(lp, path)
 
     def test_scaled_duals_fail_certification(self, tmp_path):
         lp = trivial_lp()
@@ -207,7 +215,7 @@ class TestSolutionExchange:
         path = tmp_path / "t.sol"
         path.write_text("\n".join(out))
         with pytest.raises(CertificationError) as exc:
-            read_external_solution(lp, path, path)
+            read_external_solution(lp, path)
         assert exc.value.report.duality_gap > 1e-6
 
     def test_status_header_required(self, tmp_path):
@@ -215,4 +223,4 @@ class TestSolutionExchange:
         path = tmp_path / "t.sol"
         path.write_text("COL x 1.0\n")
         with pytest.raises(MPSError, match="STATUS"):
-            read_external_solution(lp, path, path)
+            read_external_solution(lp, path)

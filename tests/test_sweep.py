@@ -2,6 +2,7 @@
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,13 @@ class TestRunSweep:
         for a, b in zip(swept.cells, result.cells):
             assert a.report.to_row() == b.report.to_row()
 
+    def test_cells_record_whether_they_started_warm(self, small_scenario,
+                                                    small_grid, swept):
+        assert all(c.warm_start and c.iterations > 0 for c in swept.cells)
+        cold = run_sweep(small_scenario, small_grid, parallelism=1,
+                         reference=replace(swept.reference, basis=None))
+        assert all(not c.warm_start and c.iterations > 0 for c in cold.cells)
+
     def test_cells_derive_curve_from_base_price(self, small_scenario,
                                                 small_grid):
         cell = cell_scenario(small_scenario, small_grid, 200.0, 60.0)
@@ -135,6 +143,7 @@ class TestRunSweep:
         result = run_sweep(small_scenario, small_grid, parallelism=1)
         bad = [c for c in result.cells if c.status != "optimal"]
         assert len(bad) == 1 and "synthetic failure" in bad[0].error
+        assert bad[0].iterations == 0 and not bad[0].warm_start
         assert sum(c.status == "optimal" for c in result.cells) == 3
 
     def test_dead_worker_is_isolated(self, small_scenario, small_grid,
