@@ -49,8 +49,9 @@ def cmd_solve(args):
     scenario, _ = load_config(args.config)
     if args.no_sink:
         scenario = scenario.without_sink()
+    lp = None
     if args.mps_out:
-        lp, _ = assemble(scenario)
+        lp, vmap = assemble(scenario)
         out = Path(args.mps_out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"{scenario.name}.mps"
@@ -62,7 +63,8 @@ def cmd_solve(args):
         if not args.sol_in:
             print("--solver external needs --sol-in FILE", file=sys.stderr)
             return 2
-        lp, vmap = assemble(scenario)
+        if lp is None:
+            lp, vmap = assemble(scenario)
         solution = read_external_solution(lp, args.sol_in)
         solved = Solved(scenario, lp, vmap, solution)
     else:

@@ -10,32 +10,30 @@ artifact round-trips original names while external solvers skip the
 comments.  Numbers are rendered with shortest exact round-trip
 representation, so parse(write(lp)) reproduces every float bit for bit.
 
+Both directions work a section at a time and keep no list, tuple or dict
+per line, which the cyclic garbage collector would walk again and again.
+
 Solution exchange: `STATUS <status> OBJ <value>` header, then `COL <name>
 <value>` and `ROW <name> <dual>` lines, whitespace-separated and keyed by
 mangled names.
 """
 
 import re
+from collections import defaultdict
+from itertools import compress, count, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .lp import (
-    EQ,
-    GE,
-    INF,
-    LE,
-    LinearProgram,
-    LPError,
-    Solution,
-    certify,
-)
+from .lp import EQ, GE, INF, LE, LinearProgram, LPError, Solution, certify
 
 _OBJ_NAME = "OBJ"
 _RESERVED = {_OBJ_NAME, "RHS", "BND", "MARKER"}
-_SAFE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_.]{0,7}$")
+_SAFE_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_.]{0,7}")
 _SENSE_TO_TYPE = {LE: "L", EQ: "E", GE: "G"}
 _TYPE_TO_SENSE = {"L": LE, "E": EQ, "G": GE}
+_BOUND_TYPES = ("FX", "FR", "MI", "LO", "UP")
+_CHUNK = 1 << 17  # lines formatted, or 1/32 of the characters split, at once
 
 
 class MPSError(LPError):
@@ -52,323 +50,334 @@ class CertificationError(RuntimeError):
 
 def mangle_names(names, prefix):
     """Deterministic <=8 char MPS names; keeps safe short names as-is."""
-    out = []
-    for i, name in enumerate(names):
-        if _SAFE_NAME.match(name) and name not in _RESERVED:
-            out.append(name)
-        else:
-            out.append(f"{prefix}{i + 1:07d}")
-    seen = {}
-    for orig, short in zip(names, out):
-        if short in seen:
-            raise MPSError(
-                f"name collision after mangling: {orig!r} and {seen[short]!r}"
-                f" both map to {short!r}"
-            )
-        seen[short] = orig
+    out = list(map(f"{prefix}%07d".__mod__, range(1, len(names) + 1)))
+    fits = np.fromiter(map(len, names), np.intp, len(names)) <= 8
+    for i in np.flatnonzero(fits).tolist():
+        if _SAFE_NAME.fullmatch(names[i]) and names[i] not in _RESERVED:
+            out[i] = names[i]
+    if len(set(out)) < len(out):
+        seen = {}
+        for orig, short in zip(names, out):
+            if short in seen:
+                raise MPSError(f"name collision after mangling: {orig!r} and "
+                               f"{seen[short]!r} both map to {short!r}")
+            seen[short] = orig
     return out
-
-
-def _num(v):
-    r = repr(float(v))
-    return r
-
-
-def _line(fields, widths):
-    parts = []
-    for f, w in zip(fields, widths):
-        parts.append(f.ljust(w) if len(f) < w else f)
-    return (" " + "  ".join(parts)).rstrip()
 
 
 def write_mps(lp):
     """Serialize a LinearProgram to MPS text."""
-    row_short = mangle_names(lp.row_names, "R")
-    col_short = mangle_names(lp.col_names, "C")
+    rows, cols = mangle_names(lp.row_names, "R"), mangle_names(lp.col_names, "C")
+    out = ["".join([f"* NAMEMAP {s} {o}\n" for short, names in
+                    ((rows, lp.row_names), (cols, lp.col_names))
+                    for s, o in zip(short, names) if s != o]),
+           f"NAME          {lp.name}\nROWS\n N   {_OBJ_NAME}\n",
+           "".join([f" {_SENSE_TO_TYPE[s]}   {r}\n" for s, r in zip(lp.senses, rows)]),
+           "COLUMNS\n"]
+    # a name field and the two spaces after it; row -1 is the objective
+    rpad = [f"{s:<8}  " for s in rows] + [f"{_OBJ_NAME:<8}  "]
+    cpad = [f"{s:<8}  " for s in cols]
+    # each column's objective entry, then its entries in ascending row order
+    col = np.concatenate([np.arange(lp.n_cols), lp.col_idx])
+    row = np.concatenate([np.full(lp.n_cols, -1), lp.row_idx])
+    val = np.concatenate([lp.obj, lp.values])
+    order = np.lexsort((row, col))
+    for a in range(0, len(order), _CHUNK):
+        k = order[a:a + _CHUNK]
+        out.append("".join([f" {cpad[j]}{rpad[i]}{v!r}\n" for j, i, v in
+                            zip(col[k].tolist(), row[k].tolist(), val[k].tolist())]))
+    nz = np.flatnonzero(lp.rhs != 0.0)
+    out.append("RHS\n" + "".join([f" RHS       {rpad[i]}{v!r}\n" for i, v in
+                                  zip(nz.tolist(), lp.rhs[nz].tolist())]))
 
-    out = []
-    for short, orig in zip(row_short, lp.row_names):
-        if short != orig:
-            out.append(f"* NAMEMAP {short} {orig}")
-    for short, orig in zip(col_short, lp.col_names):
-        if short != orig:
-            out.append(f"* NAMEMAP {short} {orig}")
-
-    out.append(f"NAME          {lp.name}")
-    out.append("ROWS")
-    out.append(_line(["N", _OBJ_NAME], [2, 8]))
-    for i, sense in enumerate(lp.senses):
-        out.append(_line([_SENSE_TO_TYPE[sense], row_short[i]], [2, 8]))
-
-    # per-column entries, rows in ascending row order
-    by_col = [[] for _ in range(lp.n_cols)]
-    order = np.lexsort((lp.row_idx, lp.col_idx))
-    for k in order:
-        by_col[lp.col_idx[k]].append((lp.row_idx[k], lp.values[k]))
-
-    out.append("COLUMNS")
-    widths = [8, 8, 14]
-    for j in range(lp.n_cols):
-        out.append(_line([col_short[j], _OBJ_NAME, _num(lp.obj[j])], widths))
-        for i, v in by_col[j]:
-            out.append(_line([col_short[j], row_short[i], _num(v)], widths))
-
-    out.append("RHS")
-    for i in range(lp.n_rows):
-        if lp.rhs[i] != 0.0:
-            out.append(_line(["RHS", row_short[i], _num(lp.rhs[i])], widths))
-
-    out.append("RANGES")
-
-    out.append("BOUNDS")
-    for j in range(lp.n_cols):
-        lo, up = lp.lower[j], lp.upper[j]
-        name = col_short[j]
-        if lo == 0.0 and up == INF:
-            continue
-        if lo == up:
-            out.append(_line(["FX", "BND", name, _num(lo)], [2, 8, 8, 14]))
-            continue
-        if lo == -INF and up == INF:
-            out.append(_line(["FR", "BND", name], [2, 8, 8]))
-            continue
-        if lo == -INF:
-            out.append(_line(["MI", "BND", name], [2, 8, 8]))
-        elif lo != 0.0:
-            out.append(_line(["LO", "BND", name, _num(lo)], [2, 8, 8, 14]))
-        if up < INF:
-            out.append(_line(["UP", "BND", name, _num(up)], [2, 8, 8, 14]))
-
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    lo, up = lp.lower, lp.upper
+    free = (lo == 0.0) & (up == INF)
+    fx = ~free & (lo == up)
+    fr = ~free & ~fx & (lo == -INF) & (up == INF)
+    rest = ~(free | fx | fr)
+    # per column an FX, FR, MI or LO line (code in _BOUND_TYPES), then UP
+    first = np.select([fx, fr, rest & (lo == -INF), rest & (lo != 0)], [0, 1, 2, 3], -1)
+    ups = np.flatnonzero(rest & (up < INF))
+    j = np.concatenate([np.flatnonzero(first >= 0), ups])
+    kind = np.concatenate([first[first >= 0], np.full(len(ups), 4)])
+    order = np.argsort(j, kind="stable")
+    j, kind = j[order], kind[order]
+    out.append("RANGES\nBOUNDS\n" + "".join([
+        f" {_BOUND_TYPES[k]}  BND       {cols[c]}\n" if k in (1, 2) else
+        f" {_BOUND_TYPES[k]}  BND       {cpad[c]}{v!r}\n" for k, c, v in
+        zip(kind.tolist(), j.tolist(), np.where(kind == 4, up[j], lo[j]).tolist())]))
+    out.append("ENDATA\n")
+    return "".join(out)
 
 
 def parse_mps(text):
-    """Parse MPS text back into a LinearProgram."""
-    namemap = {}
-    name = "lp"
-    section = None
-    saw_endata = False
+    """Parse MPS text back into a LinearProgram.
 
-    obj_row = None
-    row_names = []
-    row_sense = []
-    row_index = {}
-    col_names = []
-    col_index = {}
-    obj = []
-    lower = []
-    upper = []
-    up_set = []
-    triplets = {}
-    rhs = {}
+    Each run of data lines is read as one block, which raises at its earliest
+    faulty line.  Repeated matrix entries are looked for over all blocks at
+    once before any later fault is raised, so errors name the earliest line."""
+    return _Reader().read(text)
 
-    def err(lineno, msg):
+
+def _counts(lines):
+    """The number of whitespace-separated tokens on each line."""
+    return np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+
+
+def _pairs(lines, lineno):
+    """(column, row, value) tokens and line number of each (row, value) pair on
+    the COLUMNS lines before the first malformed one, and (its number, error)."""
+    counts = _counts(lines)
+    bad = _first((counts != 3) & (counts != 5))
+    msg = "COLUMNS entries come in (column, row, value) groups"
+    if "'MARKER'" in " ".join(lines):
+        marked = next(k for k, ln in enumerate(lines) if "'MARKER'" in ln)
+        if marked <= bad:
+            bad, msg = marked, "integer markers unsupported"
+    fault = (lineno + bad, msg) if bad < len(lines) else None
+    flat, counts = " ".join(lines[:bad]).split(), counts[:bad]
+    if (counts == 3).all():
+        return flat[0::3], flat[1::3], flat[2::3], lineno + np.arange(bad), fault
+    at = np.repeat(np.arange(bad), (counts - 1) // 2)  # each pair's line
+    head = (np.cumsum(counts) - counts)[at]
+    name = head + 1
+    name[1:] += 2 * (at[1:] == at[:-1])  # a line's second pair
+    take = lambda k: list(map(flat.__getitem__, k.tolist()))
+    return take(head), take(name), take(name + 1), lineno + at, fault
+
+
+def _tokens(lines, lineno):
+    """(line number, tokens) of each line, all split at once."""
+    flat, at = " ".join(lines).split(), 0
+    for t, n in zip(count(lineno), _counts(lines).tolist()):
+        yield t, flat[at:at + n]
+        at += n
+
+
+def _first(flags):
+    """Index of the first true flag, or len(flags)."""
+    return int(np.argmax(flags)) if np.any(flags) else len(flags)
+
+
+def _floats(tokens):
+    """Python floats of the tokens before the first malformed one."""
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        out = []
+        for tok in tokens:
+            try:
+                out.append(float(tok))
+            except ValueError:
+                return np.array(out)
+
+
+class _Reader:
+    def __init__(self):
+        self.name, self.section, self.obj_row = "lp", None, None
+        self.namemap, self.row_index, self.row_names, self.senses = {}, {}, [], []
+        # a column's index is given out when a COLUMNS line first names it
+        self.col_index = defaultdict(count().__next__)
+        # column or row index -> value; the last line to set one wins
+        self.obj, self.lower, self.upper, self.rhs = {}, {}, {}, {}
+        self.entries = []  # (rows, columns, values, line numbers) per block
+
+    def read(self, text):
+        start, lineno = 0, 1
+        while start < len(text):  # about 32 * _CHUNK characters at a time
+            end = text.find("\n", start + 32 * _CHUNK) + 1 or len(text)
+            lines = text[start:end].splitlines()
+            width, body = (np.fromiter(map(len, x), np.intp, len(lines))
+                           for x in (lines, map(str.lstrip, lines)))
+            prev = 0
+            # comments, blank lines and section lines end a block
+            for i in np.flatnonzero((body == 0) | (body == width)).tolist():
+                if i > prev:
+                    self.block(lines[prev:i], lineno + prev)
+                prev, raw = i + 1, lines[i]
+                if raw.startswith("*"):
+                    toks = raw[1:].split(None, 2)
+                    if len(toks) == 3 and toks[0] == "NAMEMAP":
+                        self.namemap[toks[1]] = toks[2]
+                elif body[i] and self.header(raw.split(), lineno + i):
+                    return self.finish(saw_endata=True)
+            if prev < len(lines):
+                self.block(lines[prev:], lineno + prev)
+            start, lineno = end, lineno + len(lines)
+        return self.finish(saw_endata=False)
+
+    def fail(self, lineno, msg):
+        self.matrix()  # a repeated entry on an earlier line comes first
         raise MPSError(f"line {lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if saw_endata:
-            continue
-        if raw.startswith("*"):
-            toks = raw[1:].split(None, 2)
-            if len(toks) == 3 and toks[0] == "NAMEMAP":
-                namemap[toks[1]] = toks[2]
-            continue
-        if not raw.strip():
-            continue
-        if not raw[0].isspace():
-            toks = raw.split()
-            head = toks[0].upper()
-            if head == "NAME":
-                name = toks[1] if len(toks) > 1 else "lp"
-                continue
-            if head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-                section = head
-                continue
-            if head == "ENDATA":
-                saw_endata = True
-                continue
-            if head == "OBJSENSE":
-                err(lineno, "OBJSENSE section unsupported (minimization assumed)")
-            err(lineno, f"unknown section {toks[0]!r}")
+    def header(self, toks, lineno):
+        """Take in a section line; True at ENDATA."""
+        head = toks[0].upper()
+        if head == "NAME":
+            self.name = toks[1] if len(toks) > 1 else "lp"
+        elif head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
+            self.section = head
+        elif head == "OBJSENSE":
+            self.fail(lineno, "OBJSENSE section unsupported (minimization assumed)")
+        elif head != "ENDATA":
+            self.fail(lineno, f"unknown section {toks[0]!r}")
+        return head == "ENDATA"
 
-        toks = raw.split()
-        if section == "ROWS":
-            if len(toks) != 2:
-                err(lineno, "ROWS entries need a type and a name")
-            rtype, rname = toks[0].upper(), toks[1]
+    def block(self, lines, lineno):
+        if self.section in (None, "RANGES"):
+            self.fail(lineno, "RANGES entries unsupported" if self.section
+                      else "data before any section header")
+        getattr(self, "_" + self.section.lower())(lines, lineno)
+
+    def _rows(self, lines, lineno):
+        bad = _first(_counts(lines) != 2)
+        flat = " ".join(lines[:bad]).split()
+        types, names = map(str.upper, flat[0::2]), flat[1::2]
+        for t, rtype, rname in zip(count(lineno), types, names):
             if rtype == "N":
-                if obj_row is None:
-                    obj_row = rname
-                else:
-                    err(lineno, f"second objective row {rname!r}")
-                continue
-            if rtype not in _TYPE_TO_SENSE:
-                err(lineno, f"unknown row type {rtype!r}")
-            if rname in row_index or rname == obj_row:
-                err(lineno, f"duplicate row name {rname!r}")
-            row_index[rname] = len(row_names)
-            row_names.append(rname)
-            row_sense.append(_TYPE_TO_SENSE[rtype])
-        elif section == "COLUMNS":
-            if "'MARKER'" in raw:
-                err(lineno, "integer markers unsupported")
-            if len(toks) not in (3, 5):
-                err(lineno, "COLUMNS entries come in (column, row, value) groups")
-            cname = toks[0]
-            if cname not in col_index:
-                col_index[cname] = len(col_names)
-                col_names.append(cname)
-                obj.append(0.0)
-                lower.append(0.0)
-                upper.append(INF)
-                up_set.append(False)
-            j = col_index[cname]
-            for rname, sval in zip(toks[1::2], toks[2::2]):
-                try:
-                    v = float(sval)
-                except ValueError:
-                    err(lineno, f"malformed numeric field {sval!r}")
-                if rname == obj_row:
-                    obj[j] = v
-                    continue
-                if rname not in row_index:
-                    err(lineno, f"unknown row {rname!r}")
-                key = (row_index[rname], j)
-                if key in triplets:
-                    err(lineno, f"duplicate entry for row {rname!r}, column {cname!r}")
-                triplets[key] = v
-        elif section == "RHS":
-            if len(toks) not in (3, 5):
-                err(lineno, "RHS entries come in (set, row, value) groups")
-            for rname, sval in zip(toks[1::2], toks[2::2]):
-                try:
-                    v = float(sval)
-                except ValueError:
-                    err(lineno, f"malformed numeric field {sval!r}")
-                if rname == obj_row:
-                    err(lineno, "objective-row RHS (constant term) unsupported")
-                if rname not in row_index:
-                    err(lineno, f"unknown row {rname!r}")
-                if rname in rhs:
-                    err(lineno, f"duplicate RHS for row {rname!r}")
-                rhs[rname] = v
-        elif section == "RANGES":
-            err(lineno, "RANGES entries unsupported")
-        elif section == "BOUNDS":
-            btype = toks[0].upper()
-            if btype in ("UP", "LO", "FX") and len(toks) == 4:
-                cname, sval = toks[2], toks[3]
-            elif btype in ("FR", "MI", "PL") and len(toks) == 3:
-                cname, sval = toks[2], None
-            elif btype in ("BV", "LI", "UI"):
-                err(lineno, f"integer bound type {btype!r} unsupported")
+                if self.obj_row is not None:
+                    self.fail(t, f"second objective row {rname!r}")
+                self.obj_row, self.row_index[rname] = rname, -1
+            elif rtype not in _TYPE_TO_SENSE:
+                self.fail(t, f"unknown row type {rtype!r}")
+            elif rname in self.row_index:
+                self.fail(t, f"duplicate row name {rname!r}")
             else:
-                err(lineno, "malformed BOUNDS entry")
-            if cname not in col_index:
-                err(lineno, f"unknown column {cname!r}")
-            j = col_index[cname]
-            v = None
-            if sval is not None:
-                try:
-                    v = float(sval)
-                except ValueError:
-                    err(lineno, f"malformed numeric field {sval!r}")
-            if btype == "UP":
-                upper[j] = v
-                up_set[j] = True
-            elif btype == "LO":
-                lower[j] = v
-            elif btype == "FX":
-                lower[j] = upper[j] = v
-            elif btype == "FR":
-                lower[j], upper[j] = -INF, INF
-            elif btype == "MI":
-                lower[j] = -INF
-            elif btype == "PL":
-                upper[j] = INF
-        elif section is None:
-            err(lineno, "data before any section header")
+                self.row_index[rname] = len(self.row_names)
+                self.row_names.append(rname)
+                self.senses.append(_TYPE_TO_SENSE[rtype])
+        if bad < len(lines):
+            self.fail(lineno + bad, "ROWS entries need a type and a name")
 
-    if not saw_endata:
-        raise MPSError("missing ENDATA terminator")
-    if obj_row is None:
-        raise MPSError("no objective (N) row declared")
+    def _columns(self, lines, lineno):
+        cols, rows, svals, at, fault = _pairs(lines, lineno)
+        j = np.fromiter(map(self.col_index.__getitem__, cols), np.int64, len(cols))
+        i = np.fromiter(map(self.row_index.get, rows, repeat(-2)), np.int64, len(rows))
+        v = _floats(svals)
+        p = min(len(v), _first(i == -2))
+        obj, ok = i[:p] == -1, i[:p] >= 0
+        self.obj.update(zip(j[:p][obj].tolist(), v[:p][obj].tolist()))
+        self.entries.append((i[:p][ok], j[:p][ok], v[:p][ok], at[:p][ok]))
+        if p < len(rows):
+            self.fail(at[p], f"unknown row {rows[p]!r}" if p < len(v) else
+                      f"malformed numeric field {svals[p]!r}")
+        if fault:
+            self.fail(*fault)
 
-    m = len(row_names)
-    referenced = set()
-    row_idx, col_idx, values = [], [], []
-    for (i, j), v in sorted(triplets.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        if v != 0.0:
-            row_idx.append(i)
-            col_idx.append(j)
-            values.append(v)
-            referenced.add(i)
-    for i in range(m):
-        if i not in referenced:
-            raise MPSError(f"row {row_names[i]!r} has no coefficients")
+    def _rhs(self, lines, lineno):
+        for t, toks in _tokens(lines, lineno):
+            if len(toks) not in (3, 5):
+                self.fail(t, "RHS entries come in (set, row, value) groups")
+            for rname, sval in zip(toks[1::2], toks[2::2]):
+                v, i = _floats([sval]), self.row_index.get(rname, -2)
+                if not len(v):
+                    self.fail(t, f"malformed numeric field {sval!r}")
+                if i == -1:
+                    self.fail(t, "objective-row RHS (constant term) unsupported")
+                if i == -2:
+                    self.fail(t, f"unknown row {rname!r}")
+                if i in self.rhs:
+                    self.fail(t, f"duplicate RHS for row {rname!r}")
+                self.rhs[i] = v[0]
 
-    restore = lambda n: namemap.get(n, n)
-    return LinearProgram(
-        name=name,
-        col_names=[restore(c) for c in col_names],
-        row_names=[restore(r) for r in row_names],
-        obj=np.asarray(obj, dtype=float),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-        senses=row_sense,
-        rhs=np.asarray([rhs.get(r, 0.0) for r in row_names], dtype=float),
-        row_idx=np.asarray(row_idx, dtype=np.int64),
-        col_idx=np.asarray(col_idx, dtype=np.int64),
-        values=np.asarray(values, dtype=float),
-    )
+    def _bounds(self, lines, lineno):
+        for t, toks in _tokens(lines, lineno):
+            btype, n = toks[0].upper(), len(toks)
+            if btype in ("BV", "LI", "UI"):
+                self.fail(t, f"integer bound type {btype!r} unsupported")
+            if n != (4 if btype in ("UP", "LO", "FX") else
+                     3 if btype in ("FR", "MI", "PL") else -1):
+                self.fail(t, "malformed BOUNDS entry")
+            j = self.col_index.get(toks[2])
+            if j is None:
+                self.fail(t, f"unknown column {toks[2]!r}")
+            v = _floats(toks[3:])
+            if len(v) < n - 3:
+                self.fail(t, f"malformed numeric field {toks[3]!r}")
+            if btype in ("LO", "FX", "FR", "MI"):
+                self.lower[j] = v[0] if n == 4 else -INF
+            if btype in ("UP", "FX", "FR", "PL"):
+                self.upper[j] = v[0] if n == 4 else INF
+
+    def matrix(self):
+        """The nonzero (row, column, value) entries so far, column by column
+        in row order; raises at the first line repeating an earlier entry."""
+        i, j, v, at = (np.concatenate([e[k] for e in self.entries] or [[]])
+                       for k in range(4))
+        order = np.lexsort((i, j))
+        i, j, v, at = i[order], j[order], v[order], at[order]
+        again = np.flatnonzero((i[1:] == i[:-1]) & (j[1:] == j[:-1])) + 1
+        if again.size:
+            k = again[np.argmin(order[again])]
+            raise MPSError(
+                f"line {at[k]}: duplicate entry for row "
+                f"{self.row_names[i[k]]!r}, column {list(self.col_index)[j[k]]!r}")
+        keep = v != 0.0
+        return i[keep].astype(np.int64), j[keep].astype(np.int64), v[keep]
+
+    def finish(self, saw_endata):
+        i, j, v = self.matrix()
+        if not saw_endata:
+            raise MPSError("missing ENDATA terminator")
+        if self.obj_row is None:
+            raise MPSError("no objective (N) row declared")
+        m, n = len(self.row_names), len(self.col_index)
+        empty = _first(np.bincount(i, minlength=m) == 0)
+        if empty < m:
+            raise MPSError(f"row {self.row_names[empty]!r} has no coefficients")
+        restore = lambda short: list(map(self.namemap.get, short, short))
+        filled = lambda k, fill, d: np.fromiter(
+            map(d.get, range(k), repeat(fill)), float, k)
+        return LinearProgram(
+            name=self.name, col_names=restore(list(self.col_index)),
+            row_names=restore(self.row_names), obj=filled(n, 0.0, self.obj),
+            lower=filled(n, 0.0, self.lower), upper=filled(n, INF, self.upper),
+            senses=self.senses, rhs=filled(m, 0.0, self.rhs), row_idx=i, col_idx=j,
+            values=v)
 
 
 def lp_equal(a, b):
     """Structural equality: names, senses, exact floats, identical triplets."""
-    if (a.col_names != b.col_names or a.row_names != b.row_names
-            or a.senses != b.senses):
-        return False
-    if not (np.array_equal(a.obj, b.obj) and np.array_equal(a.rhs, b.rhs)
-            and np.array_equal(a.lower, b.lower)
-            and np.array_equal(a.upper, b.upper)):
-        return False
-    ta = sorted(zip(a.row_idx, a.col_idx, a.values))
-    tb = sorted(zip(b.row_idx, b.col_idx, b.values))
-    return ta == tb
+    # triplets are one multiset: compared sorted by row, column and value
+    oa = np.lexsort((a.values, a.col_idx, a.row_idx))
+    ob = np.lexsort((b.values, b.col_idx, b.row_idx))
+    return (a.col_names == b.col_names and a.row_names == b.row_names
+            and a.senses == b.senses and all(np.array_equal(x, y) for x, y in (
+                (a.obj, b.obj), (a.rhs, b.rhs), (a.lower, b.lower), (a.upper, b.upper),
+                (a.row_idx[oa], b.row_idx[ob]), (a.col_idx[oa], b.col_idx[ob]),
+                (a.values[oa], b.values[ob]))))
 
 
 def write_solution_text(lp, solution):
     """Solution exchange text for a solved LP: primal values and duals."""
-    row_short = mangle_names(lp.row_names, "R")
-    col_short = mangle_names(lp.col_names, "C")
-    out = [f"STATUS {solution.status} OBJ {_num(solution.objective)}"]
-    for name, v in zip(col_short, solution.primal):
-        out.append(f"COL {name} {_num(v)}")
-    for name, v in zip(row_short, solution.duals):
-        out.append(f"ROW {name} {_num(v)}")
-    return "\n".join(out) + "\n"
+    cols, rows = mangle_names(lp.col_names, "C"), mangle_names(lp.row_names, "R")
+    floats = lambda a: np.asarray(a, dtype=float).tolist()
+    return "".join([f"STATUS {solution.status} OBJ {float(solution.objective)!r}\n",
+                    *map("COL {} {!r}\n".format, cols, floats(solution.primal)),
+                    *map("ROW {} {!r}\n".format, rows, floats(solution.duals))])
 
 
 def _parse_solution_file(path):
-    status = None
-    cols = {}
-    rows = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        toks = raw.split()
-        if not toks:
-            continue
-        if toks[0] == "STATUS":
-            status = toks[1]
-            continue
-        if toks[0] in ("COL", "ROW"):
-            if len(toks) != 3:
-                raise MPSError(f"{path}: line {lineno}: malformed {toks[0]} entry")
-            target = cols if toks[0] == "COL" else rows
-            target[toks[1]] = float(toks[2])
-            continue
-        raise MPSError(f"{path}: line {lineno}: unknown record {toks[0]!r}")
-    return status, cols, rows
+    lines = Path(path).read_text().splitlines()
+    counts = _counts(lines)
+    flat = " ".join(lines).split()
+    line = np.flatnonzero(counts)  # the lines that are not blank
+    at, n = (np.cumsum(counts) - counts)[line], counts[line]
+    head = list(map(flat.__getitem__, at.tolist()))
+    need = np.fromiter(map({"STATUS": 2, "COL": 3, "ROW": 3}.get, head, repeat(0)),
+                       np.intp, len(head))
+    bad = _first((n < need) | (need == 0) | ((need == 3) & (n != 3)))
+    take = lambda k: list(map(flat.__getitem__, k.tolist()))
+    rec = at[:bad][need[:bad] == 3]
+    values = list(map(float, take(rec + 2)))  # raises at the earliest line
+    if bad < len(head):
+        raise MPSError(f"{path}: line {line[bad] + 1}: " + (
+            f"unknown record {head[bad]!r}" if need[bad] == 0
+            else f"malformed {head[bad]} entry"))
+    status = take(at[need == 2][-1:] + 1)
+    kinds, names = take(rec), take(rec + 1)
+    pick = lambda kind: dict(compress(zip(names, values), map(kind.__eq__, kinds)))
+    return (status[0] if status else None), pick("COL"), pick("ROW")
 
 
 def read_external_solution(lp, path):
@@ -380,23 +389,16 @@ def read_external_solution(lp, path):
 
     col_short = mangle_names(lp.col_names, "C")
     row_short = mangle_names(lp.row_names, "R")
-    missing = [n for n in col_short if n not in cols]
-    if missing:
-        raise MPSError("solution file missing columns: " + ", ".join(missing[:10]))
-    missing = [n for n in row_short if n not in rows]
-    if missing:
-        raise MPSError("solution file missing rows: " + ", ".join(missing[:10]))
+    for what, short, got in (("columns", col_short, cols), ("rows", row_short, rows)):
+        missing = [n for n in short if n not in got]
+        if missing:
+            raise MPSError(f"solution file missing {what}: " + ", ".join(missing[:10]))
 
     primal = np.array([cols[n] for n in col_short])
     duals = np.array([rows[n] for n in row_short])
     reduced = lp.obj - (lp.matrix().T @ duals) if lp.n_rows else lp.obj.copy()
-    solution = Solution(
-        status=status,
-        objective=float(lp.obj @ primal),
-        primal=primal,
-        duals=duals,
-        reduced_costs=np.asarray(reduced, dtype=float),
-    )
+    solution = Solution(status=status, objective=float(lp.obj @ primal), primal=primal,
+                        duals=duals, reduced_costs=np.asarray(reduced, dtype=float))
     if status == "optimal":
         report = certify(lp, solution)
         if not report.within(1e-6):
@@ -406,7 +408,5 @@ def read_external_solution(lp, path):
                 f"bound violation {report.max_bound_violation:.3g}, "
                 f"duality gap {report.duality_gap:.3g}, "
                 f"complementarity {report.max_complementarity:.3g} "
-                f"(worst row {report.worst_row_name})",
-                report,
-            )
+                f"(worst row {report.worst_row_name})", report)
     return solution

@@ -4,7 +4,9 @@ import shutil
 
 import pytest
 
+from sinkplan import cli
 from sinkplan.cli import main
+from sinkplan.formulation import assemble
 
 
 def run(capsys, *argv):
@@ -56,6 +58,26 @@ class TestSolve:
         line = next(l for l in out.splitlines() if l.startswith("objective"))
         line2 = next(l for l in out2.splitlines() if l.startswith("objective"))
         assert line == line2
+
+    def test_mps_export_with_external_solution(self, capsys, tiny_config,
+                                               tmp_path, monkeypatch):
+        sol = tmp_path / "tiny.sol"
+        code, out, _ = run(capsys, "solve", str(tiny_config),
+                           "--mps-out", str(tmp_path), "--sol-out", str(sol))
+        assert code == 0
+        calls = []
+        monkeypatch.setattr(cli, "assemble",
+                            lambda sc: calls.append(sc) or assemble(sc))
+        again = tmp_path / "again"
+        code2, out2, _ = run(capsys, "solve", str(tiny_config),
+                             "--mps-out", str(again),
+                             "--solver", "external", "--sol-in", str(sol))
+        assert code2 == 0
+        assert len(calls) == 1
+        assert ((again / "tiny.mps").read_text()
+                == (tmp_path / "tiny.mps").read_text())
+        # the external solution certified and gave the same report
+        assert out2.splitlines()[1:] == out.splitlines()[1:-1]
 
     def test_mps_only_stops_before_solving(self, capsys, tiny_config,
                                            tmp_path):

@@ -1,6 +1,13 @@
-"""MPS round trips, error diagnostics, and the solution exchange format."""
+"""MPS round trips, error diagnostics, and the solution exchange format.
 
+golden/mps_digests.json holds the sha256 of `write_mps` for `awkward_lp()`
+and for `random_lp(0..19)`; running this file as a script prints them.
+"""
+
+import hashlib
+import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinkplan import mps
 from sinkplan.lp import GE, LE, LinearProgramBuilder
 from sinkplan.mps import (
     CertificationError,
@@ -46,6 +54,34 @@ def awkward_lp():
     return b.build()
 
 
+def random_lp(seed):
+    """A small LP with every bound type and a mix of kept and mangled names."""
+    rng = np.random.default_rng(seed)
+    b = LinearProgramBuilder(f"h{seed}")
+    n = int(rng.integers(1, 7))
+    for j in range(n):
+        lower = float(rng.choice([0.0, -1.5, -np.inf]))
+        upper = float(rng.choice([np.inf, 4.25, lower + 1.0]))
+        b.add_col(f"col_{j}_{'x' * int(rng.integers(0, 12))}",
+                  obj=float(rng.normal()), lower=lower, upper=upper)
+    for i in range(int(rng.integers(1, 6))):
+        coeffs = [(j, float(np.round(rng.normal(), 6)))
+                  for j in range(n) if rng.random() < 0.7]
+        coeffs = [(j, v) for j, v in coeffs if v != 0.0]
+        if not coeffs:
+            coeffs = [(0, 1.0)]
+        b.add_row(f"row{i}", str(rng.choice([LE, "=", GE])),
+                  float(rng.normal()), coeffs)
+    return b.build()
+
+
+def mps_digests():
+    lps = {"awkward": awkward_lp()}
+    lps.update((f"random_{seed}", random_lp(seed)) for seed in range(20))
+    return {name: hashlib.sha256(write_mps(lp).encode()).hexdigest()
+            for name, lp in lps.items()}
+
+
 class TestGolden:
     def test_writer_matches_frozen_bytes(self):
         assert write_mps(trivial_lp()) == (GOLDEN / "trivial.mps").read_text()
@@ -57,6 +93,10 @@ class TestGolden:
     def test_byte_stable_across_runs(self):
         lp = trivial_lp()
         assert write_mps(lp) == write_mps(lp)
+
+    def test_writer_matches_frozen_digests(self):
+        frozen = json.loads((GOLDEN / "mps_digests.json").read_text())
+        assert mps_digests() == frozen
 
 
 class TestRoundTrip:
@@ -90,24 +130,53 @@ class TestRoundTrip:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_random_lp_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        b = LinearProgramBuilder(f"h{seed}")
-        n = int(rng.integers(1, 7))
-        for j in range(n):
-            lower = float(rng.choice([0.0, -1.5, -np.inf]))
-            upper = float(rng.choice([np.inf, 4.25, lower + 1.0]))
-            b.add_col(f"col_{j}_{'x' * int(rng.integers(0, 12))}",
-                      obj=float(rng.normal()), lower=lower, upper=upper)
-        for i in range(int(rng.integers(1, 6))):
-            coeffs = [(j, float(np.round(rng.normal(), 6)))
-                      for j in range(n) if rng.random() < 0.7]
-            coeffs = [(j, v) for j, v in coeffs if v != 0.0]
-            if not coeffs:
-                coeffs = [(0, 1.0)]
-            b.add_row(f"row{i}", str(rng.choice([LE, "=", GE])),
-                      float(rng.normal()), coeffs)
-        lp = b.build()
+        lp = random_lp(seed)
         assert lp_equal(parse_mps(write_mps(lp)), lp)
+
+
+def two_row_lp():
+    """Columns x and y over rows r1 (<=) and r2 (>=), with an upper bound."""
+    b = LinearProgramBuilder("t")
+    x = b.add_col("x", obj=1.5, upper=4.0)
+    y = b.add_col("y")
+    b.add_row("r1", LE, 3.0, [(x, 1.0), (y, 2.0)])
+    b.add_row("r2", GE, 4.0, [(x, 3.0)])
+    return b.build()
+
+
+class TestParserLayout:
+    """Layouts other writers produce, each read as two_row_lp()."""
+
+    def test_two_pairs_on_columns_and_rhs_lines(self):
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\n G  r2\nCOLUMNS\n"
+                " x  OBJ  1.5  r1  1.0\n x  r2  3.0\n y  r1  2.0\n"
+                "RHS\n RHS  r1  3.0  r2  4.0\nBOUNDS\n UP BND x 4.0\n"
+                "ENDATA\n")
+        assert lp_equal(parse_mps(text), two_row_lp())
+
+    def test_column_entries_need_not_be_contiguous(self):
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\n G  r2\nCOLUMNS\n"
+                " x  r1  1.0\n y  r1  2.0\n x  r2  3.0\n x  OBJ  1.5\n"
+                "RHS\n RHS  r1  3.0\n RHS  r2  4.0\nBOUNDS\n UP BND x 4.0\n"
+                "ENDATA\n")
+        lp = parse_mps(text)
+        assert lp.col_names == ["x", "y"]
+        assert lp_equal(lp, two_row_lp())
+
+    def test_comments_and_blank_lines_inside_columns(self):
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\n G  r2\nCOLUMNS\n"
+                " x  OBJ  1.5\n* between two entries\n x  r1  1.0\n\n"
+                " x  r2  3.0\n   \n\t\n y  r1  2.0\n*\n"
+                "RHS\n RHS  r1  3.0\n RHS  r2  4.0\nBOUNDS\n UP BND x 4.0\n"
+                "ENDATA\n")
+        assert lp_equal(parse_mps(text), two_row_lp())
+
+    def test_lower_case_keywords(self):
+        text = ("NAME t\nrows\n n  OBJ\n l  r1\n g  r2\ncolumns\n"
+                " x  OBJ  1.5\n x  r1  1.0\n x  r2  3.0\n y  r1  2.0\n"
+                "rhs\n RHS  r1  3.0\n RHS  r2  4.0\nbounds\n up bnd x 4.0\n"
+                "endata\n")
+        assert lp_equal(parse_mps(text), two_row_lp())
 
 
 class TestMangling:
@@ -178,6 +247,78 @@ class TestParserErrors:
         with pytest.raises(MPSError, match="r2"):
             parse_mps(text)
 
+    def test_unknown_bounds_column_named_with_line(self):
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\nCOLUMNS\n x  r1  1.0\n"
+                "BOUNDS\n UP BND  nosuch  4.0\nENDATA\n")
+        with pytest.raises(MPSError, match=r"line 8: unknown column 'nosuch'"):
+            parse_mps(text)
+
+    HEAD = "NAME t\nROWS\n N  OBJ\n L  r1\n L  r2\nCOLUMNS\n"
+
+    @pytest.mark.parametrize("body, expected", [
+        (" x  nosuch  1.0\n x  r2  abc\nENDATA\n",
+         "line 7: unknown row 'nosuch'"),
+        (" x  r1  abc\n x  nosuch  1.0\nENDATA\n",
+         "line 7: malformed numeric field 'abc'"),
+        (" x  r1  1.0\n x  r1  2.0\n x  r2  abc\nENDATA\n",
+         "line 8: duplicate entry for row 'r1', column 'x'"),
+        (" x  r1  1.0  r2  2.0\n y  r1  3.0\n x  r2  4.0\n y  r2  zz\n",
+         "line 9: duplicate entry for row 'r2', column 'x'"),
+        (" x  r1  abc  nosuch  1.0\nENDATA\n",
+         "line 7: malformed numeric field 'abc'"),
+        (" x  r1  1.0  nosuch  1.0\n x  r2\nENDATA\n",
+         "line 7: unknown row 'nosuch'"),
+        (" x  r2  1.0\n x  r1  1.0\n x  r1  1.0\nRHS\n RHS  r9  1.0\n",
+         "line 9: duplicate entry for row 'r1', column 'x'"),
+        (" x  r1  1.0\n x  r2  1.0\nRHS\n RHS  r1  1.0\n RHS  r1  2.0\n"
+         "BOUNDS\n UP BND  nosuch  4.0\nENDATA\n",
+         "line 11: duplicate RHS for row 'r1'"),
+        (" x  r1  1.0\n x  r2  1.0\nBOUNDS\n UP BND  x  abc\n"
+         " XX BND  x\nENDATA\n",
+         "line 10: malformed numeric field 'abc'"),
+    ])
+    def test_earliest_of_two_faults_is_reported(self, body, expected):
+        with pytest.raises(MPSError, match=re.escape(expected)):
+            parse_mps(self.HEAD + body)
+
+
+class TestSmallPieces:
+    """The writer formats and the parser reads in pieces of _CHUNK lines or
+    32 * _CHUNK characters; tiny pieces must give the same bytes, the same
+    LP and the same first error as one piece."""
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_same_bytes_and_lp(self, monkeypatch, chunk):
+        lps = [awkward_lp(), trivial_lp()] + [random_lp(s) for s in range(5)]
+        texts = [write_mps(lp) for lp in lps]
+        monkeypatch.setattr(mps, "_CHUNK", chunk)
+        for lp, text in zip(lps, texts):
+            assert write_mps(lp) == text
+            assert lp_equal(parse_mps(text), lp)
+
+    def test_first_error_across_pieces(self, monkeypatch):
+        monkeypatch.setattr(mps, "_CHUNK", 1)
+        text = (TestParserErrors.HEAD + " x  r1  1.0\n x  r2  1.0\n"
+                " y  r1  1.0\n x  r1  2.0\n y  r9  1.0\nENDATA\n")
+        with pytest.raises(MPSError, match="line 10: duplicate entry for row "
+                                           "'r1', column 'x'"):
+            parse_mps(text)
+
+
+class TestLpEqual:
+    def test_permuted_triplets_are_equal(self):
+        lp = awkward_lp()
+        perm = np.random.default_rng(0).permutation(lp.n_nonzeros)
+        shuffled = replace(lp, row_idx=lp.row_idx[perm],
+                           col_idx=lp.col_idx[perm], values=lp.values[perm])
+        assert lp_equal(shuffled, lp) and lp_equal(lp, shuffled)
+
+    def test_one_changed_value_is_not_equal(self):
+        lp = awkward_lp()
+        values = lp.values.copy()
+        values[2] = np.nextafter(values[2], np.inf)
+        assert not lp_equal(replace(lp, values=values), lp)
+
 
 class TestSolutionExchange:
     def test_internal_round_trip(self, tmp_path):
@@ -224,3 +365,15 @@ class TestSolutionExchange:
         path.write_text("COL x 1.0\n")
         with pytest.raises(MPSError, match="STATUS"):
             read_external_solution(lp, path)
+
+    def test_malformed_col_line_named_with_line(self, tmp_path):
+        lp = trivial_lp()
+        path = tmp_path / "t.sol"
+        path.write_text("STATUS optimal OBJ 4.5\n\nCOL x 3.0\nCOL y\n"
+                        "ROW cover 1.5\n")
+        with pytest.raises(MPSError, match=r"t\.sol: line 4: malformed COL"):
+            read_external_solution(lp, path)
+
+
+if __name__ == "__main__":
+    print(json.dumps(mps_digests(), indent=2))
