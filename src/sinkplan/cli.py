@@ -21,8 +21,8 @@ from .econ import DemandCurveSpec, TechSpec, build_demand_curve, output_value, \
 from .formulation import assemble
 from .metrics import report
 from .model import validate
-from .mps import parse_mps, read_external_solution, write_mps, \
-    write_solution_text
+from .mps import parse_mps, read_certified_solution, \
+    read_external_solution, write_mps, write_solution_text
 from .lp import certify
 from .runner import Solved, solve_scenario
 from .sweep import default_parallelism, emit, run_sweep, write_cell_mps
@@ -130,8 +130,9 @@ def cmd_curve(args):
 
 def cmd_certify(args):
     lp = parse_mps(Path(args.mps).read_text())
-    solution = read_external_solution(lp, args.sol)
-    rep = certify(lp, solution)
+    solution, rep = read_certified_solution(lp, args.sol)
+    if rep is None:
+        rep = certify(lp, solution)
     print(f"status = {solution.status}")
     print(f"objective = {solution.objective!r}")
     print(f"max_row_residual = {rep.max_row_residual!r}")

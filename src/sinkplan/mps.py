@@ -383,6 +383,13 @@ def _parse_solution_file(path):
 def read_external_solution(lp, path):
     """Load an externally produced solution file, map names back, and
     certify it to 1e-6 when it claims to be optimal."""
+    return read_certified_solution(lp, path)[0]
+
+
+def read_certified_solution(lp, path):
+    """`read_external_solution`, returning `(solution, report)`: the
+    certification report of a solution that claims to be optimal, or None
+    for any other status, which is not certified."""
     status, cols, rows = _parse_solution_file(path)
     if status is None:
         raise MPSError(f"{path}: no STATUS header")
@@ -399,6 +406,7 @@ def read_external_solution(lp, path):
     reduced = lp.obj - (lp.matrix().T @ duals) if lp.n_rows else lp.obj.copy()
     solution = Solution(status=status, objective=float(lp.obj @ primal), primal=primal,
                         duals=duals, reduced_costs=np.asarray(reduced, dtype=float))
+    report = None
     if status == "optimal":
         report = certify(lp, solution)
         if not report.within(1e-6):
@@ -409,4 +417,4 @@ def read_external_solution(lp, path):
                 f"duality gap {report.duality_gap:.3g}, "
                 f"complementarity {report.max_complementarity:.3g} "
                 f"(worst row {report.worst_row_name})", report)
-    return solution
+    return solution, report

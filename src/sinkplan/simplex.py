@@ -4,7 +4,15 @@ Method: two-phase primal simplex on the equality form obtained by appending one
 slack column per inequality row, with native handling of column bounds (flips
 included).  The basis inverse is kept as a sparse LU factorization (SuperLU via
 scipy) plus a product-form eta file, refactorized periodically.  Pricing is
-Dantzig with lowest-index tie-breaking; after a run of degenerate steps the
+Devex (Forrest & Goldfarb, Math. Prog. 57, 1992): the entering column
+maximizes d_j^2 / w_j over the reduced costs d_j that price out, with
+reference weights w_j that start at 1 each phase and are reset to 1 when one
+passes `_DEVEX_RESET`; ties go to the lowest index.  Every basis change
+computes the pivot row alpha = e_r^T B^-1 A, which updates both the weights
+and the reduced costs (d -= d_q / alpha_q * alpha).  The reduced costs are
+recomputed from scratch as c - A^T y at the start of each phase, after every
+refactorization and after a pivot smaller than `_SMALL_PIVOT`; bound flips
+leave them and the weights unchanged.  After a run of degenerate steps the
 engine falls back to Bland's rule until it makes progress again, which
 guarantees termination.  Rows are equilibrated (divided by their largest
 absolute coefficient) before solving and duals are rescaled on return.
@@ -48,6 +56,8 @@ _OPT_TOL = 1e-9         # reduced-cost threshold for entering candidates
 _PIVOT_TOL = 1e-9       # minimum acceptable pivot magnitude
 _REFACTOR_EVERY = 80    # eta-file length before refactorization
 _BLAND_AFTER = 300      # degenerate steps before the Bland fallback
+_SMALL_PIVOT = 1e-6     # below this, reduced costs are recomputed, not updated
+_DEVEX_RESET = 1e6      # a Devex weight above this resets all weights to 1
 
 # An "optimal" that pricing on a fresh factorization never confirmed must
 # certify to this tolerance to be reported as optimal.
@@ -152,6 +162,9 @@ class _Workspace:
 
         self.lu = None
         self.etas = []          # list of (row, ftran'd column)
+        self.cost = None        # the running phase's cost,
+        self.d = None           # its reduced costs
+        self.weights = None     # and its Devex reference weights
         self.iterations = 0
         self.phase1_iterations = 0
         self.need_phase1 = n_art > 0 and start is None
@@ -203,6 +216,11 @@ class _Workspace:
         rhs = self.b - self.A @ nb
         xb = self.lu.solve(rhs)
         self.x[self.basis] = xb
+
+    def reduced_costs(self):
+        """c - A^T y for the phase cost, y solving B^T y = c_B."""
+        y = _btran(self, self.cost[self.basis].astype(float))
+        return self.cost - self.AT @ y
 
     def ftran(self, v):
         z = self.lu.solve(v)
@@ -310,6 +328,9 @@ def _solve_unconstrained(lp):
 
 
 def _iterate(ws, cost, max_iter):
+    ws.cost = cost
+    ws.d = ws.reduced_costs()
+    ws.weights = np.ones(len(cost))
     degen_run = 0
     bland = False
     verify_rounds = 0
@@ -318,18 +339,15 @@ def _iterate(ws, cost, max_iter):
             return "iteration_limit"
         if len(ws.etas) >= _REFACTOR_EVERY:
             ws.refactorize()
+            ws.d = ws.reduced_costs()
 
-        y = _btran(ws, cost[ws.basis].astype(float))
-        d = cost - ws.AT @ y
-
-        q = _price(ws, d, bland, _OPT_TOL)
+        q = _price(ws, ws.d, bland, _OPT_TOL)
         if q < 0:
             # claimed optimal: verify on a fresh factorization
             if ws.etas or verify_rounds == 0:
                 ws.refactorize()
-                y = _btran(ws, cost[ws.basis].astype(float))
-                d = cost - ws.AT @ y
-                q = _price(ws, d, bland, _OPT_TOL)
+                ws.d = ws.reduced_costs()
+                q = _price(ws, ws.d, bland, _OPT_TOL)
                 verify_rounds += 1
                 if q < 0:
                     return "optimal"
@@ -341,7 +359,7 @@ def _iterate(ws, cost, max_iter):
         direction = 1.0
         if ws.status[q] == AT_UPPER:
             direction = -1.0
-        elif ws.status[q] == FREE_ZERO and d[q] > 0:
+        elif ws.status[q] == FREE_ZERO and ws.d[q] > 0:
             direction = -1.0
 
         col = np.zeros(ws.m)
@@ -373,6 +391,10 @@ def _iterate(ws, cost, max_iter):
                 ws.x[q] = ws.lower[q]
             continue
 
+        e_r = np.zeros(ws.m)
+        e_r[leave_row] = 1.0
+        alpha = ws.AT @ _btran(ws, e_r)     # pivot row of the old basis
+
         jl = ws.basis[leave_row]
         ws.x[ws.basis] -= direction * step * w
         ws.x[q] = ws.x[q] + direction * step
@@ -381,10 +403,29 @@ def _iterate(ws, cost, max_iter):
         ws.status[q] = BASIC
         ws.basis[leave_row] = q
         ws.etas.append((leave_row, w))
+        _update_pricing(ws, q, jl, alpha, w[leave_row])
+
+
+def _update_pricing(ws, q, jl, alpha, pivot):
+    """Reduced costs and Devex weights after q replaced jl in the basis;
+    alpha is the pivot row of the old basis and pivot its entry at q."""
+    if abs(pivot) < _SMALL_PIVOT:
+        ws.d = ws.reduced_costs()
+    else:
+        theta = ws.d[q] / pivot
+        ws.d -= theta * alpha
+        ws.d[ws.basis] = 0.0
+        ws.d[jl] = -theta
+    wq = ws.weights[q]
+    np.maximum(ws.weights, np.square(alpha / pivot) * wq, out=ws.weights)
+    ws.weights[jl] = max(wq / pivot ** 2, 1.0)
+    if ws.weights.max() > _DEVEX_RESET:
+        ws.weights.fill(1.0)
 
 
 def _price(ws, d, bland, tol):
-    """Entering column index, or -1 when dual-feasible."""
+    """Entering column index, or -1 when dual-feasible: the largest
+    d_j^2 / w_j over the Devex weights, or the lowest index under Bland."""
     st = ws.status
     low_viol = np.where((st == AT_LOWER) & (d < -tol), -d, 0.0)
     up_viol = np.where((st == AT_UPPER) & (d > tol), d, 0.0)
@@ -395,7 +436,7 @@ def _price(ws, d, bland, tol):
         return -1
     if bland:
         return int(np.argmax(viol > 0.0))
-    return int(np.argmax(viol))
+    return int(np.argmax(np.square(viol) / ws.weights))
 
 
 def _ratio_test(ws, q, w, direction):

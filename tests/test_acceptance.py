@@ -233,6 +233,19 @@ def test_criterion_6_utilization_trend(trend_material):
              + f" ({time.time() - t0:.0f}s incremental)")
 
 
+# Iterations the three warm trend cells took under Dantzig pricing
+# (2,895 + 3,038 + 2,342): Devex pricing must stay below them.
+DANTZIG_TREND_CELL_ITERATIONS = 8275
+
+
+def test_trend_cells_iteration_ceiling(trend_material):
+    _, _, cells = trend_material
+    counts = {capex: s.solution.iterations for capex, s in cells.items()}
+    total = sum(counts.values())
+    assert total < DANTZIG_TREND_CELL_ITERATIONS, (
+        f"warm trend cells took {counts}, {total} iterations in all")
+
+
 def test_criterion_7_mps_round_trip(random_solves, storage_solves,
                                     tiny_solved):
     lps = [s.lp for s in random_solves] + [s.lp for s in storage_solves]

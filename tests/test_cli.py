@@ -4,9 +4,10 @@ import shutil
 
 import pytest
 
-from sinkplan import cli
+from sinkplan import cli, mps
 from sinkplan.cli import main
 from sinkplan.formulation import assemble
+from sinkplan.lp import certify
 
 
 def run(capsys, *argv):
@@ -96,6 +97,28 @@ class TestCertify:
                            str(tmp_path / "tiny.mps"), str(sol))
         assert code == 0
         assert "duality_gap" in out
+
+    @pytest.mark.parametrize("status", ["optimal", "iteration_limit"])
+    def test_solution_certified_once(self, capsys, tiny_config, tmp_path,
+                                     monkeypatch, status):
+        sol = tmp_path / "tiny.sol"
+        run(capsys, "solve", str(tiny_config), "--mps-out", str(tmp_path),
+            "--sol-out", str(sol))
+        sol.write_text(sol.read_text().replace(
+            "STATUS optimal", f"STATUS {status}", 1))
+        calls = []
+
+        def counted(lp, solution):
+            calls.append(solution.status)
+            return certify(lp, solution)
+
+        monkeypatch.setattr(mps, "certify", counted)
+        monkeypatch.setattr(cli, "certify", counted)
+        code, out, _ = run(capsys, "certify",
+                           str(tmp_path / "tiny.mps"), str(sol))
+        assert code == 0
+        assert f"status = {status}" in out
+        assert calls == [status]
 
     def test_corrupted_solution_rejected(self, capsys, tiny_config, tmp_path):
         sol = tmp_path / "tiny.sol"

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import scen_helpers as sh
 from lp_oracle import oracle_solve_lp
 import sinkplan.simplex as simplex_mod
 from sinkplan.lp import EQ, GE, LE, LinearProgramBuilder, LPError, certify
+from sinkplan.runner import solve_scenario
 from sinkplan.simplex import (
     AT_LOWER,
     AT_UPPER,
@@ -310,3 +312,48 @@ class TestUnconfirmedOptimum:
         s = solve(lp)
         assert s.status == "iteration_limit"
         assert s.phase1_iterations == s.iterations == 5
+
+
+class TestPricingUpdates:
+    """Reduced costs updated from the pivot row stay on c - A^T y."""
+
+    @pytest.mark.parametrize("case", ["tiny", *range(6)])
+    def test_updated_reduced_costs_match_fresh_ones(self, case, monkeypatch,
+                                                    tiny_scenario):
+        scenario = (tiny_scenario if case == "tiny"
+                    else sh.random_instance(case, with_sink=True))
+        gaps = []
+        real = simplex_mod._Workspace.refactorize
+
+        def checked(ws):
+            # just before the refactorization: d carries every update since
+            # the last fresh computation, the factors still the etas
+            if ws.d is not None and ws.etas:
+                fresh = ws.reduced_costs()
+                gaps.append(np.max(np.abs(ws.d - fresh))
+                            / (1.0 + np.max(np.abs(ws.cost))))
+            real(ws)
+
+        monkeypatch.setattr(simplex_mod._Workspace, "refactorize", checked)
+        assert solve_scenario(scenario).status == "optimal"
+        assert gaps
+        assert max(gaps) <= 1e-9
+
+    @pytest.mark.parametrize("coef, fresh_at", [(1e-7, [0, 1, 0]),
+                                                (1e-5, [0, 0])])
+    def test_small_pivot_recomputes_reduced_costs(self, coef, fresh_at,
+                                                  monkeypatch):
+        # y enters on the pivot `coef` and r0's slack leaves: one pivot
+        assert simplex_mod._PIVOT_TOL < 1e-7 < simplex_mod._SMALL_PIVOT < 1e-5
+        lp = build([("x", dict(obj=1.0)), ("y", dict(obj=-1.0))],
+                   [("r0", LE, 1.0, [(0, 1.0), (1, coef)])])
+        etas = []       # eta-file length at each fresh computation of d
+        real = simplex_mod._Workspace.reduced_costs
+        monkeypatch.setattr(simplex_mod._Workspace, "reduced_costs",
+                            lambda ws: etas.append(len(ws.etas)) or real(ws))
+        s = solve(lp)
+        assert s.status == "optimal" and s.iterations == 1
+        assert s.objective == pytest.approx(-1.0 / coef)
+        assert certify(lp, s).within(1e-6)
+        # phase start, [after the small pivot,] verification
+        assert etas == fresh_at
