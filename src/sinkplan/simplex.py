@@ -2,8 +2,13 @@
 
 Method: two-phase primal simplex on the equality form obtained by appending one
 slack column per inequality row, with native handling of column bounds (flips
-included).  The basis inverse is kept as a sparse LU factorization (SuperLU via
-scipy) plus a product-form eta file, refactorized periodically.  Pricing is
+included).  The basis B is factorized by SuperLU (via scipy) in symmetric mode
+after a bipartite matching has permuted its rows onto a zero-free diagonal
+(Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001), which keeps the fill of
+L and U low.  Basis changes since the last factorization are kept as one
+preallocated block of product-form etas; a transposed solve applies the whole
+block with one matrix-vector product and one small triangular solve.  The
+basis is refactorized every `_REFACTOR_EVERY` changes.  Pricing is
 Devex (Forrest & Goldfarb, Math. Prog. 57, 1992): the entering column
 maximizes d_j^2 / w_j over the reduced costs d_j that price out, with
 reference weights w_j that start at 1 each phase and are reset to 1 when one
@@ -29,7 +34,9 @@ solves return bit-identical Solutions.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.sparse import csc_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.sparse.linalg import splu
 
 from .lp import (
@@ -53,7 +60,8 @@ BASIC = 3
 
 _FEAS_TOL = 1e-6        # absolute primal feasibility on equilibrated rows
 _OPT_TOL = 1e-9         # reduced-cost threshold for entering candidates
-_PIVOT_TOL = 1e-9       # minimum acceptable pivot magnitude
+_PIVOT_TOL = 1e-9       # smallest acceptable pivot magnitude, absolute
+_PIVOT_REL = 1e-7       # and relative to the largest |w_i| of its column
 _REFACTOR_EVERY = 80    # eta-file length before refactorization
 _BLAND_AFTER = 300      # degenerate steps before the Bland fallback
 _SMALL_PIVOT = 1e-6     # below this, reduced costs are recomputed, not updated
@@ -161,10 +169,19 @@ class _Workspace:
         self.status[basis] = BASIC
 
         self.lu = None
-        self.etas = []          # list of (row, ftran'd column)
+        self.rows = None        # row matched to each basis position
+        self.factored_at = -1   # iteration count at the last factorization
+        # eta file U, r, M: row j of U is u_j = w_j - e_(r_j), with w_j the
+        # j-th entering column after ftran and r_j its pivot row; M is lower
+        # triangular, M[j, i] = u_i[r_j] for i < j and M[j, j] = w_j[r_j]
+        self.n_etas = 0
+        self.eta_u = np.empty((_REFACTOR_EVERY, m))
+        self.eta_rows = np.empty(_REFACTOR_EVERY, dtype=np.int64)
+        self.eta_m = np.zeros((_REFACTOR_EVERY, _REFACTOR_EVERY))
         self.cost = None        # the running phase's cost,
         self.d = None           # its reduced costs
-        self.weights = None     # and its Devex reference weights
+        self.weights = None     # its Devex reference weights
+        self.fixed = None       # and the columns it cannot move
         self.iterations = 0
         self.phase1_iterations = 0
         self.need_phase1 = n_art > 0 and start is None
@@ -205,40 +222,71 @@ class _Workspace:
     # -- factorization ----------------------------------------------------
 
     def refactorize(self):
-        self.lu = splu(self.A[:, self.basis].tocsc(), permc_spec="COLAMD",
-                       options={"SymmetricMode": False})
-        self.etas = []
+        B = self.A[:, self.basis].tocsc()
+        rows = maximum_bipartite_matching(B, perm_type="row")
+        if np.any(rows < 0):
+            # structurally singular: worded as SuperLU words a singular basis
+            raise RuntimeError("Factor is exactly singular")
+        self.lu = splu(B[rows], permc_spec="COLAMD", diag_pivot_thresh=0.1,
+                       options={"SymmetricMode": True})
+        self.rows = rows
+        self.n_etas = 0
+        self.factored_at = self.iterations
         self.recompute_basics()
+
+    def b_solve(self, v):
+        """x with B x = v for the factorized basis."""
+        return self.lu.solve(v[self.rows])
+
+    def bt_solve(self, v):
+        """y with B^T y = v for the factorized basis."""
+        y = np.empty(self.m)
+        y[self.rows] = self.lu.solve(v, trans="T")
+        return y
 
     def recompute_basics(self):
         nb = self.x.copy()
         nb[self.basis] = 0.0
-        rhs = self.b - self.A @ nb
-        xb = self.lu.solve(rhs)
-        self.x[self.basis] = xb
+        self.x[self.basis] = self.b_solve(self.b - self.A @ nb)
 
     def reduced_costs(self):
         """c - A^T y for the phase cost, y solving B^T y = c_B."""
         y = _btran(self, self.cost[self.basis].astype(float))
         return self.cost - self.AT @ y
 
+    def add_eta(self, r, w):
+        """Record the basis change that put the column w = B^-1 a_q at row r."""
+        k = self.n_etas
+        u = self.eta_u[k]
+        u[:] = w
+        u[r] -= 1.0
+        self.eta_rows[k] = r
+        self.eta_m[k, :k] = self.eta_u[:k, r]
+        self.eta_m[k, k] = w[r]
+        self.n_etas = k + 1
+
     def ftran(self, v):
-        z = self.lu.solve(v)
-        for r, w in self.etas:
-            t = z[r] / w[r]
+        z = self.b_solve(v)
+        k = self.n_etas
+        for r, pivot, u in zip(self.eta_rows[:k].tolist(),
+                               self.eta_m.diagonal()[:k].tolist(), self.eta_u):
+            t = z[r] / pivot
             if t != 0.0:
-                z = z - t * w
+                z -= t * u
             z[r] = t
         return z
 
 
 def _btran(ws, v):
+    """y with B^T y = v for the current basis.  Undoing the etas changes
+    only their pivot rows, by g with M^T g = U v."""
     z = v.copy()
-    for r, w in reversed(ws.etas):
-        zr = z[r]
-        s = w @ z
-        z[r] = (zr - (s - w[r] * zr)) / w[r]
-    return ws.lu.solve(z, trans="T")
+    k = ws.n_etas
+    if k:
+        g = solve_triangular(ws.eta_m[:k, :k], ws.eta_u[:k] @ z, trans="T",
+                             lower=True, check_finite=False)
+        np.subtract.at(z, ws.eta_rows[:k], g)     # a row can pivot twice
+    return ws.bt_solve(z)
 
 
 def solve(lp, start=None):
@@ -329,6 +377,7 @@ def _solve_unconstrained(lp):
 
 def _iterate(ws, cost, max_iter):
     ws.cost = cost
+    ws.fixed = ws.upper <= ws.lower
     ws.d = ws.reduced_costs()
     ws.weights = np.ones(len(cost))
     degen_run = 0
@@ -337,14 +386,14 @@ def _iterate(ws, cost, max_iter):
     while True:
         if ws.iterations >= max_iter:
             return "iteration_limit"
-        if len(ws.etas) >= _REFACTOR_EVERY:
+        if ws.n_etas >= _REFACTOR_EVERY:
             ws.refactorize()
             ws.d = ws.reduced_costs()
 
         q = _price(ws, ws.d, bland, _OPT_TOL)
         if q < 0:
             # claimed optimal: verify on a fresh factorization
-            if ws.etas or verify_rounds == 0:
+            if ws.n_etas or verify_rounds == 0:
                 ws.refactorize()
                 ws.d = ws.reduced_costs()
                 q = _price(ws, ws.d, bland, _OPT_TOL)
@@ -402,7 +451,7 @@ def _iterate(ws, cost, max_iter):
         ws.status[jl] = leave_to
         ws.status[q] = BASIC
         ws.basis[leave_row] = q
-        ws.etas.append((leave_row, w))
+        ws.add_eta(leave_row, w)
         _update_pricing(ws, q, jl, alpha, w[leave_row])
 
 
@@ -427,64 +476,51 @@ def _price(ws, d, bland, tol):
     """Entering column index, or -1 when dual-feasible: the largest
     d_j^2 / w_j over the Devex weights, or the lowest index under Bland."""
     st = ws.status
-    low_viol = np.where((st == AT_LOWER) & (d < -tol), -d, 0.0)
-    up_viol = np.where((st == AT_UPPER) & (d > tol), d, 0.0)
-    fr_viol = np.where((st == FREE_ZERO) & (np.abs(d) > tol), np.abs(d), 0.0)
-    viol = low_viol + up_viol + fr_viol
-    viol[ws.upper - ws.lower <= 0.0] = 0.0
-    if not np.any(viol > 0.0):
-        return -1
+    viol = np.where(st == AT_UPPER, d, -d)
+    np.abs(d, out=viol, where=st == FREE_ZERO)
+    viol[(viol <= tol) | (st == BASIC) | ws.fixed] = 0.0
     if bland:
-        return int(np.argmax(viol > 0.0))
-    return int(np.argmax(np.square(viol) / ws.weights))
+        q = int(np.argmax(viol > 0.0))
+    else:
+        np.square(viol, out=viol)
+        viol /= ws.weights
+        q = int(np.argmax(viol))
+    return q if viol[q] > 0.0 else -1
 
 
 def _ratio_test(ws, q, w, direction):
-    """Largest feasible step; returns (step, leaving_row or -1, bound hit)."""
-    m = ws.m
+    """Largest feasible step; returns (step, leaving_row or -1, bound hit).
+    Among rows within 1e-10 of the smallest ratio the largest |w_i| leaves,
+    and of pivots within 1e-12 of it the lowest basis index.  A row whose
+    |w_i| is below `_PIVOT_TOL`, or `_PIVOT_REL` times the largest |w_i|,
+    never limits the step: such a pivot may be roundoff of a true zero, and
+    taking it can leave a singular basis."""
     xb = ws.x[ws.basis]
-    lb = ws.lower[ws.basis]
-    ub = ws.upper[ws.basis]
     dx = -direction * w
-
-    best = INF
-    if ws.lower[q] > -INF and ws.upper[q] < INF:
-        best = ws.upper[q] - ws.lower[q]
-    leave_row = -1
-    leave_to = AT_LOWER
-    best_piv = 0.0
-
-    dec = dx < -_PIVOT_TOL
-    inc = dx > _PIVOT_TOL
+    dec = dx < 0.0
+    adx = np.abs(dx)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_dec = np.where(dec & (lb > -INF), (xb - lb) / np.where(dec, -dx, 1.0), INF)
-        r_inc = np.where(inc & (ub < INF), (ub - xb) / np.where(inc, dx, 1.0), INF)
-    ratios = np.minimum(r_dec, r_inc)
-    ratios = np.maximum(ratios, 0.0)
+        room = np.where(dec, xb - ws.lower[ws.basis], ws.upper[ws.basis] - xb)
+        np.maximum(room, 0.0, out=room)
+        ratios = room / adx
+    ratios[adx <= max(_PIVOT_TOL, _PIVOT_REL * adx.max())] = INF
 
-    rmin = ratios.min() if m else INF
-    if rmin < best:
-        tie = 1e-10
-        cand = np.nonzero(ratios <= rmin + tie)[0]
-        for i in cand:
-            piv = abs(w[i])
-            if piv > best_piv + 1e-12 or (
-                abs(piv - best_piv) <= 1e-12
-                and (leave_row < 0 or ws.basis[i] < ws.basis[leave_row])
-            ):
-                best_piv = piv
-                leave_row = int(i)
-        best = float(ratios[leave_row])
-        leave_to = AT_LOWER if dx[leave_row] < 0 else AT_UPPER
-        return best, leave_row, leave_to
-    if best == INF:
-        return INF, -1, AT_LOWER
-    return best, -1, AT_LOWER
+    best = ws.upper[q] - ws.lower[q]    # INF unless q has two finite bounds
+    rmin = ratios.min()
+    if rmin >= best:
+        return best, -1, AT_LOWER
+    cand = np.flatnonzero(ratios <= rmin + 1e-10)
+    piv = adx[cand]
+    near = cand[piv >= piv.max() - 1e-12]
+    leave_row = int(near[np.argmin(ws.basis[near])])
+    leave_to = AT_LOWER if dec[leave_row] else AT_UPPER
+    return float(ratios[leave_row]), leave_row, leave_to
 
 
 def _finish(lp, ws, status, feasible):
     n = ws.n_struct
-    ws.refactorize()
+    if ws.iterations != ws.factored_at:     # bound flips count: they move x
+        ws.refactorize()
     x = ws.x[:n].copy()
     objective = float(lp.obj @ x)
 

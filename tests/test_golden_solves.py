@@ -12,12 +12,16 @@ Running this file as a script prints the records as JSON.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scen_helpers as sh
-from conftest import CONFIGS, GOLDEN
+from conftest import CONFIGS, GOLDEN, REPO
 from sinkplan import load_config
 from sinkplan.runner import solve_scenario
 from sinkplan.sweep import cell_id, cell_scenario, run_reference
@@ -42,11 +46,13 @@ def record(solved):
     }
 
 
-def tiny_records():
+def tiny_records(cells=None):
+    """Records of tiny cold and of its first `cells` grid cells (all when
+    None), warm."""
     scenario, grid = load_config(CONFIGS / "tiny")
     out = {"tiny/cold": record(solve_scenario(scenario))}
     ref = run_reference(scenario)
-    for cx, bp in grid.cells():
+    for cx, bp in grid.cells()[:cells]:
         cell = cell_scenario(scenario, grid, cx, bp)
         out[f"tiny/{cell_id(cx, bp)}/warm"] = record(
             solve_scenario(cell, start=ref.basis))
@@ -77,6 +83,27 @@ def test_tiny_solves_match_frozen_digests():
 @pytest.mark.parametrize("seed", range(6))
 def test_random_solves_match_frozen_digests(seed):
     assert random_records(seed) == _frozen(f"random{seed}/")
+
+
+_RECORD_TINY = "import json, test_golden_solves as g; " \
+               "print(json.dumps(g.tiny_records(cells=1)))"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_solves_do_not_depend_on_blas_threads(threads):
+    # the basis solves call BLAS; their results must not depend on how many
+    # threads it runs
+    path = [str(REPO / "src"), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", _RECORD_TINY], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    got = json.loads(run.stdout)
+    frozen = _frozen("tiny/")
+    assert len(got) == 2
+    assert got == {k: frozen[k] for k in got}
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import scen_helpers as sh
+from conftest import CONFIGS
 from lp_oracle import oracle_solve_lp
 import sinkplan.simplex as simplex_mod
+from sinkplan import load_config
 from sinkplan.lp import EQ, GE, LE, LinearProgramBuilder, LPError, certify
 from sinkplan.runner import solve_scenario
 from sinkplan.simplex import (
@@ -328,7 +331,7 @@ class TestPricingUpdates:
         def checked(ws):
             # just before the refactorization: d carries every update since
             # the last fresh computation, the factors still the etas
-            if ws.d is not None and ws.etas:
+            if ws.d is not None and ws.n_etas:
                 fresh = ws.reduced_costs()
                 gaps.append(np.max(np.abs(ws.d - fresh))
                             / (1.0 + np.max(np.abs(ws.cost))))
@@ -350,10 +353,74 @@ class TestPricingUpdates:
         etas = []       # eta-file length at each fresh computation of d
         real = simplex_mod._Workspace.reduced_costs
         monkeypatch.setattr(simplex_mod._Workspace, "reduced_costs",
-                            lambda ws: etas.append(len(ws.etas)) or real(ws))
+                            lambda ws: etas.append(ws.n_etas) or real(ws))
         s = solve(lp)
         assert s.status == "optimal" and s.iterations == 1
         assert s.objective == pytest.approx(-1.0 / coef)
         assert certify(lp, s).within(1e-6)
         # phase start, [after the small pivot,] verification
         assert etas == fresh_at
+
+
+def structural_pair():
+    """Two columns only in row r0: basic together, no row is left for one."""
+    return build([("x", dict(obj=-1.0)), ("y", dict(obj=-2.0)),
+                  ("z", dict(obj=-1.0))],
+                 [("r0", LE, 4.0, [(0, 1.0), (1, 2.0)]),
+                  ("r1", LE, 6.0, [(2, 1.0)])])
+
+
+class TestFactorization:
+    """Basis solves through the matched, symmetric-mode factors and the eta
+    block agree with a direct factorization of the current basis."""
+
+    @pytest.mark.parametrize("case", ["tiny", *range(6)])
+    def test_solves_match_a_direct_factorization(self, case, monkeypatch,
+                                                 tiny_scenario):
+        scenario = (tiny_scenario if case == "tiny"
+                    else sh.random_instance(case, with_sink=True))
+        rng = np.random.default_rng(0)
+        gaps, etas = [], []
+        real = simplex_mod._Workspace.refactorize
+
+        def checked(ws):
+            # just before the refactorization: the old factors and the etas
+            if ws.lu is not None:
+                direct = splu(ws.A[:, ws.basis].tocsc())
+                v = rng.normal(size=ws.m)
+                for got, want in ((ws.ftran(v), direct.solve(v)),
+                                  (simplex_mod._btran(ws, v),
+                                   direct.solve(v, trans="T"))):
+                    gaps.append(np.max(np.abs(got - want))
+                                / np.max(np.abs(want)))
+                etas.append(ws.n_etas)
+            real(ws)
+
+        monkeypatch.setattr(simplex_mod._Workspace, "refactorize", checked)
+        assert solve_scenario(scenario).status == "optimal"
+        assert max(etas) > 1
+        assert max(gaps) <= 1e-9
+
+    @pytest.mark.parametrize("lp", [singular_pair, structural_pair],
+                             ids=["numerically", "structurally"])
+    def test_singular_basis_raises(self, lp):
+        # a structurally singular basis fails the matching, not SuperLU,
+        # and must raise the same error
+        lp = lp()
+        start = (np.array([BASIC, BASIC] + [AT_LOWER] * (lp.n_cols - 2)),
+                 np.full(lp.n_rows, AT_LOWER))
+        ws = simplex_mod._Workspace(lp, start)
+        assert list(ws.basis) == [0, 1]
+        with pytest.raises(RuntimeError):
+            ws.refactorize()
+
+
+@pytest.mark.parametrize("offset", [148, 269])
+def test_roundoff_pivots_are_not_taken(offset):
+    # Rotated by these offsets, the trend2z reference reached ratio tests
+    # whose only limiting row had |w_r| ~ 1e-9 against entries ~ 10:
+    # roundoff of a true zero.  Taking it left a singular basis, and the
+    # next refactorization raised "Factor is exactly singular".
+    scenario, _ = load_config(CONFIGS / "trend2z")
+    rotated = sh.rotate_scenario(scenario, offset).without_sink()
+    assert solve_scenario(rotated).solution.status == "optimal"
