@@ -6,21 +6,29 @@ included).  The basis B is factorized by SuperLU (via scipy) in symmetric mode
 after a bipartite matching has permuted its rows onto a zero-free diagonal
 (Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001), which keeps the fill of
 L and U low.  Basis changes since the last factorization are kept as one
-preallocated block of product-form etas; a transposed solve applies the whole
-block with one matrix-vector product and one small triangular solve.  The
-basis is refactorized every `_REFACTOR_EVERY` changes.  Pricing is
-Devex (Forrest & Goldfarb, Math. Prog. 57, 1992): the entering column
-maximizes d_j^2 / w_j over the reduced costs d_j that price out, with
-reference weights w_j that start at 1 each phase and are reset to 1 when one
-passes `_DEVEX_RESET`; ties go to the lowest index.  Every basis change
-computes the pivot row alpha = e_r^T B^-1 A, which updates both the weights
-and the reduced costs (d -= d_q / alpha_q * alpha).  The reduced costs are
-recomputed from scratch as c - A^T y at the start of each phase, after every
-refactorization and after a pivot smaller than `_SMALL_PIVOT`; bound flips
-leave them and the weights unchanged.  After a run of degenerate steps the
-engine falls back to Bland's rule until it makes progress again, which
-guarantees termination.  Rows are equilibrated (divided by their largest
-absolute coefficient) before solving and duals are rescaled on return.
+preallocated block of product-form etas with a small lower-triangular matrix
+M of their pivot-row entries.  Both solves apply the whole block with one
+triangular solve on M (LAPACK trtrs) and one matrix-vector product: `ftran`
+solves M t = z[r] and subtracts U^T t, the transposed solve subtracts the
+solution of M^T g = U v at the pivot rows.  The pivot row e_r^T B^-1 reads
+U e_r as column r of the block.  The basis is refactorized every
+`_REFACTOR_EVERY` changes.  The basic values and their bounds are kept by
+basis position (`xb`, `lb`, `ub`), so a basis change updates one position
+and the ratio test reads them without gathering over the basis; `x` holds
+the nonbasic values and receives the basic ones when the whole vector is
+read.  Pricing is Devex (Forrest & Goldfarb, Math. Prog. 57, 1992): the
+entering column maximizes d_j^2 / w_j over the reduced costs d_j that price
+out, with reference weights w_j that start at 1 each phase and are reset to 1
+when one passes `_DEVEX_RESET`; ties go to the lowest index.  Every basis
+change computes the pivot row alpha = e_r^T B^-1 A, which updates both the
+weights and the reduced costs (d -= d_q / alpha_q * alpha).  The reduced
+costs are recomputed from scratch as c - A^T y at the start of each phase,
+after every refactorization and after a pivot smaller than `_SMALL_PIVOT`;
+bound flips leave them and the weights unchanged.  After a run of degenerate
+steps the engine falls back to Bland's rule until it makes progress again,
+which guarantees termination.  Rows are equilibrated (divided by their
+largest absolute coefficient) before solving and duals are rescaled on
+return.
 
 Warm starts: `solve` may be given a starting basis, one status per column and
 one per row (the row's slack, or for an equality row its artificial), in the
@@ -34,7 +42,7 @@ solves return bit-identical Solutions.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse import csc_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.sparse.linalg import splu
@@ -70,6 +78,16 @@ _DEVEX_RESET = 1e6      # a Devex weight above this resets all weights to 1
 # An "optimal" that pricing on a fresh factorization never confirmed must
 # certify to this tolerance to be reported as optimal.
 _CERTIFY_TOL = 1e-6
+
+_trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
+
+
+def _upper_solve(a, v, trans):
+    """t with a t = v, or a^T t = v when trans, for an upper-triangular a."""
+    t, info = _trtrs(a, v, trans=trans)
+    if info:
+        raise np.linalg.LinAlgError(f"zero pivot {info} in the eta block")
+    return t
 
 
 def _max_iter(ws):
@@ -167,6 +185,8 @@ class _Workspace:
         self.x = np.concatenate([x, np.zeros(n_art)])
         self.basis = basis
         self.status[basis] = BASIC
+        # values, lower and upper bounds of the basics, by basis position
+        self.xb = self.lb = self.ub = None
 
         self.lu = None
         self.rows = None        # row matched to each basis position
@@ -233,6 +253,7 @@ class _Workspace:
         self.n_etas = 0
         self.factored_at = self.iterations
         self.recompute_basics()
+        self.gather_bounds()
 
     def b_solve(self, v):
         """x with B x = v for the factorized basis."""
@@ -247,7 +268,15 @@ class _Workspace:
     def recompute_basics(self):
         nb = self.x.copy()
         nb[self.basis] = 0.0
-        self.x[self.basis] = self.b_solve(self.b - self.A @ nb)
+        self.xb = self.b_solve(self.b - self.A @ nb)
+
+    def gather_bounds(self):
+        self.lb = self.lower[self.basis]
+        self.ub = self.upper[self.basis]
+
+    def store_basics(self):
+        """Write the basic values into x, for a reader of the whole vector."""
+        self.x[self.basis] = self.xb
 
     def reduced_costs(self):
         """c - A^T y for the phase cost, y solving B^T y = c_B."""
@@ -266,25 +295,37 @@ class _Workspace:
         self.n_etas = k + 1
 
     def ftran(self, v):
+        """B^-1 v for the current basis.  Eta j scales by t_j with
+        t_j = (z[r_j] - sum_(i<j) t_i u_i[r_j]) / w_j[r_j], which is
+        M t = z[r]; then z -= U^T t."""
         z = self.b_solve(v)
         k = self.n_etas
-        for r, pivot, u in zip(self.eta_rows[:k].tolist(),
-                               self.eta_m.diagonal()[:k].tolist(), self.eta_u):
-            t = z[r] / pivot
-            if t != 0.0:
-                z -= t * u
-            z[r] = t
+        if k:
+            t = _upper_solve(self.eta_m[:k, :k].T, z[self.eta_rows[:k]],
+                              trans=1)
+            z -= self.eta_u[:k].T @ t
         return z
 
 
 def _btran(ws, v):
-    """y with B^T y = v for the current basis.  Undoing the etas changes
-    only their pivot rows, by g with M^T g = U v."""
-    z = v.copy()
+    """y with B^T y = v for the current basis."""
+    return _undo_etas(ws, v.copy(), ws.eta_u[: ws.n_etas] @ v)
+
+
+def _btran_row(ws, r):
+    """e_r^T B^-1, row r of the basis inverse: U e_r is column r of the
+    block."""
+    e_r = np.zeros(ws.m)
+    e_r[r] = 1.0
+    return _undo_etas(ws, e_r, ws.eta_u[: ws.n_etas, r])
+
+
+def _undo_etas(ws, z, uz):
+    """B^-T z, given uz = U z.  Undoing the etas changes only their pivot
+    rows, by g with M^T g = U z."""
     k = ws.n_etas
     if k:
-        g = solve_triangular(ws.eta_m[:k, :k], ws.eta_u[:k] @ z, trans="T",
-                             lower=True, check_finite=False)
+        g = _upper_solve(ws.eta_m[:k, :k].T, uz, trans=0)
         np.subtract.at(z, ws.eta_rows[:k], g)     # a row can pivot twice
     return ws.bt_solve(z)
 
@@ -314,6 +355,7 @@ def solve(lp, start=None):
         ws.phase1_iterations = ws.iterations
         if outcome == "iteration_limit":
             return _finish(lp, ws, ITERATION_LIMIT, feasible=False)
+        ws.store_basics()
         if float(ws.cost1 @ ws.x) > _FEAS_TOL:
             # infeasibility is proven only by a phase-1 optimum
             status = INFEASIBLE if outcome == "optimal" else ITERATION_LIMIT
@@ -345,9 +387,7 @@ def _started(lp, start):
         ws.refactorize()
     except RuntimeError:     # SuperLU: the basis matrix is exactly singular
         return None
-    xb = ws.x[ws.basis]
-    inside = ((xb >= ws.lower[ws.basis] - _FEAS_TOL)
-              & (xb <= ws.upper[ws.basis] + _FEAS_TOL))
+    inside = (ws.xb >= ws.lb - _FEAS_TOL) & (ws.xb <= ws.ub + _FEAS_TOL)
     return ws if np.all(inside) else None
 
 
@@ -378,6 +418,7 @@ def _solve_unconstrained(lp):
 def _iterate(ws, cost, max_iter):
     ws.cost = cost
     ws.fixed = ws.upper <= ws.lower
+    ws.gather_bounds()
     ws.d = ws.reduced_costs()
     ws.weights = np.ones(len(cost))
     degen_run = 0
@@ -429,9 +470,9 @@ def _iterate(ws, cost, max_iter):
             degen_run = 0
             bland = False
 
+        ws.xb -= direction * step * w
         if leave_row < 0:
             # bound flip: q crosses to its opposite bound
-            ws.x[ws.basis] -= direction * step * w
             if ws.status[q] == AT_LOWER:
                 ws.status[q] = AT_UPPER
                 ws.x[q] = ws.upper[q]
@@ -440,14 +481,13 @@ def _iterate(ws, cost, max_iter):
                 ws.x[q] = ws.lower[q]
             continue
 
-        e_r = np.zeros(ws.m)
-        e_r[leave_row] = 1.0
-        alpha = ws.AT @ _btran(ws, e_r)     # pivot row of the old basis
+        alpha = ws.AT @ _btran_row(ws, leave_row)  # old basis's pivot row
 
         jl = ws.basis[leave_row]
-        ws.x[ws.basis] -= direction * step * w
-        ws.x[q] = ws.x[q] + direction * step
-        ws.x[jl] = ws.lower[jl] if leave_to == AT_LOWER else ws.upper[jl]
+        ws.x[jl] = (ws.lb if leave_to == AT_LOWER else ws.ub)[leave_row]
+        ws.xb[leave_row] = ws.x[q] + direction * step
+        ws.lb[leave_row] = ws.lower[q]
+        ws.ub[leave_row] = ws.upper[q]
         ws.status[jl] = leave_to
         ws.status[q] = BASIC
         ws.basis[leave_row] = q
@@ -495,15 +535,14 @@ def _ratio_test(ws, q, w, direction):
     |w_i| is below `_PIVOT_TOL`, or `_PIVOT_REL` times the largest |w_i|,
     never limits the step: such a pivot may be roundoff of a true zero, and
     taking it can leave a singular basis."""
-    xb = ws.x[ws.basis]
     dx = -direction * w
     dec = dx < 0.0
     adx = np.abs(dx)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = np.where(dec, xb - ws.lower[ws.basis], ws.upper[ws.basis] - xb)
-        np.maximum(room, 0.0, out=room)
-        ratios = room / adx
-    ratios[adx <= max(_PIVOT_TOL, _PIVOT_REL * adx.max())] = INF
+    room = np.where(dec, ws.xb - ws.lb, ws.ub - ws.xb)
+    np.maximum(room, 0.0, out=room)
+    ratios = np.full_like(adx, INF)
+    np.divide(room, adx, out=ratios,
+              where=adx > max(_PIVOT_TOL, _PIVOT_REL * adx.max()))
 
     best = ws.upper[q] - ws.lower[q]    # INF unless q has two finite bounds
     rmin = ratios.min()
@@ -521,6 +560,7 @@ def _finish(lp, ws, status, feasible):
     n = ws.n_struct
     if ws.iterations != ws.factored_at:     # bound flips count: they move x
         ws.refactorize()
+    ws.store_basics()
     x = ws.x[:n].copy()
     objective = float(lp.obj @ x)
 

@@ -1,5 +1,7 @@
 """Internal solver behavior: statuses, duals, determinism, oracle agreement."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -362,6 +364,18 @@ class TestPricingUpdates:
         assert etas == fresh_at
 
 
+def test_denormal_pivot_does_not_limit_the_step():
+    # a column entry left at roundoff size must neither overflow the ratio
+    # nor be taken as the pivot
+    ws = SimpleNamespace(basis=np.array([0, 1, 2]),
+                         xb=np.array([1.0, 2.0, 3.0]), lb=np.zeros(3),
+                         ub=np.full(3, np.inf), lower=np.zeros(4),
+                         upper=np.full(4, np.inf))
+    w = np.array([1e-310, 0.5, -2.0])
+    step, leave_row, leave_to = simplex_mod._ratio_test(ws, 3, w, 1.0)
+    assert (step, leave_row, leave_to) == (4.0, 1, AT_LOWER)
+
+
 def structural_pair():
     """Two columns only in row r0: basic together, no row is left for one."""
     return build([("x", dict(obj=-1.0)), ("y", dict(obj=-2.0)),
@@ -388,9 +402,18 @@ class TestFactorization:
             if ws.lu is not None:
                 direct = splu(ws.A[:, ws.basis].tocsc())
                 v = rng.normal(size=ws.m)
-                for got, want in ((ws.ftran(v), direct.solve(v)),
-                                  (simplex_mod._btran(ws, v),
-                                   direct.solve(v, trans="T"))):
+                pairs = [(ws.ftran(v), direct.solve(v)),
+                         (simplex_mod._btran(ws, v),
+                          direct.solve(v, trans="T"))]
+                # pivot rows: two the etas pivoted on, two they did not
+                pivoted = ws.eta_rows[: ws.n_etas]
+                others = np.setdiff1d(np.arange(ws.m), pivoted)
+                for r in [*pivoted[:2], *others[:1], *others[-1:]]:
+                    e_r = np.zeros(ws.m)
+                    e_r[r] = 1.0
+                    pairs.append((simplex_mod._btran_row(ws, r),
+                                  direct.solve(e_r, trans="T")))
+                for got, want in pairs:
                     gaps.append(np.max(np.abs(got - want))
                                 / np.max(np.abs(want)))
                 etas.append(ws.n_etas)
@@ -399,6 +422,32 @@ class TestFactorization:
         monkeypatch.setattr(simplex_mod._Workspace, "refactorize", checked)
         assert solve_scenario(scenario).status == "optimal"
         assert max(etas) > 1
+        assert max(gaps) <= 1e-9
+
+    @pytest.mark.parametrize("case", ["tiny", *range(6)])
+    def test_basics_by_position_match_a_fresh_solve(self, case, monkeypatch,
+                                                    tiny_scenario):
+        # xb, lb and ub are updated one position per basis change
+        scenario = (tiny_scenario if case == "tiny"
+                    else sh.random_instance(case, with_sink=True))
+        gaps = []
+        real = simplex_mod._Workspace.refactorize
+
+        def checked(ws):
+            if ws.xb is not None:
+                assert np.array_equal(ws.lb, ws.lower[ws.basis])
+                assert np.array_equal(ws.ub, ws.upper[ws.basis])
+                nonbasic = ws.x.copy()
+                nonbasic[ws.basis] = 0.0
+                want = splu(ws.A[:, ws.basis].tocsc()).solve(
+                    ws.b - ws.A @ nonbasic)
+                gaps.append(np.max(np.abs(ws.xb - want))
+                            / max(1.0, np.max(np.abs(want))))
+            real(ws)
+
+        monkeypatch.setattr(simplex_mod._Workspace, "refactorize", checked)
+        assert solve_scenario(scenario).status == "optimal"
+        assert gaps
         assert max(gaps) <= 1e-9
 
     @pytest.mark.parametrize("lp", [singular_pair, structural_pair],
