@@ -2,33 +2,40 @@
 
 Method: two-phase primal simplex on the equality form obtained by appending one
 slack column per inequality row, with native handling of column bounds (flips
-included).  The basis B is factorized by SuperLU (via scipy) in symmetric mode
-after a bipartite matching has permuted its rows onto a zero-free diagonal
-(Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001), which keeps the fill of
-L and U low.  Basis changes since the last factorization are kept as one
-preallocated block of product-form etas with a small lower-triangular matrix
-M of their pivot-row entries.  Both solves apply the whole block with one
-triangular solve on M (LAPACK trtrs) and one matrix-vector product: `ftran`
-solves M t = z[r] and subtracts U^T t, the transposed solve subtracts the
-solution of M^T g = U v at the pivot rows.  The pivot row e_r^T B^-1 reads
-U e_r as column r of the block.  The basis is refactorized every
-`_REFACTOR_EVERY` changes.  The basic values and their bounds are kept by
-basis position (`xb`, `lb`, `ub`), so a basis change updates one position
-and the ratio test reads them without gathering over the basis; `x` holds
-the nonbasic values and receives the basic ones when the whole vector is
-read.  Pricing is Devex (Forrest & Goldfarb, Math. Prog. 57, 1992): the
-entering column maximizes d_j^2 / w_j over the reduced costs d_j that price
-out, with reference weights w_j that start at 1 each phase and are reset to 1
-when one passes `_DEVEX_RESET`; ties go to the lowest index.  Every basis
-change computes the pivot row alpha = e_r^T B^-1 A, which updates both the
-weights and the reduced costs (d -= d_q / alpha_q * alpha).  The reduced
-costs are recomputed from scratch as c - A^T y at the start of each phase,
-after every refactorization and after a pivot smaller than `_SMALL_PIVOT`;
-bound flips leave them and the weights unchanged.  After a run of degenerate
-steps the engine falls back to Bland's rule until it makes progress again,
-which guarantees termination.  Rows are equilibrated (divided by their
-largest absolute coefficient) before solving and duals are rescaled on
-return.
+included).  Only the nucleus of the basis B is factorized (Suhl & Suhl, ORSA
+J. Comput. 2, 1990).  A basic slack or artificial is a unit column, +-1 in
+one row; those rows S are solved by substitution.  The structural basics on
+the remaining rows R form the nucleus K, factorized by SuperLU (via scipy) in
+symmetric mode after a bipartite matching has permuted its rows onto a
+zero-free diagonal (Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001),
+which keeps the fill of L and U low.  With C the structural basics' entries
+in the rows S and s the unit columns' signs, B x = v is x_K = K^-1 v_R and
+x_S = s * (v_S - C x_K); B^T y = v, with v indexed by basis position, is
+y_S = s * v_S and y_R = K^-T (v_K - C^T y_S).  Basis changes since the last
+factorization are kept as one preallocated block of product-form etas with a
+small lower-triangular matrix M of their pivot-row entries.  Both solves
+apply the whole block with one triangular solve on M (LAPACK trtrs) and one
+matrix-vector product: `ftran` solves M t = z[r] and subtracts U^T t, the
+transposed solve subtracts the solution of M^T g = U v at the pivot rows.
+The pivot row e_r^T B^-1 reads U e_r as column r of the block.  The basis is
+refactorized every `_REFACTOR_EVERY` changes.  The basic values and their
+bounds are kept by basis position (`xb`, `lb`, `ub`), so a basis change
+updates one position and the ratio test reads them without gathering over
+the basis; `x` holds the nonbasic values and receives the basic ones when the
+whole vector is read.  Pricing is Devex (Forrest & Goldfarb, Math. Prog. 57,
+1992): the entering column maximizes d_j^2 / w_j over the reduced costs d_j
+that price out, with reference weights w_j that start at 1 each phase and are
+reset to 1 when one passes `_DEVEX_RESET`; ties go to the lowest index.
+Every basis change computes the pivot row alpha = e_r^T B^-1 A, which updates
+both the weights and the reduced costs (d -= d_q / alpha_q * alpha).  The
+reduced costs are recomputed from scratch as c - A^T y at the start of each
+phase, after every refactorization and after a pivot smaller than
+`_SMALL_PIVOT`; bound flips leave them and the weights unchanged.  The ratio
+test and pricing score only the rows and columns that pass their
+tolerances.  After a run of degenerate steps the engine falls back to
+Bland's rule until it makes progress again, which guarantees termination.
+Rows are equilibrated (divided by their largest absolute coefficient) before
+solving and duals are rescaled on return.
 
 Warm starts: `solve` may be given a starting basis, one status per column and
 one per row (the row's slack, or for an equality row its artificial), in the
@@ -70,7 +77,7 @@ _FEAS_TOL = 1e-6        # absolute primal feasibility on equilibrated rows
 _OPT_TOL = 1e-9         # reduced-cost threshold for entering candidates
 _PIVOT_TOL = 1e-9       # smallest acceptable pivot magnitude, absolute
 _PIVOT_REL = 1e-7       # and relative to the largest |w_i| of its column
-_REFACTOR_EVERY = 80    # eta-file length before refactorization
+_REFACTOR_EVERY = 60    # eta-file length before refactorization
 _BLAND_AFTER = 300      # degenerate steps before the Bland fallback
 _SMALL_PIVOT = 1e-6     # below this, reduced costs are recomputed, not updated
 _DEVEX_RESET = 1e6      # a Devex weight above this resets all weights to 1
@@ -78,6 +85,11 @@ _DEVEX_RESET = 1e6      # a Devex weight above this resets all weights to 1
 # An "optimal" that pricing on a fresh factorization never confirmed must
 # certify to this tolerance to be reported as optimal.
 _CERTIFY_TOL = 1e-6
+
+# By status (AT_LOWER, AT_UPPER, FREE_ZERO, BASIC), the factor that turns a
+# reduced cost d into its violation: -d at a lower bound, d at an upper one.
+# Free columns take |d| instead.
+_PRICE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 _trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
@@ -188,8 +200,11 @@ class _Workspace:
         # values, lower and upper bounds of the basics, by basis position
         self.xb = self.lb = self.ub = None
 
-        self.lu = None
-        self.rows = None        # row matched to each basis position
+        # the row and sign of each unit column, by column index - n
+        self.row_of_unit = np.concatenate([slack_rows, art_rows])
+        self.sign_of_unit = np.concatenate([np.ones(len(slack_rows)),
+                                            art_sign])
+        self.lu = None          # SuperLU of the nucleus, None when it is empty
         self.factored_at = -1   # iteration count at the last factorization
         # eta file U, r, M: row j of U is u_j = w_j - e_(r_j), with w_j the
         # j-th entering column after ftran and r_j its pivot row; M is lower
@@ -201,7 +216,8 @@ class _Workspace:
         self.cost = None        # the running phase's cost,
         self.d = None           # its reduced costs
         self.weights = None     # its Devex reference weights
-        self.fixed = None       # and the columns it cannot move
+        self.fixed = None       # the columns it cannot move
+        self.free = None        # and those without bounds
         self.iterations = 0
         self.phase1_iterations = 0
         self.need_phase1 = n_art > 0 and start is None
@@ -242,27 +258,63 @@ class _Workspace:
     # -- factorization ----------------------------------------------------
 
     def refactorize(self):
-        B = self.A[:, self.basis].tocsc()
-        rows = maximum_bipartite_matching(B, perm_type="row")
-        if np.any(rows < 0):
-            # structurally singular: worded as SuperLU words a singular basis
+        """Factorize the basis nucleus.  A basic slack or artificial is a
+        unit column, its sign s in one row; those rows are S.  The nucleus K
+        is the structural basics on the other rows R, factorized on a row
+        matching, and C holds the structural basics' entries in the rows S."""
+        n = self.n_struct
+        unit = self.basis >= n
+        self.unit_pos = np.flatnonzero(unit)
+        self.nucleus_pos = np.flatnonzero(~unit)
+        j = self.basis[self.unit_pos] - n
+        self.unit_rows = self.row_of_unit[j]
+        self.unit_signs = self.sign_of_unit[j]
+        in_r = np.ones(self.m, dtype=bool)
+        in_r[self.unit_rows] = False
+        r = np.flatnonzero(in_r)
+        if len(r) != len(self.nucleus_pos):
+            # two unit columns on one row: worded as SuperLU words it
             raise RuntimeError("Factor is exactly singular")
-        self.lu = splu(B[rows], permc_spec="COLAMD", diag_pivot_thresh=0.1,
-                       options={"SymmetricMode": True})
-        self.rows = rows
+        cols = self.A[:, self.basis[self.nucleus_pos]].tocsr()
+        self.C = cols[self.unit_rows]
+        self.CT = self.C.T.tocsr()
+        self.lu = None
+        if len(r):
+            nucleus = cols[r].tocsc()
+            matched = maximum_bipartite_matching(nucleus, perm_type="row")
+            if np.any(matched < 0):
+                # structurally singular: worded as SuperLU words it
+                raise RuntimeError("Factor is exactly singular")
+            self.lu = splu(nucleus[matched], permc_spec="COLAMD",
+                           diag_pivot_thresh=0.1,
+                           options={"SymmetricMode": True})
+            self.nucleus_rows = r[matched]
         self.n_etas = 0
         self.factored_at = self.iterations
         self.recompute_basics()
         self.gather_bounds()
 
     def b_solve(self, v):
-        """x with B x = v for the factorized basis."""
-        return self.lu.solve(v[self.rows])
+        """x with B x = v for the factorized basis: x_K = K^-1 v_R, then
+        x_S = s * (v_S - C x_K)."""
+        x = np.empty(self.m)
+        xs = v[self.unit_rows]
+        if self.lu is not None:
+            xk = self.lu.solve(v[self.nucleus_rows])
+            x[self.nucleus_pos] = xk
+            xs -= self.C @ xk
+        x[self.unit_pos] = xs * self.unit_signs
+        return x
 
     def bt_solve(self, v):
-        """y with B^T y = v for the factorized basis."""
+        """y with B^T y = v for the factorized basis: y_S = s * v_S, then
+        y_R = K^-T (v_K - C^T y_S)."""
         y = np.empty(self.m)
-        y[self.rows] = self.lu.solve(v, trans="T")
+        ys = v[self.unit_pos] * self.unit_signs
+        y[self.unit_rows] = ys
+        if self.lu is not None:
+            y[self.nucleus_rows] = self.lu.solve(
+                v[self.nucleus_pos] - self.CT @ ys, trans="T")
         return y
 
     def recompute_basics(self):
@@ -417,7 +469,8 @@ def _solve_unconstrained(lp):
 
 def _iterate(ws, cost, max_iter):
     ws.cost = cost
-    ws.fixed = ws.upper <= ws.lower
+    ws.fixed = np.flatnonzero(ws.upper <= ws.lower)
+    ws.free = np.flatnonzero((ws.lower == -INF) & (ws.upper == INF))
     ws.gather_bounds()
     ws.d = ws.reduced_costs()
     ws.weights = np.ones(len(cost))
@@ -514,18 +567,22 @@ def _update_pricing(ws, q, jl, alpha, pivot):
 
 def _price(ws, d, bland, tol):
     """Entering column index, or -1 when dual-feasible: the largest
-    d_j^2 / w_j over the Devex weights, or the lowest index under Bland."""
+    d_j^2 / w_j over the Devex weights, or the lowest index under Bland.
+    Only the columns whose violation passes tol are scored."""
     st = ws.status
-    viol = np.where(st == AT_UPPER, d, -d)
-    np.abs(d, out=viol, where=st == FREE_ZERO)
-    viol[(viol <= tol) | (st == BASIC) | ws.fixed] = 0.0
+    viol = _PRICE_SIGN.take(st)         # take: indexing by int8 is slower
+    viol *= d
+    free = ws.free[st[ws.free] == FREE_ZERO]
+    viol[free] = np.abs(d[free])
+    viol[ws.fixed] = 0.0
+    cand = np.flatnonzero(viol > tol)
+    if not len(cand):
+        return -1
     if bland:
-        q = int(np.argmax(viol > 0.0))
-    else:
-        np.square(viol, out=viol)
-        viol /= ws.weights
-        q = int(np.argmax(viol))
-    return q if viol[q] > 0.0 else -1
+        return int(cand[0])
+    score = np.square(viol[cand])
+    score /= ws.weights[cand]
+    return int(cand[np.argmax(score)])
 
 
 def _ratio_test(ws, q, w, direction):
@@ -534,26 +591,27 @@ def _ratio_test(ws, q, w, direction):
     and of pivots within 1e-12 of it the lowest basis index.  A row whose
     |w_i| is below `_PIVOT_TOL`, or `_PIVOT_REL` times the largest |w_i|,
     never limits the step: such a pivot may be roundoff of a true zero, and
-    taking it can leave a singular basis."""
-    dx = -direction * w
-    dec = dx < 0.0
-    adx = np.abs(dx)
-    room = np.where(dec, ws.xb - ws.lb, ws.ub - ws.xb)
+    taking it can leave a singular basis.  Only the rows that pass are
+    read."""
+    aw = np.abs(w)
+    rows = np.flatnonzero(aw > max(_PIVOT_TOL, _PIVOT_REL * aw.max()))
+    piv = aw[rows]
+    dec = direction * w[rows] > 0.0     # x_i decreases along the step
+    xb = ws.xb[rows]
+    room = np.where(dec, xb - ws.lb[rows], ws.ub[rows] - xb)
     np.maximum(room, 0.0, out=room)
-    ratios = np.full_like(adx, INF)
-    np.divide(room, adx, out=ratios,
-              where=adx > max(_PIVOT_TOL, _PIVOT_REL * adx.max()))
+    ratios = room / piv
 
     best = ws.upper[q] - ws.lower[q]    # INF unless q has two finite bounds
-    rmin = ratios.min()
+    rmin = ratios.min() if len(rows) else INF
     if rmin >= best:
         return best, -1, AT_LOWER
     cand = np.flatnonzero(ratios <= rmin + 1e-10)
-    piv = adx[cand]
-    near = cand[piv >= piv.max() - 1e-12]
-    leave_row = int(near[np.argmin(ws.basis[near])])
-    leave_to = AT_LOWER if dec[leave_row] else AT_UPPER
-    return float(ratios[leave_row]), leave_row, leave_to
+    tied = piv[cand]
+    near = cand[tied >= tied.max() - 1e-12]
+    leave = near[np.argmin(ws.basis[rows[near]])]
+    leave_to = AT_LOWER if dec[leave] else AT_UPPER
+    return float(ratios[leave]), int(rows[leave]), leave_to
 
 
 def _finish(lp, ws, status, feasible):

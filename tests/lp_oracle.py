@@ -1,13 +1,18 @@
-"""Brute-force dense LP oracle used to check the production solver.
+"""Independent LP engines used to check the production solver.
 
-Deliberately naive and independent of the package under test: every variable is
-split into two nonnegative parts (so there is no bounded-variable logic to
-share bugs with), finite bounds become explicit rows, and the result is solved
-with a textbook two-phase dense tableau simplex under Bland's rule.  Slow, but
-exact enough for instances with a few hundred columns.
+`oracle_solve` is a brute-force dense oracle, deliberately naive and
+independent of the package under test: every variable is split into two
+nonnegative parts (so there is no bounded-variable logic to share bugs with),
+finite bounds become explicit rows, and the result is solved with a textbook
+two-phase dense tableau simplex under Bland's rule.  Slow, but exact enough
+for instances with a few hundred columns.
+
+`highs_objective` maps a LinearProgram onto scipy's HiGHS through the public
+`linprog`, for instances beyond the dense oracle.
 """
 
 import numpy as np
+from scipy.optimize import linprog
 
 INF = float("inf")
 
@@ -230,3 +235,23 @@ def oracle_solve_lp(lp):
     for r, cidx, v in zip(lp.row_idx, lp.col_idx, lp.values):
         dense[r, cidx] += v
     return oracle_solve(lp.obj, dense, list(lp.senses), lp.rhs, lp.lower, lp.upper)
+
+
+def highs_objective(lp):
+    """Optimal objective of a LinearProgram from scipy's HiGHS: `>=` rows are
+    negated into `A_ub`, `=` rows go to `A_eq`."""
+    a = lp.matrix().tocsr()
+    senses = np.array(lp.senses)
+    eq, ge = senses == "=", senses == ">="
+    ineq = np.flatnonzero(~eq)
+    sign = np.where(ge[ineq], -1.0, 1.0)
+    res = linprog(lp.obj,
+                  A_ub=a[ineq].multiply(sign[:, None]).tocsr(),
+                  b_ub=lp.rhs[ineq] * sign,
+                  A_eq=a[np.flatnonzero(eq)], b_eq=lp.rhs[eq],
+                  bounds=np.column_stack([lp.lower, lp.upper]),
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS ended with status {res.status}: "
+                           f"{res.message}")
+    return float(res.fun)

@@ -82,6 +82,27 @@ def reference_instance():
     )
 
 
+def first_hours(sc, hours):
+    """The scenario cut to its first `hours` hours, as one sub-period with
+    `hour_weight` = 8760 / hours, so that yearly quantities keep their
+    scale."""
+    from dataclasses import replace
+
+    def cut(arr):
+        a = np.asarray(arr)
+        return a if a.ndim == 0 or len(a) <= 1 else a[:hours]
+
+    return replace(
+        sc,
+        name=f"{sc.name}_{hours}h",
+        time=M.TimeStructure(1, hours, 8760.0 / hours),
+        zones=tuple(replace(z, load=cut(z.load)) for z in sc.zones),
+        clusters=tuple(replace(g, cap_factor=cut(g.cap_factor))
+                       for g in sc.clusters),
+        deferrable_loads=tuple(replace(f, base_profile=cut(f.base_profile))
+                               for f in sc.deferrable_loads))
+
+
 def rotate_scenario(sc, k):
     """Cyclically rotate every hour-indexed series by k hours."""
     def rot(arr):

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu
 
 import scen_helpers as sh
 from conftest import CONFIGS
-from lp_oracle import oracle_solve_lp
+from lp_oracle import highs_objective, oracle_solve_lp
 import sinkplan.simplex as simplex_mod
 from sinkplan import load_config
 from sinkplan.lp import EQ, GE, LE, LinearProgramBuilder, LPError, certify
@@ -384,9 +384,30 @@ def structural_pair():
                   ("r1", LE, 6.0, [(2, 1.0)])])
 
 
+def crashed_lp():
+    """Four rows whose slack crash leaves artificials of sign -1 on r0 and
+    r2, +1 on r1, and r3's slack basic."""
+    return build([(f"x{j}", dict(obj=1.0)) for j in range(4)],
+                 [("r0", LE, -2.0, [(0, 1.0), (1, 1.0)]),
+                  ("r1", GE, 3.0, [(1, 1.0), (2, 1.0), (3, 1.0)]),
+                  ("r2", EQ, -1.0, [(0, 1.0), (3, -1.0)]),
+                  ("r3", LE, 5.0, [(0, 1.0), (2, 2.0)])])
+
+
+# bases of crashed_lp by position, from its crash basis
+NUCLEUS_CASES = {
+    "all unit": lambda ws: ws.basis,
+    # x2 and x0 replace r1's artificial and r3's slack: K is rows r1, r3,
+    # and C couples both to the -1 artificials of r0 and r2
+    "negative artificials": lambda ws: [ws.basis[0], 2, ws.basis[2], 0],
+    "no unit column": lambda ws: [0, 1, 2, 3],
+}
+
+
 class TestFactorization:
-    """Basis solves through the matched, symmetric-mode factors and the eta
-    block agree with a direct factorization of the current basis."""
+    """Basis solves through the nucleus factors, its coupling to the unit
+    columns and the eta block agree with a direct factorization of the
+    current basis."""
 
     @pytest.mark.parametrize("case", ["tiny", *range(6)])
     def test_solves_match_a_direct_factorization(self, case, monkeypatch,
@@ -399,7 +420,7 @@ class TestFactorization:
 
         def checked(ws):
             # just before the refactorization: the old factors and the etas
-            if ws.lu is not None:
+            if ws.factored_at >= 0:
                 direct = splu(ws.A[:, ws.basis].tocsc())
                 v = rng.normal(size=ws.m)
                 pairs = [(ws.ftran(v), direct.solve(v)),
@@ -434,7 +455,7 @@ class TestFactorization:
         real = simplex_mod._Workspace.refactorize
 
         def checked(ws):
-            if ws.xb is not None:
+            if ws.factored_at >= 0:
                 assert np.array_equal(ws.lb, ws.lower[ws.basis])
                 assert np.array_equal(ws.ub, ws.upper[ws.basis])
                 nonbasic = ws.x.copy()
@@ -463,6 +484,31 @@ class TestFactorization:
         with pytest.raises(RuntimeError):
             ws.refactorize()
 
+    @pytest.mark.parametrize("kind", sorted(NUCLEUS_CASES))
+    def test_nucleus_solves_match_a_dense_solve(self, kind):
+        # the unit columns are peeled off; K and its coupling C solve the rest
+        ws = simplex_mod._Workspace(crashed_lp())
+        ws.basis[:] = NUCLEUS_CASES[kind](ws)
+        ws.refactorize()
+        n_unit = int(np.sum(ws.basis >= ws.n_struct))
+        assert len(ws.unit_pos) == n_unit
+        assert (ws.lu is None) == (n_unit == ws.m)
+        if kind == "all unit":
+            assert list(ws.unit_signs) == [-1.0, 1.0, -1.0, 1.0]
+        if kind == "negative artificials":
+            assert np.any(ws.unit_signs < 0) and ws.C.nnz
+        B = ws.A[:, ws.basis].toarray()
+        v = np.random.default_rng(1).normal(size=ws.m)
+        for got, want in [(ws.b_solve(v), np.linalg.solve(B, v)),
+                          (ws.bt_solve(v), np.linalg.solve(B.T, v))]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_two_unit_columns_on_one_row_raise(self):
+        ws = simplex_mod._Workspace(crashed_lp())
+        ws.basis[3] = ws.slack_of_row[0]    # r0's artificial is basic too
+        with pytest.raises(RuntimeError):
+            ws.refactorize()
+
 
 @pytest.mark.parametrize("offset", [148, 269])
 def test_roundoff_pivots_are_not_taken(offset):
@@ -473,3 +519,20 @@ def test_roundoff_pivots_are_not_taken(offset):
     scenario, _ = load_config(CONFIGS / "trend2z")
     rotated = sh.rotate_scenario(scenario, offset).without_sink()
     assert solve_scenario(rotated).solution.status == "optimal"
+
+
+@pytest.fixture(scope="module")
+def northern():
+    scenario, _ = load_config(CONFIGS / "northern")
+    return scenario
+
+
+@pytest.mark.parametrize("hours", [36, 48])
+def test_northern_slices_certify_and_match_highs(northern, hours):
+    # the first northern-shaped LPs past the nuclear 24 h up/down window:
+    # about 2,200 and 2,900 rows
+    solved = solve_scenario(sh.first_hours(northern, hours))
+    assert solved.status == "optimal"
+    assert solved.report_card.within(1e-6)
+    want = highs_objective(solved.lp)
+    assert abs(solved.objective - want) <= 1e-6 * abs(want)
