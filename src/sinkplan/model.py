@@ -252,8 +252,9 @@ def validate(scenario):
         if len(z.load) != n:
             v.append(Violation(tag, "load",
                                f"series length {len(z.load)} != {n} modeled hours"))
-        if len(z.load) and (z.load < 0).any():
-            v.append(Violation(tag, "load", "negative load values"))
+        if not ((z.load >= 0) & (z.load < INF)).all():
+            v.append(Violation(tag, "load",
+                               "negative or non-finite load values"))
         size_total = 0.0
         for k, seg in enumerate(z.nse_segments):
             stag = f"{tag}.nse[{k}]"
@@ -289,7 +290,7 @@ def validate(scenario):
         if len(cf) not in (1, n):
             v.append(Violation(tag, "cap_factor",
                                f"series length {len(cf)} != {n} modeled hours"))
-        if (cf < 0).any() or (cf > 1).any():
+        if not ((cf >= 0) & (cf <= 1)).all():
             v.append(Violation(tag, "cap_factor", "must be within [0, 1]"))
         for name in ("existing_cap", "inv_cost", "fom_cost", "vom_cost",
                      "start_cost", "emissions_rate", "ramp_up", "ramp_down",
@@ -384,8 +385,9 @@ def validate(scenario):
         if len(f.base_profile) != n:
             v.append(Violation(tag, "base_profile",
                                f"series length {len(f.base_profile)} != {n}"))
-        if len(f.base_profile) and (f.base_profile < 0).any():
-            v.append(Violation(tag, "base_profile", "negative values"))
+        if not ((f.base_profile >= 0) & (f.base_profile < INF)).all():
+            v.append(Violation(tag, "base_profile",
+                               "negative or non-finite values"))
 
     if scenario.sink is not None:
         s = scenario.sink

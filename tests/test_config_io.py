@@ -1,11 +1,13 @@
 """Configuration ingestion: unit conversions, diagnostics, bundled systems."""
 
+import re
 import shutil
 
 import pytest
 
 from conftest import CONFIGS
-from sinkplan.config_io import ConfigError, config_hash, load_config, load_grid
+from sinkplan.config_io import SCHEMAS, ConfigError, config_hash, load_config, \
+    load_grid
 from sinkplan.model import annual_load, peak_load, validate
 
 
@@ -131,6 +133,43 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope")
 
+    @pytest.mark.parametrize("config, filename, line, column, value", [
+        ("tiny", "load.csv", 3, "load_mw", "nan"),
+        ("tiny", "load.csv", 3, "hour", "inf"),
+        ("tiny", "cap_factors.csv", 9, "cap_factor", "nan"),
+        ("tiny", "deferrable_profiles.csv", 20, "base_mw", "nan"),
+        ("tiny", "nse.csv", 2, "voll_usd_per_mwh", "nan"),
+        ("tiny", "resources.csv", 2, "inv_cost_usd_per_mw_yr", "nan"),
+        ("tiny", "resources.csv", 4, "min_up_hr", "nan"),
+        ("tiny", "deferrable.csv", 2, "max_delay_hr", "inf"),
+        ("tiny", "segments.csv", 3, "value_usd_per_mwh", "nan"),
+        ("tiny", "segments.csv", 2, "index", "inf"),
+        ("trend2z", "lines.csv", 2, "existing_cap_mw", "nan"),
+        ("northern", "policies.csv", 2, "value", "nan"),
+        ("tiny", "scenario.txt", None, "sink_capex_usd_per_kw", "nan"),
+        ("tiny", "scenario.txt", None, "sub_periods", "inf"),
+        ("tiny", "sweep.txt", None, "capex_usd_per_kw", "200, nan"),
+    ])
+    def test_non_finite_value_names_the_cell(self, tmp_path, config, filename,
+                                             line, column, value):
+        def mutate(text):
+            lines = text.splitlines()
+            if line is None:  # a key = value manifest
+                return "\n".join(f"{column} = {value}"
+                                 if l.split("=")[0].strip() == column else l
+                                 for l in lines)
+            cells = lines[line - 1].split(",")
+            cells[lines[0].split(",").index(column)] = value
+            lines[line - 1] = ",".join(cells)
+            return "\n".join(lines)
+
+        broken = self.make_broken(tmp_path, CONFIGS / config, filename, mutate)
+        where = (f"{filename}: key '{column}'" if line is None
+                 else f"{filename} line {line}, column '{column}'")
+        reason = "must be an integer" if value == "inf" else "nan is not allowed"
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: {reason}")):
+            load_config(broken)
+
 
 class TestGridFile:
     def test_duplicates_rejected(self, tmp_path):
@@ -160,3 +199,19 @@ def test_config_hash_tracks_content(tmp_path, tiny_config):
     (dst / "scenario.txt").write_text(
         (dst / "scenario.txt").read_text() + "# tweak\n")
     assert config_hash(dst) != a
+
+
+def test_every_schema_column_is_documented_with_its_default():
+    """docs/formats.md has a `| column | default |` row for each declared
+    column of each table, under the table's own heading."""
+    text = (CONFIGS.parent / "docs" / "formats.md").read_text()
+    for filename, schema in SCHEMAS.items():
+        section = text.split(f"\n### {filename}\n", 1)[1].split("\n### ", 1)[0]
+        for column, (_, _, default) in schema.items():
+            if default is None:
+                shown = "required"
+            elif isinstance(default, str):
+                shown = f"`{default}`" if default else "blank"
+            else:
+                shown = f"{default:g}"
+            assert f"| `{column}` | {shown} |" in section, (filename, column)

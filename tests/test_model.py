@@ -43,6 +43,38 @@ def test_negative_load_rejected():
     assert any("negative" in v.rule for v in validate(sc))
 
 
+def _with_load(value):
+    return sh.scenario(sh.one_zone([100.0, value, 3.0, 4.0]), [sh.gas()])
+
+
+def _with_cap_factor(value):
+    return sh.scenario(sh.one_zone([10.0] * 4),
+                       [sh.gas(), sh.vre(cap_factor=[0.5, value, 0.5, 0.5])])
+
+
+def _with_deferrable_profile(value):
+    dr = M.DeferrableLoad("ev", "Z1", np.array([1.0, value, 1.0, 1.0]), 0.5, 1)
+    return sh.scenario(sh.one_zone([10.0] * 4), [sh.gas()],
+                       deferrable_loads=[dr])
+
+
+@pytest.mark.parametrize("build, value, field", [
+    (_with_load, np.nan, "load"),
+    (_with_load, np.inf, "load"),
+    (_with_cap_factor, np.nan, "cap_factor"),
+    (_with_deferrable_profile, np.nan, "base_profile"),
+])
+def test_non_finite_series_are_violations(build, value, field):
+    """Caught by validate, so assemble names the field instead of failing in
+    the LP builder on a non-finite bound or coefficient."""
+    from sinkplan.formulation import FormulationError, assemble
+
+    sc = build(value)
+    assert [v.field for v in validate(sc)] == [field]
+    with pytest.raises(FormulationError, match=field):
+        assemble(sc)
+
+
 def test_nse_sizes_must_cover_demand():
     z = sh.one_zone([1.0] * 4, nse=[M.NseSegment(1.0, 0.4, 9000.0)])
     sc = sh.scenario(z, [])
