@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from .config_io import ConfigError, config_hash, load_config, load_grid
-from .econ import DemandCurveSpec, TechSpec, build_demand_curve, output_value, \
-    product_price
+from .econ import DEFAULT_CURVE, DemandCurveSpec, TechSpec, \
+    build_demand_curve, output_value, product_price
 from .formulation import assemble
 from .metrics import report
 from .mps import parse_mps, read_certified_solution, \
@@ -134,7 +134,7 @@ def cmd_certify(args):
     print(f"duality_gap = {rep.duality_gap!r}")
     print(f"max_complementarity = {rep.max_complementarity!r}")
     print(f"worst_row = {rep.worst_row_name}")
-    return 0 if rep.within(1e-6) else 1
+    return 0 if rep.within() else 1
 
 
 def main(argv=None):
@@ -182,10 +182,14 @@ def main(argv=None):
     sp = sub.add_parser("curve", help="print the stepwise demand curve")
     sp.add_argument("--annual-load", type=float, required=True, metavar="MWH")
     sp.add_argument("--base-price", type=float, required=True)
-    sp.add_argument("--anchor-price", type=float, default=50.0)
-    sp.add_argument("--anchor-fraction", type=float, default=0.20)
-    sp.add_argument("--elasticity", type=float, default=-0.8)
-    sp.add_argument("--segment-fraction", type=float, default=0.01)
+    sp.add_argument("--anchor-price", type=float,
+                    default=DEFAULT_CURVE.anchor_price)
+    sp.add_argument("--anchor-fraction", type=float,
+                    default=DEFAULT_CURVE.anchor_quantity_fraction)
+    sp.add_argument("--elasticity", type=float,
+                    default=DEFAULT_CURVE.elasticity)
+    sp.add_argument("--segment-fraction", type=float,
+                    default=DEFAULT_CURVE.segment_fraction)
     sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("certify", help="check an external solution file")

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .econ import DemandCurveSpec, FinanceSpec
+from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, FinanceSpec
 from .model import validate
 
 # {file: {column: (field, kind, default)}}.  A column whose default is None
@@ -172,6 +172,9 @@ def _read_table(path, required=True):
         if missing:
             raise ConfigError(
                 f"{path.name}: missing columns {', '.join(missing)}")
+        for column in index:
+            if column not in schema:
+                _fail(path.name, reader.line_num, column, "unknown column")
         absent = {field: default for c, (field, _, default) in schema.items()
                   if c not in index}
         cells = []
@@ -207,14 +210,21 @@ def _read_table(path, required=True):
     return rows
 
 
-def _read_hourly(path, n_hours, fill, required=True):
-    """{key: series} from an hourly table; hours a key omits hold `fill`."""
+def _read_hourly(path, n_hours, fill, required=True, known=None):
+    """{key: series} from an hourly table; hours a key omits hold `fill`.
+    known, when given, is (keys, file): a key outside keys has no row in
+    file and is an error."""
+    key_column = next(c for c, (field, _, _) in SCHEMAS[path.name].items()
+                      if field == "key")
     columns = {}
     for line, rec in _read_table(path, required):
         hour = rec["hour"]
         if hour > n_hours:
             _fail(path.name, line, "hour",
                   f"hour {hour} beyond the {n_hours}-hour horizon")
+        if known is not None and rec["key"] not in known[0]:
+            _fail(path.name, line, key_column,
+                  f"{rec['key']!r} has no row in {known[1]}")
         hours, values = columns.setdefault(rec["key"], ([], []))
         hours.append(hour - 1)
         values.append(rec["value"])
@@ -269,14 +279,20 @@ def load_config(config_dir):
 
     loads = _read_hourly(cdir / "load.csv", T, 0.0)
     nse = {}
-    for _, rec in _read_table(cdir / "nse.csv"):
+    for line, rec in _read_table(cdir / "nse.csv"):
+        if rec["zone"] not in loads:
+            _fail("nse.csv", line, "zone",
+                  f"{rec['zone']!r} has no row in load.csv")
         nse.setdefault(rec.pop("zone"), []).append(M.NseSegment(**rec))
     zones = [M.Zone(zid, loads[zid], tuple(nse.get(zid, ())))
              for zid in sorted(loads)]
 
-    profiles = _read_hourly(cdir / "cap_factors.csv", T, 1.0, required=False)
+    resources = _read_table(cdir / "resources.csv")
+    profiles = _read_hourly(cdir / "cap_factors.csv", T, 1.0, required=False,
+                            known=({rec["id"] for _, rec in resources},
+                                   "resources.csv"))
     clusters = []
-    for line, rec in _read_table(cdir / "resources.csv"):
+    for line, rec in resources:
         heat_rate = rec.pop("heat_rate")
         fuel_price = rec.pop("fuel_price")
         rec["fuel_cost"] = heat_rate * fuel_price
@@ -311,15 +327,16 @@ def load_config(config_dir):
             policies.append(M.PolicySpec(kind=kind, fractions=values,
                                          standard_id=sid))
 
+    rows = _read_table(cdir / "deferrable.csv", required=False)
+    base = _read_hourly(cdir / "deferrable_profiles.csv", T, 0.0,
+                        required=False,
+                        known=({rec["id"] for _, rec in rows}, "deferrable.csv"))
     deferrables = []
-    if (cdir / "deferrable.csv").exists():
-        base = _read_hourly(cdir / "deferrable_profiles.csv", T, 0.0)
-        for line, rec in _read_table(cdir / "deferrable.csv"):
-            if rec["id"] not in base:
-                _fail("deferrable.csv", line, "id",
-                      f"no profile rows for {rec['id']!r}")
-            deferrables.append(M.DeferrableLoad(base_profile=base[rec["id"]],
-                                                **rec))
+    for line, rec in rows:
+        if rec["id"] not in base:
+            _fail("deferrable.csv", line, "id",
+                  f"no profile rows for {rec['id']!r}")
+        deferrables.append(M.DeferrableLoad(base_profile=base[rec["id"]], **rec))
 
     sink = None
     if "sink_capex_usd_per_kw" in man:
@@ -328,9 +345,10 @@ def load_config(config_dir):
             if zones_txt else None
         sink = M.DemandSinkSpec.from_capex(
             capex=_manifest_num(man, "sink_capex_usd_per_kw"),
-            wacc=_manifest_num(man, "sink_wacc", 0.071),
-            life=_manifest_num(man, "sink_life_yr", 20.0),
-            fom_fraction=_manifest_num(man, "sink_fom_fraction", 0.04),
+            wacc=_manifest_num(man, "sink_wacc", DEFAULT_FINANCE.wacc),
+            life=_manifest_num(man, "sink_life_yr", DEFAULT_FINANCE.life),
+            fom_fraction=_manifest_num(man, "sink_fom_fraction",
+                                       DEFAULT_FINANCE.fom_fraction),
             allowed_zones=allowed,
         )
 
@@ -388,17 +406,18 @@ def load_grid(path):
     def num(key, default):
         return _manifest_num(man, key, default, path.name)
 
+    fin, cur = DEFAULT_FINANCE, DEFAULT_CURVE
     finance = FinanceSpec(
-        wacc=num("wacc", 0.071),
-        life=num("life_yr", 20.0),
-        fom_fraction=num("fom_fraction", 0.04),
+        wacc=num("wacc", fin.wacc),
+        life=num("life_yr", fin.life),
+        fom_fraction=num("fom_fraction", fin.fom_fraction),
     )
     curve = DemandCurveSpec(
-        anchor_price=num("anchor_price", 50.0),
-        anchor_quantity_fraction=num("anchor_quantity_fraction", 0.20),
-        elasticity=num("elasticity", -0.8),
-        segment_fraction=num("segment_fraction", 0.01),
-        base_price=50.0,
+        anchor_price=num("anchor_price", cur.anchor_price),
+        anchor_quantity_fraction=num("anchor_quantity_fraction",
+                                     cur.anchor_quantity_fraction),
+        elasticity=num("elasticity", cur.elasticity),
+        segment_fraction=num("segment_fraction", cur.segment_fraction),
     )
     return SweepGrid(
         capex_values=_num_list(man, "capex_usd_per_kw", path.name),

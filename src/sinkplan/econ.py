@@ -9,7 +9,7 @@ adjacent segments.
 
 from dataclasses import dataclass
 
-from .model import MarketSegment
+from .model import INF, MarketSegment
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,10 @@ class FinanceSpec:
     fom_fraction: float = 0.0  # of capex per year
 
 
+# The reference financing: a 7.1% wacc over 20 years, 4% fixed O&M.
+DEFAULT_FINANCE = FinanceSpec(0.071, 20.0, 0.04)
+
+
 @dataclass(frozen=True)
 class DemandCurveSpec:
     anchor_price: float = 50.0           # $/MWh-input at the anchor point
@@ -49,6 +53,9 @@ class DemandCurveSpec:
             raise ValueError("anchor_price must be positive")
 
 
+DEFAULT_CURVE = DemandCurveSpec()
+
+
 def output_value(price, tech):
     """Net value per MWh of input: (price - transport) * efficiency - vom."""
     return (price - tech.transport_storage) * tech.efficiency - tech.vom
@@ -64,25 +71,29 @@ def product_price(value, tech):
 
 def crf(wacc, life):
     """Capital recovery factor, end-of-year annuity convention."""
-    if life < 1:
-        raise ValueError("asset life must be at least one year")
-    if wacc < 0:
-        raise ValueError("wacc must be nonnegative")
+    if not 1 <= life < INF:
+        raise ValueError("asset life must be at least one year and finite")
+    if not 0 <= wacc < INF:
+        raise ValueError("wacc must be nonnegative and finite")
     if wacc == 0:
         return 1.0 / life
-    f = (1.0 + wacc) ** life
+    try:
+        f = (1.0 + wacc) ** life
+    except OverflowError:   # f beyond float range, where the factor is wacc
+        return wacc
     return wacc * f / (f - 1.0)
 
 
-def crf_ratio(wacc, life, ref_wacc=0.071, ref_life=20):
+def crf_ratio(wacc, life, ref_wacc=DEFAULT_FINANCE.wacc,
+              ref_life=DEFAULT_FINANCE.life):
     """Ratio of capital recovery factors against the reference financing."""
     return crf(wacc, life) / crf(ref_wacc, ref_life)
 
 
 def annualized_capex(capex_per_kw, fin):
     """$/kW capex to $/MW-yr annuity including fixed O&M."""
-    if capex_per_kw < 0:
-        raise ValueError("capex must be nonnegative")
+    if not 0 <= capex_per_kw < INF:
+        raise ValueError("capex must be nonnegative and finite")
     return 1000.0 * capex_per_kw * (crf(fin.wacc, fin.life) + fin.fom_fraction)
 
 

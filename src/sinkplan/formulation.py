@@ -1,5 +1,9 @@
 """Scenario -> sparse LP translation.
 
+`assemble` runs `model.validate` first and raises FormulationError on any
+violation; the builders after it assume a validated scenario and check no
+input themselves.
+
 Hours are flattened chronologically, t = w*H + h in [0, T); the horizon is a
 ring, so the hour preceding t=0 is t=T-1 (no exogenous initial conditions for
 storage levels, commitment states, ramps, or deferral backlogs).  Hour weight
@@ -36,7 +40,7 @@ from . import model as M
 
 
 class FormulationError(ValueError):
-    pass
+    """The scenario fails `model.validate`."""
 
 
 def _sorted(entities):
@@ -290,7 +294,6 @@ def add_policy_constraints(scenario, vmap, b):
     the demand side counts net storage losses, whose variable terms move to
     the left-hand side."""
     hw = scenario.time.hour_weight
-    known = set(z.id for z in scenario.zones)
 
     def zone_terms(zid, weight, loss_rate):
         """(columns, coefficients) pairs for zone zid's injections, weighted
@@ -309,12 +312,9 @@ def add_policy_constraints(scenario, vmap, b):
                 terms.append((inj, np.full(len(inj), v)))
         return terms
 
-    for k, p in enumerate(scenario.policies):
+    for p in scenario.policies:
         co2 = p.kind in (M.CO2_CAP_ZONAL, M.CO2_CAP_SYSTEM)
         shares = p.rates if co2 else p.fractions
-        for zid in shares:
-            if zid not in known:
-                raise FormulationError(f"policy[{k}] references unknown zone {zid!r}")
         if co2:
             sense, weight = LE, (lambda g: g.emissions_rate)
         else:
@@ -334,14 +334,10 @@ def add_policy_constraints(scenario, vmap, b):
             cols = np.concatenate([c for c, _ in terms])
             vals = np.concatenate([v for _, v in terms])
             live = vals != 0.0
+            # an all-zero left-hand side is a cap that is trivially met;
+            # validate rejects a standard that it makes impossible
             if live.any():
                 b.add_row(name, sense, rhs, zip(cols[live], vals[live]))
-            elif sense == GE and rhs > 0.0:
-                # all-zero left-hand side: a cap is trivially met, a
-                # positive requirement is structurally impossible
-                raise FormulationError(
-                    f"policy row {name!r} requires {rhs:g} MWh but no "
-                    "resource qualifies")
 
 
 def add_investment_constraints(scenario, vmap, b):
@@ -433,11 +429,6 @@ def add_uc_constraints(scenario, vmap, b):
     for g in _sorted(scenario.clusters):
         if not g.is_uc:
             continue
-        if g.min_up >= T or g.min_down >= T:
-            raise FormulationError(
-                f"cluster {g.id}: min up/down window "
-                f"({g.min_up}/{g.min_down} h) must be shorter than the "
-                f"{T} h horizon")
         du = g.unit_size
         inv_du = 1.0 / du
         cf = g.cap_factor_series(T)

@@ -28,6 +28,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
+# A certified solution's row residuals, bound violations, duality gap and
+# complementarity are all at most this.
+CERTIFY_TOL = 1e-6
+
 
 class LPError(ValueError):
     """Malformed linear program."""
@@ -247,7 +251,7 @@ class ResidualReport:
     worst_row_name: str
     max_complementarity: float = 0.0
 
-    def within(self, tol=1e-6):
+    def within(self, tol=CERTIFY_TOL):
         return (
             self.max_row_residual <= tol
             and self.max_bound_violation <= tol

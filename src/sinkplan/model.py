@@ -6,8 +6,10 @@ policies, deferrable loads, and the optional demand-sink description with its
 product market segments.  Scenarios are frozen after construction and safe to
 share read-only across concurrent solves.
 
-validate() returns violations as data; it never raises.  A scenario with no
-violations is guaranteed to formulate.
+validate() returns violations as data; it never raises.  It is the only
+gate before formulation: a scenario with no violations formulates, because
+every field that reaches the LP is range-checked here (nan and inf fail) and
+the LP builders check no input themselves.
 """
 
 from dataclasses import dataclass, field, replace
@@ -211,9 +213,6 @@ class Scenario:
                      "deferrable_loads", "segments"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def zone_ids(self):
-        return [z.id for z in self.zones]
-
     def zone(self, zid):
         for z in self.zones:
             if z.id == zid:
@@ -227,20 +226,42 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+# Rules are (predicate, message) pairs.  Each predicate is a positive range
+# test, so nan fails it, and so does +-inf unless the range includes it.
+FINITE = (lambda x: -INF < x < INF, "must be finite")
+NONNEG = (lambda x: 0 <= x < INF, "must be >= 0 and finite")
+POSITIVE = (lambda x: 0 < x < INF, "must be > 0 and finite")
+LIMIT = (lambda x: 0 <= x <= INF, "must be >= 0")    # inf: no limit
+UNIT = (lambda x: 0 <= x <= 1, "must be in [0, 1]")
+UNIT_OPEN_LOW = (lambda x: 0 < x <= 1, "must be in (0, 1]")
+UNIT_OPEN_HIGH = (lambda x: 0 <= x < 1, "must be in [0, 1)")
+
+
+def _check(v, tag, entity, names, rule):
+    """Append a violation for each field of entity in names that fails
+    rule, a (predicate, message) pair."""
+    test, message = rule
+    for name in names:
+        value = getattr(entity, name)
+        if not test(value):
+            v.append(Violation(tag, name, f"{message}, got {value!r}"))
+
+
+def _unused(kind):
+    return (lambda x: x == 0, f"unused for kind {kind!r} and must be zero")
+
+
 def validate(scenario):
-    """All structural invariant violations, as data.  Empty means formulable."""
+    """All violations, as data.  Empty means `assemble` formulates the
+    scenario: the LP builders check no input themselves."""
     v = []
     t = scenario.time
-    if t.sub_periods < 1:
-        v.append(Violation("time", "sub_periods", "must be >= 1"))
-    if t.hours_per_sub_period < 2:
-        v.append(Violation("time", "hours_per_sub_period", "must be >= 2"))
-    if t.n_hours > MAX_MODELED_HOURS:
-        v.append(Violation("time", "n_hours",
-                           f"total modeled hours {t.n_hours} exceed "
-                           f"{MAX_MODELED_HOURS}"))
-    if not (t.hour_weight > 0) or not np.isfinite(t.hour_weight):
-        v.append(Violation("time", "hour_weight", "must be positive and finite"))
+    _check(v, "time", t, ("sub_periods",), (lambda x: 1 <= x, "must be >= 1"))
+    _check(v, "time", t, ("hours_per_sub_period",),
+           (lambda x: 2 <= x, "must be >= 2"))
+    _check(v, "time", t, ("n_hours",), (lambda x: x <= MAX_MODELED_HOURS,
+                                        f"must be <= {MAX_MODELED_HOURS}"))
+    _check(v, "time", t, ("hour_weight",), POSITIVE)
     n = t.n_hours
 
     zone_ids = set()
@@ -255,23 +276,18 @@ def validate(scenario):
         if not ((z.load >= 0) & (z.load < INF)).all():
             v.append(Violation(tag, "load",
                                "negative or non-finite load values"))
-        size_total = 0.0
         for k, seg in enumerate(z.nse_segments):
             stag = f"{tag}.nse[{k}]"
-            if not 0 < seg.slope_fraction <= 1:
-                v.append(Violation(stag, "slope_fraction", "must be in (0, 1]"))
-            if not 0 < seg.size_fraction <= 1:
-                v.append(Violation(stag, "size_fraction", "must be in (0, 1]"))
-            if not seg.voll > 0:
-                v.append(Violation(stag, "voll", "must be positive"))
-            size_total += seg.size_fraction
-        if z.nse_segments and size_total < 1.0 - 1e-9:
-            v.append(Violation(tag, "nse_segments",
-                               "size fractions must sum to >= 1 so all demand "
-                               "is curtailable"))
+            _check(v, stag, seg, ("slope_fraction", "size_fraction"),
+                   UNIT_OPEN_LOW)
+            _check(v, stag, seg, ("voll",), POSITIVE)
         if not z.nse_segments:
             v.append(Violation(tag, "nse_segments",
                                "at least one curtailable-demand segment required"))
+        elif not sum(s.size_fraction for s in z.nse_segments) >= 1.0 - 1e-9:
+            v.append(Violation(tag, "nse_segments",
+                               "size fractions must sum to >= 1 so all demand "
+                               "is curtailable"))
 
     cluster_ids = set()
     for g in scenario.clusters:
@@ -284,52 +300,38 @@ def validate(scenario):
             continue
         if g.zone not in zone_ids:
             v.append(Violation(tag, "zone", f"unknown zone {g.zone!r}"))
-        if not 0 <= g.min_stable <= 1:
-            v.append(Violation(tag, "min_stable", "must be in [0, 1]"))
         cf = g.cap_factor
         if len(cf) not in (1, n):
             v.append(Violation(tag, "cap_factor",
                                f"series length {len(cf)} != {n} modeled hours"))
         if not ((cf >= 0) & (cf <= 1)).all():
             v.append(Violation(tag, "cap_factor", "must be within [0, 1]"))
-        for name in ("existing_cap", "inv_cost", "fom_cost", "vom_cost",
-                     "start_cost", "emissions_rate", "ramp_up", "ramp_down",
-                     "energy_inv_cost", "energy_fom_cost"):
-            if getattr(g, name) < 0:
-                v.append(Violation(tag, name, "must be nonnegative"))
-        if g.max_new_cap < 0:
-            v.append(Violation(tag, "max_new_cap", "must be nonnegative"))
+        _check(v, tag, g, ("min_stable",), UNIT)
+        _check(v, tag, g, ("max_new_cap",), LIMIT)
+        _check(v, tag, g, ("existing_cap", "inv_cost", "fom_cost", "vom_cost",
+                           "fuel_cost", "emissions_rate", "ramp_up",
+                           "ramp_down"), NONNEG)
         if g.is_uc:
-            if not g.unit_size > 0:
-                v.append(Violation(tag, "unit_size",
-                                   "must be positive for committed thermal"))
-            if g.min_up < 0 or g.min_down < 0:
-                v.append(Violation(tag, "min_up", "must be nonnegative"))
+            _check(v, tag, g, ("unit_size",), POSITIVE)
+            _check(v, tag, g, ("start_cost",), NONNEG)
+            _check(v, tag, g, ("min_up", "min_down"),
+                   (lambda k: 0 <= k < n,
+                    f"must be >= 0 and shorter than the {n} h horizon"))
         else:
-            for name in ("start_cost", "min_up", "min_down"):
-                if getattr(g, name) != 0:
-                    v.append(Violation(
-                        tag, name,
-                        f"unused for kind {g.kind!r} and must be zero"))
+            _check(v, tag, g, ("unit_size",), NONNEG)
+            _check(v, tag, g, ("start_cost", "min_up", "min_down"),
+                   _unused(g.kind))
         if g.is_storage:
-            if not 0 < g.charge_eff <= 1:
-                v.append(Violation(tag, "charge_eff", "must be in (0, 1]"))
-            if not 0 < g.discharge_eff <= 1:
-                v.append(Violation(tag, "discharge_eff", "must be in (0, 1]"))
-            if not 0 <= g.self_discharge < 1:
-                v.append(Violation(tag, "self_discharge", "must be in [0, 1)"))
-            if scenario.storage_sizing_mode == FIXED_RATIO and not g.duration > 0:
-                v.append(Violation(tag, "duration",
-                                   "must be positive for fixed-ratio sizing"))
-            if g.duration < 0:
-                v.append(Violation(tag, "duration", "must be nonnegative"))
+            _check(v, tag, g, ("charge_eff", "discharge_eff"), UNIT_OPEN_LOW)
+            _check(v, tag, g, ("self_discharge",), UNIT_OPEN_HIGH)
+            _check(v, tag, g, ("duration",),
+                   POSITIVE if scenario.storage_sizing_mode == FIXED_RATIO
+                   else NONNEG)
+            _check(v, tag, g, ("energy_inv_cost", "energy_fom_cost"), NONNEG)
         else:
-            for name in ("charge_eff", "discharge_eff", "self_discharge",
-                         "duration", "energy_inv_cost", "energy_fom_cost"):
-                if getattr(g, name) != 0:
-                    v.append(Violation(
-                        tag, name,
-                        f"unused for kind {g.kind!r} and must be zero"))
+            _check(v, tag, g, ("charge_eff", "discharge_eff", "self_discharge",
+                               "duration", "energy_inv_cost",
+                               "energy_fom_cost"), _unused(g.kind))
 
     line_ids = set()
     for ln in scenario.lines:
@@ -343,45 +345,49 @@ def validate(scenario):
             v.append(Violation(tag, "from_zone", f"unknown zone {ln.from_zone!r}"))
         if ln.to_zone not in zone_ids:
             v.append(Violation(tag, "to_zone", f"unknown zone {ln.to_zone!r}"))
-        if ln.existing_cap < 0 or ln.max_new_cap < 0 or ln.inv_cost < 0:
-            v.append(Violation(tag, "existing_cap", "capacities and costs "
-                               "must be nonnegative"))
+        _check(v, tag, ln, ("existing_cap", "inv_cost"), NONNEG)
+        _check(v, tag, ln, ("max_new_cap",), LIMIT)
 
-    standard_ids = set()
     for k, p in enumerate(scenario.policies):
         tag = f"policy[{k}]"
         if p.kind not in POLICY_KINDS:
             v.append(Violation(tag, "kind", f"unknown kind {p.kind!r}"))
             continue
-        if p.kind in (CO2_CAP_ZONAL, CO2_CAP_SYSTEM):
-            if not p.rates:
-                v.append(Violation(tag, "rates", "at least one zone rate required"))
-            for zid, rate in p.rates.items():
-                if zid not in zone_ids:
-                    v.append(Violation(tag, "rates", f"unknown zone {zid!r}"))
-                if rate < 0:
-                    v.append(Violation(tag, "rates", "rates must be nonnegative"))
-        else:
-            if not p.standard_id:
-                v.append(Violation(tag, "standard_id", "required for standards"))
-            standard_ids.add(p.standard_id)
-            if not p.fractions:
+        co2 = p.kind in (CO2_CAP_ZONAL, CO2_CAP_SYSTEM)
+        name, (test, message) = ("rates", NONNEG) if co2 else ("fractions", UNIT)
+        shares = getattr(p, name)
+        if not shares:
+            v.append(Violation(tag, name, "at least one zone required"))
+        for zid, share in shares.items():
+            if zid not in zone_ids:
+                v.append(Violation(tag, name, f"unknown zone {zid!r}"))
+            if not test(share):
+                v.append(Violation(tag, name,
+                                   f"zone {zid!r}: {message}, got {share!r}"))
+        if co2:
+            continue
+        if not p.standard_id:
+            v.append(Violation(tag, "standard_id", "required for standards"))
+        groups = ([[zid] for zid in shares] if p.kind == STANDARD_ZONAL
+                  else [list(shares)])
+        loads = {z.id: z.load.sum() for z in scenario.zones}
+        for zids in groups:
+            needed = any(shares[z] > 0 and loads.get(z, 0) > 0 for z in zids)
+            # storage counts through its losses, weighted by its zone's share
+            met = any(g.zone in zids and (p.standard_id in g.qualifies_for
+                                          or g.is_storage and shares[g.zone])
+                      for g in scenario.clusters)
+            if needed and not met:
                 v.append(Violation(tag, "fractions",
-                                   "at least one zone fraction required"))
-            for zid, frac in p.fractions.items():
-                if zid not in zone_ids:
-                    v.append(Violation(tag, "fractions", f"unknown zone {zid!r}"))
-                if not 0 <= frac <= 1:
-                    v.append(Violation(tag, "fractions", "must be in [0, 1]"))
+                                   f"zones {zids} need qualifying energy, but "
+                                   "no resource there qualifies"))
 
     for f in scenario.deferrable_loads:
         tag = f"deferrable[{f.id}]"
         if f.zone not in zone_ids:
             v.append(Violation(tag, "zone", f"unknown zone {f.zone!r}"))
-        if not 0 <= f.defer_fraction <= 1:
-            v.append(Violation(tag, "defer_fraction", "must be in [0, 1]"))
-        if f.max_delay < 1:
-            v.append(Violation(tag, "max_delay", "must be >= 1 hour"))
+        _check(v, tag, f, ("defer_fraction",), UNIT)
+        _check(v, tag, f, ("max_delay",), (lambda x: 1 <= x, "must be >= 1 hour"))
         if len(f.base_profile) != n:
             v.append(Violation(tag, "base_profile",
                                f"series length {len(f.base_profile)} != {n}"))
@@ -389,50 +395,44 @@ def validate(scenario):
             v.append(Violation(tag, "base_profile",
                                "negative or non-finite values"))
 
-    if scenario.sink is not None:
-        s = scenario.sink
-        tag = "sink"
-        if s.capex < 0:
-            v.append(Violation(tag, "capex", "must be nonnegative"))
-        if s.wacc < 0:
-            v.append(Violation(tag, "wacc", "must be nonnegative"))
-        if s.life < 1:
-            v.append(Violation(tag, "life", "must be >= 1 year"))
-        if s.fom_fraction < 0:
-            v.append(Violation(tag, "fom_fraction", "must be nonnegative"))
-        else:
+    s = scenario.sink
+    if s is not None:
+        before = len(v)
+        _check(v, "sink", s, ("capex", "wacc", "fom_fraction", "annuity"), NONNEG)
+        _check(v, "sink", s, ("life",),
+               (lambda x: 1 <= x < INF, "must be >= 1 year and finite"))
+        if len(v) == before:
             from .econ import FinanceSpec, annualized_capex
 
-            try:
-                expect = annualized_capex(
-                    s.capex, FinanceSpec(s.wacc, s.life, s.fom_fraction))
-            except ValueError:
-                expect = None
-            if expect is not None:
-                scale = max(1.0, abs(expect))
-                if abs(s.annuity - expect) > 1e-9 * scale:
-                    v.append(Violation(
-                        tag, "annuity",
-                        f"inconsistent with capex/wacc/life/fom "
-                        f"(got {s.annuity}, expected {expect})"))
+            expect = annualized_capex(
+                s.capex, FinanceSpec(s.wacc, s.life, s.fom_fraction))
+            if abs(s.annuity - expect) > 1e-9 * max(1.0, abs(expect)):
+                v.append(Violation(
+                    "sink", "annuity",
+                    f"inconsistent with capex/wacc/life/fom "
+                    f"(got {s.annuity}, expected {expect})"))
         if s.allowed_zones is not None:
             for zid in s.allowed_zones:
                 if zid not in zone_ids:
-                    v.append(Violation(tag, "allowed_zones",
+                    v.append(Violation("sink", "allowed_zones",
                                        f"unknown zone {zid!r}"))
             if len(s.allowed_zones) == 0:
-                v.append(Violation(tag, "allowed_zones",
+                v.append(Violation("sink", "allowed_zones",
                                    "empty; use None to allow every zone"))
 
-    values = [seg.value for seg in scenario.segments]
+    indices = set()
     for k, seg in enumerate(scenario.segments):
         tag = f"segment[{k}]"
-        if not seg.max_supply > 0:
-            v.append(Violation(tag, "max_supply", "must be positive"))
+        if seg.index in indices:
+            v.append(Violation(tag, "index", f"duplicate index {seg.index}"))
+        indices.add(seg.index)
+        _check(v, tag, seg, ("max_supply",), POSITIVE)
+        _check(v, tag, seg, ("value",), FINITE)
+    values = [seg.value for seg in scenario.segments]
     if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
         v.append(Violation("segments", "value",
                            "must be sorted by descending value"))
-    if scenario.segments and scenario.sink is None:
+    if scenario.segments and s is None:
         v.append(Violation("segments", "sink",
                            "market segments given but no sink spec"))
 

@@ -382,7 +382,7 @@ def _parse_solution_file(path):
 
 def read_external_solution(lp, path):
     """Load an externally produced solution file, map names back, and
-    certify it to 1e-6 when it claims to be optimal."""
+    certify it to `lp.CERTIFY_TOL` when it claims to be optimal."""
     return read_certified_solution(lp, path)[0]
 
 
@@ -409,7 +409,7 @@ def read_certified_solution(lp, path):
     report = None
     if status == "optimal":
         report = certify(lp, solution)
-        if not report.within(1e-6):
+        if not report.within():
             raise CertificationError(
                 "external solution failed certification: "
                 f"row residual {report.max_row_residual:.3g}, "

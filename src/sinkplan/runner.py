@@ -73,8 +73,8 @@ def _start_on(lp, basis):
 
 def solve_scenario(scenario, start=None):
     """Assemble and solve.  An optimal solution is certified (feasibility,
-    duality gap and complementarity within 1e-6) before it is returned, and
-    raises SolveError when it is not.
+    duality gap and complementarity within `lp.CERTIFY_TOL`) before it is
+    returned, and raises SolveError when it is not.
 
     start: a basis keyed by name (`Solved.basis_by_name` of a related
     scenario) to warm-start from; the solver falls back to a cold start when
@@ -85,7 +85,7 @@ def solve_scenario(scenario, start=None):
     card = None
     if solution.status == OPTIMAL:
         card = certify(lp, solution)
-        if not card.within(1e-6):
+        if not card.within():
             raise SolveError(
                 f"certification failed for {scenario.name}: "
                 f"row residual {card.max_row_residual:.3g}, "

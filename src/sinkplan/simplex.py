@@ -8,8 +8,11 @@ one row; those rows S are solved by substitution.  The structural basics on
 the remaining rows R form the nucleus K, factorized by SuperLU (via scipy) in
 symmetric mode after a bipartite matching has permuted its rows onto a
 zero-free diagonal (Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001),
-which keeps the fill of L and U low.  With C the structural basics' entries
-in the rows S and s the unit columns' signs, B x = v is x_K = K^-1 v_R and
+which keeps the fill of L and U low.  The diagonal pivot threshold is 1, so
+SuperLU takes a diagonal pivot only when it is its column's largest: lower
+thresholds let entries of U grow to 1e37 on well-conditioned nuclei.  With
+C the structural basics' entries in the rows S and s the unit columns'
+signs, B x = v is x_K = K^-1 v_R and
 x_S = s * (v_S - C x_K); B^T y = v, with v indexed by basis position, is
 y_S = s * v_S and y_R = K^-T (v_K - C^T y_S).  Basis changes since the last
 factorization are kept as one preallocated block of product-form etas with a
@@ -81,10 +84,6 @@ _REFACTOR_EVERY = 60    # eta-file length before refactorization
 _BLAND_AFTER = 300      # degenerate steps before the Bland fallback
 _SMALL_PIVOT = 1e-6     # below this, reduced costs are recomputed, not updated
 _DEVEX_RESET = 1e6      # a Devex weight above this resets all weights to 1
-
-# An "optimal" that pricing on a fresh factorization never confirmed must
-# certify to this tolerance to be reported as optimal.
-_CERTIFY_TOL = 1e-6
 
 # By status (AT_LOWER, AT_UPPER, FREE_ZERO, BASIC), the factor that turns a
 # reduced cost d into its violation: -d at a lower bound, d at an upper one.
@@ -286,7 +285,7 @@ class _Workspace:
                 # structurally singular: worded as SuperLU words it
                 raise RuntimeError("Factor is exactly singular")
             self.lu = splu(nucleus[matched], permc_spec="COLAMD",
-                           diag_pivot_thresh=0.1,
+                           diag_pivot_thresh=1.0,
                            options={"SymmetricMode": True})
             self.nucleus_rows = r[matched]
         self.n_etas = 0
@@ -423,8 +422,9 @@ def solve(lp, start=None):
     if outcome == "iteration_limit":
         return _finish(lp, ws, ITERATION_LIMIT, feasible=True)
     solution = _finish(lp, ws, OPTIMAL, feasible=True)
-    if (outcome == "unverified"
-            and not certify(lp, solution).within(_CERTIFY_TOL)):
+    # an "optimal" that pricing on a fresh factorization never confirmed
+    # must certify to be reported as optimal
+    if outcome == "unverified" and not certify(lp, solution).within():
         solution.status = ITERATION_LIMIT
     return solution
 

@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .econ import DemandCurveSpec, FinanceSpec, build_demand_curve
+from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, \
+    FinanceSpec, build_demand_curve
 from .formulation import assemble
 from .metrics import MetricsReport, report
 from .model import DemandSinkSpec, annual_load
@@ -34,8 +35,8 @@ from .runner import solve_scenario
 class SweepGrid:
     capex_values: tuple      # $/kW of input capacity
     base_prices: tuple       # $/MWh-input starting value per scenario
-    finance: FinanceSpec = FinanceSpec(0.071, 20.0, 0.04)
-    curve: DemandCurveSpec = DemandCurveSpec()
+    finance: FinanceSpec = DEFAULT_FINANCE
+    curve: DemandCurveSpec = DEFAULT_CURVE
 
     def __post_init__(self):
         object.__setattr__(self, "capex_values", tuple(self.capex_values))

@@ -170,6 +170,32 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=re.escape(f"{where}: {reason}")):
             load_config(broken)
 
+    @pytest.mark.parametrize("filename, line, column, old, new, reason", [
+        ("cap_factors.csv", 2, "resource", "solar", "solr",
+         "'solr' has no row in resources.csv"),
+        ("nse.csv", 2, "zone", "Z1", "Z9", "'Z9' has no row in load.csv"),
+        ("deferrable_profiles.csv", 5, "id", "ev", "evx",
+         "'evx' has no row in deferrable.csv"),
+        ("resources.csv", 1, "min_stable", "min_stable_fraction",
+         "min_stable", "unknown column"),
+    ])
+    def test_unmatched_name_is_an_error(self, tmp_path, tiny_config,
+                                        filename, line, column, old, new,
+                                        reason):
+        """A key that names nothing, or a header column outside the schema,
+        is reported instead of falling back to a default."""
+        def mutate(text):
+            lines = text.splitlines()
+            cells = lines[line - 1].split(",")
+            cells[cells.index(old)] = new
+            lines[line - 1] = ",".join(cells)
+            return "\n".join(lines) + "\n"
+
+        broken = self.make_broken(tmp_path, tiny_config, filename, mutate)
+        where = f"{filename} line {line}, column '{column}'"
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: {reason}")):
+            load_config(broken)
+
 
 class TestGridFile:
     def test_duplicates_rejected(self, tmp_path):

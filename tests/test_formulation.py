@@ -192,14 +192,13 @@ class TestPolicies:
         assert coeffs["inj[batt,0]"] == pytest.approx(0.01 * hw)
 
     def test_unknown_policy_zone_raises(self):
-        sc = sh.scenario(sh.one_zone([1.0] * 4), [sh.gas()])
-        b, vm = new_builder(sc)
-        bad = M.Scenario("t", sc.time, sc.zones, sc.clusters,
-                         policies=[M.PolicySpec(M.CO2_CAP_ZONAL,
-                                                rates={"nope": 0.1})])
-        from sinkplan.formulation import add_policy_constraints
+        bad = sh.scenario(sh.one_zone([1.0] * 4), [sh.gas()],
+                          policies=[M.PolicySpec(M.CO2_CAP_ZONAL,
+                                                 rates={"nope": 0.1})])
+        assert [(v.field, "nope" in v.rule) for v in M.validate(bad)] == [
+            ("rates", True)]
         with pytest.raises(FormulationError, match="nope"):
-            add_policy_constraints(bad, vm, b)
+            assemble(bad)
 
     def test_impossible_standard_raises(self):
         sc = sh.scenario(sh.one_zone([1.0] * 4), [sh.gas()],

@@ -1,5 +1,7 @@
 """Domain-type validation and load statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,18 @@ def test_sink_annuity_consistency_enforced():
     assert validate(sc2) == []
 
 
+@pytest.mark.parametrize("field", ["capex", "wacc", "life", "fom_fraction",
+                                   "annuity"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_sink_fields_are_violations(field, value):
+    """A sink built field by field, past the annuity arithmetic of
+    from_capex, is still screened by validate."""
+    sink = replace(sh.sink_spec(200.0), **{field: value})
+    sc = sh.scenario(sh.one_zone([10.0] * 4), [sh.gas()], sink=sink,
+                     segments=sh.segments((40.0, 1e3)))
+    assert [v.field for v in validate(sc)] == [field]
+
+
 def test_segments_without_sink_flagged():
     sc = sh.scenario(sh.one_zone([10.0] * 4), [sh.gas()],
                      segments=sh.segments((40.0, 1e3)))
@@ -129,6 +143,93 @@ def test_too_many_hours_rejected():
     z = M.Zone("Z1", np.ones(8800), (M.NseSegment(1.0, 1.0, 9000.0),))
     sc = M.Scenario("t", M.TimeStructure(1, 8800), [z])
     assert any(v.field == "n_hours" for v in validate(sc))
+
+
+_PROBES = (np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 1e300)
+
+
+def _scalar_fields(entity):
+    """Names of entity's int and float fields, as (name, is_int) pairs."""
+    return [(f, isinstance(getattr(entity, f), int))
+            for f in entity.__dataclass_fields__
+            if isinstance(getattr(entity, f), (int, float))
+            and not isinstance(getattr(entity, f), bool)]
+
+
+def _probes(is_int, n_hours):
+    if is_int:
+        return (-1, 0, 1, 2, n_hours // 2, n_hours, 2 * n_hours)
+    return _PROBES
+
+
+def _mutants(sc):
+    """(label, build) for every single-field mutant of sc's scalar inputs;
+    build() returns the mutated scenario."""
+    T = sc.time.n_hours
+
+    def swap(items, k, new):
+        return items[:k] + (new,) + items[k + 1:]
+
+    def tuple_mutants(attr, tag):
+        items = getattr(sc, attr)
+        for k, item in enumerate(items):
+            for name, is_int in _scalar_fields(item):
+                for val in _probes(is_int, T):
+                    new = replace(item, **{name: val})
+                    yield (f"{tag}[{k}].{name}={val!r}",
+                           lambda new=new, k=k: replace(
+                               sc, **{attr: swap(items, k, new)}))
+
+    yield from tuple_mutants("clusters", "cluster")
+    yield from tuple_mutants("segments", "segment")
+    yield from tuple_mutants("deferrable_loads", "deferrable")
+    for z, zone in enumerate(sc.zones):
+        for k, seg in enumerate(zone.nse_segments):
+            for name, _ in _scalar_fields(seg):
+                for val in _PROBES:
+                    nse = swap(zone.nse_segments, k,
+                               replace(seg, **{name: val}))
+                    yield (f"zone[{z}].nse[{k}].{name}={val!r}",
+                           lambda z=z, nse=nse: replace(sc, zones=swap(
+                               sc.zones, z, replace(sc.zones[z],
+                                                    nse_segments=nse))))
+    s = sc.sink
+    spec = dict(capex=s.capex, wacc=s.wacc, life=s.life,
+                fom_fraction=s.fom_fraction, allowed_zones=s.allowed_zones)
+    for name in ("capex", "wacc", "life", "fom_fraction"):
+        for val in _PROBES:
+            yield (f"sink.{name}={val!r}",
+                   lambda name=name, val=val: replace(
+                       sc, sink=M.DemandSinkSpec.from_capex(
+                           **{**spec, name: val})))
+    for val in _PROBES:
+        yield (f"time.hour_weight={val!r}",
+               lambda val=val: replace(
+                   sc, time=replace(sc.time, hour_weight=val)))
+
+
+def test_a_scenario_that_validates_assembles(tiny_scenario):
+    """The promise of validate: every single-field mutant of the tiny
+    scenario is either reported by validate or assembled.  A mutant whose
+    construction raises ValueError (the sink's annuity arithmetic) never
+    becomes a scenario and counts as rejected."""
+    from sinkplan.formulation import assemble
+
+    broken, checked = [], 0
+    for label, build in _mutants(tiny_scenario):
+        try:
+            sc = build()
+        except ValueError:
+            continue
+        checked += 1
+        if validate(sc):
+            continue
+        try:
+            assemble(sc)
+        except Exception as exc:
+            broken.append(f"{label}: {type(exc).__name__}: {exc}")
+    assert checked > 500
+    assert broken == []
 
 
 class TestLoadStats:

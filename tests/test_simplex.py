@@ -527,10 +527,11 @@ def northern():
     return scenario
 
 
-@pytest.mark.parametrize("hours", [36, 48])
+@pytest.mark.parametrize("hours", [36, 48, 96])
 def test_northern_slices_certify_and_match_highs(northern, hours):
-    # the first northern-shaped LPs past the nuclear 24 h up/down window:
-    # about 2,200 and 2,900 rows
+    # the first northern-shaped LPs past the nuclear 24 h up/down window,
+    # about 2,200 and 2,900 rows, and a 5,900-row slice whose nucleus
+    # factors grew without bound under a partial pivot threshold
     solved = solve_scenario(sh.first_hours(northern, hours))
     assert solved.status == "optimal"
     assert solved.report_card.within(1e-6)
