@@ -212,8 +212,8 @@ def _read_table(path, required=True):
 
 def _read_hourly(path, n_hours, fill, required=True, known=None):
     """{key: series} from an hourly table; hours a key omits hold `fill`.
-    known, when given, is (keys, file): a key outside keys has no row in
-    file and is an error."""
+    known, when given, is (keys, where): a key outside keys has no row in
+    `where` (a file, and perhaps which of its rows) and is an error."""
     key_column = next(c for c, (field, _, _) in SCHEMAS[path.name].items()
                       if field == "key")
     columns = {}
@@ -289,8 +289,9 @@ def load_config(config_dir):
 
     resources = _read_table(cdir / "resources.csv")
     profiles = _read_hourly(cdir / "cap_factors.csv", T, 1.0, required=False,
-                            known=({rec["id"] for _, rec in resources},
-                                   "resources.csv"))
+                            known=({rec["id"] for _, rec in resources
+                                    if rec["cap_factor"] == "profile"},
+                                   "resources.csv with cap_factor 'profile'"))
     clusters = []
     for line, rec in resources:
         heat_rate = rec.pop("heat_rate")

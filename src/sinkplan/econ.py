@@ -70,7 +70,9 @@ def product_price(value, tech):
 
 
 def crf(wacc, life):
-    """Capital recovery factor, end-of-year annuity convention."""
+    """Capital recovery factor, end-of-year annuity convention.  Works in
+    Python floats, whose power raises on overflow instead of warning."""
+    wacc, life = float(wacc), float(life)
     if not 1 <= life < INF:
         raise ValueError("asset life must be at least one year and finite")
     if not 0 <= wacc < INF:
@@ -94,7 +96,10 @@ def annualized_capex(capex_per_kw, fin):
     """$/kW capex to $/MW-yr annuity including fixed O&M."""
     if not 0 <= capex_per_kw < INF:
         raise ValueError("capex must be nonnegative and finite")
-    return 1000.0 * capex_per_kw * (crf(fin.wacc, fin.life) + fin.fom_fraction)
+    # in Python floats, so an annuity beyond float range is inf, which
+    # validate reports, instead of a numpy overflow warning
+    return 1000.0 * float(capex_per_kw) * (crf(fin.wacc, fin.life)
+                                           + float(fin.fom_fraction))
 
 
 def demand_curve_step(spec):

@@ -239,10 +239,11 @@ UNIT_OPEN_HIGH = (lambda x: 0 <= x < 1, "must be in [0, 1)")
 
 def _check(v, tag, entity, names, rule):
     """Append a violation for each field of entity in names that fails
-    rule, a (predicate, message) pair."""
+    rule, a (predicate, message) pair.  entity may also be a dict of named
+    values."""
     test, message = rule
     for name in names:
-        value = getattr(entity, name)
+        value = entity[name] if isinstance(entity, dict) else getattr(entity, name)
         if not test(value):
             v.append(Violation(tag, name, f"{message}, got {value!r}"))
 
@@ -439,7 +440,58 @@ def validate(scenario):
     if scenario.storage_sizing_mode not in (FIXED_RATIO, INDEPENDENT_ENERGY):
         v.append(Violation("scenario", "storage_sizing_mode",
                            f"unknown mode {scenario.storage_sizing_mode!r}"))
+    if not v:
+        _check_products(v, scenario)
     return v
+
+
+def _check_products(v, scenario):
+    """Check FINITE the products that the LP builders form from fields that
+    each pass, such as a cost times hour_weight.  They are computed as the
+    builders compute them, in Python floats, where overflow gives inf
+    without a warning."""
+    hw = float(scenario.time.hour_weight)
+    for z in scenario.zones:
+        for k, seg in enumerate(z.nse_segments):
+            products = {"slope_fraction*voll*hour_weight":
+                        float(seg.slope_fraction) * float(seg.voll) * hw}
+            _check(v, f"zone[{z.id}].nse[{k}]", products, products, FINITE)
+    for g in scenario.clusters:
+        du = float(g.unit_size) if g.is_uc else 1.0
+        products = {
+            "inv_cost*unit_size": float(g.inv_cost) * du,
+            "(vom_cost+fuel_cost)*hour_weight":
+                (float(g.vom_cost) + float(g.fuel_cost)) * hw,
+            "energy_inv_cost+energy_fom_cost":
+                float(g.energy_inv_cost) + float(g.energy_fom_cost)}
+        if g.is_uc:
+            products["1/unit_size"] = 1.0 / du
+            products["ramp_up*unit_size"] = float(g.ramp_up) * du
+            products["(ramp_down+min_stable)*unit_size"] = (
+                float(g.ramp_down) + float(g.min_stable)) * du
+        if g.is_storage:
+            products["1/discharge_eff"] = 1.0 / float(g.discharge_eff)
+        _check(v, f"cluster[{g.id}]", products, products, FINITE)
+    loads = {z.id: float(z.load.sum()) for z in scenario.zones}
+    for k, p in enumerate(scenario.policies):
+        co2 = p.kind in (CO2_CAP_ZONAL, CO2_CAP_SYSTEM)
+        shares = p.rates if co2 else p.fractions
+        # each row's hour-weighted right-hand side and injection weights
+        products = {}
+        for zids in ([[zid] for zid in sorted(shares)]
+                     if p.kind in (CO2_CAP_ZONAL, STANDARD_ZONAL)
+                     else [sorted(shares)]):
+            rhs = 0.0
+            for zid in zids:
+                rhs += float(shares[zid]) * hw * loads[zid]
+            products[f"right-hand side of zones {zids}"] = rhs
+        for g in scenario.clusters:
+            if g.zone in shares:
+                weight = (float(g.emissions_rate) if co2
+                          else float(p.standard_id in g.qualifies_for))
+                loss = float(shares[g.zone]) * hw if g.is_storage else 0.0
+                products[f"weight of cluster {g.id!r}"] = weight * hw + loss
+        _check(v, f"policy[{k}]", products, products, FINITE)
 
 
 def peak_load(scenario):

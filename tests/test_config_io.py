@@ -196,6 +196,19 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=re.escape(f"{where}: {reason}")):
             load_config(broken)
 
+    def test_profile_row_for_a_numeric_cap_factor_is_an_error(
+            self, tmp_path, tiny_config):
+        """A cap_factors.csv row applies only to a resource whose cap_factor
+        is `profile`; one for the battery (cap_factor 1.0) is reported
+        instead of ignored."""
+        n = len((tiny_config / "cap_factors.csv").read_text().splitlines())
+        broken = self.make_broken(tmp_path, tiny_config, "cap_factors.csv",
+                                  lambda text: text + "1,battery,0.5\n")
+        where = f"cap_factors.csv line {n + 1}, column 'resource'"
+        reason = "'battery' has no row in resources.csv with cap_factor 'profile'"
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: {reason}")):
+            load_config(broken)
+
 
 class TestGridFile:
     def test_duplicates_rejected(self, tmp_path):

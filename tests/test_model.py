@@ -145,7 +145,8 @@ def test_too_many_hours_rejected():
     assert any(v.field == "n_hours" for v in validate(sc))
 
 
-_PROBES = (np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 1e300)
+_PROBES = (np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 1e300, 1e307,
+           np.finfo(float).max)
 
 
 def _scalar_fields(entity):
@@ -230,6 +231,24 @@ def test_a_scenario_that_validates_assembles(tiny_scenario):
             broken.append(f"{label}: {type(exc).__name__}: {exc}")
     assert checked > 500
     assert broken == []
+
+
+@pytest.mark.parametrize("emis, rate", [(1e307, 0.4), (0.4, 1e307)])
+def test_policy_rows_beyond_float_range_are_reported(emis, rate):
+    """A CO2 row whose hour-weighted coefficients or right-hand side
+    overflow is a violation; the builder would raise on it."""
+    from sinkplan.formulation import add_policy_constraints, new_builder
+    from sinkplan.lp import LPError
+
+    policy = M.PolicySpec(M.CO2_CAP_ZONAL, rates={"Z1": rate})
+    sc = sh.scenario(sh.one_zone([100.0] * 4), [sh.gas(emis=emis), sh.battery()],
+                     policies=(policy,))
+    found = validate(sc)
+    assert found and all(x.entity == "policy[0]" and
+                         x.rule.startswith("must be finite") for x in found)
+    b, vmap = new_builder(sc)
+    with pytest.raises(LPError):
+        add_policy_constraints(sc, vmap, b)
 
 
 class TestLoadStats:

@@ -7,6 +7,7 @@ and for `random_lp(0..19)`; running this file as a script prints them.
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkplan import mps
+import scen_helpers as sh
+from conftest import CONFIGS
+from sinkplan import load_config, mps
+from sinkplan.formulation import assemble
 from sinkplan.lp import GE, LE, LinearProgramBuilder
 from sinkplan.mps import (
     CertificationError,
@@ -178,6 +182,29 @@ class TestParserLayout:
                 "endata\n")
         assert lp_equal(parse_mps(text), two_row_lp())
 
+    @pytest.mark.parametrize("comment", [
+        "*NAMEMAP x long_x", "*  NAMEMAP\tx\tlong x  ", "* NAMEMAP x",
+        "* NAMEMAP x  ", "* namemap x y", "**NAMEMAP x y", "* NAMEMAPx x y",
+        "* NAMEMAP\xa0r1\x1fz w", "* NAMEMAP r2 q\n* NAMEMAP r2 q2"])
+    def test_namemap_comments_read_as_split(self, comment):
+        """A NAMEMAP comment maps the second item of line[1:].split(None, 2)
+        to the third, the later of two for one name winning."""
+        names = {}
+        for line in comment.split("\n"):
+            toks = line[1:].split(None, 2)
+            if len(toks) == 3 and toks[0] == "NAMEMAP":
+                names[toks[1]] = toks[2]
+        lp = parse_mps(comment + "\n" + write_mps(two_row_lp()))
+        assert lp.col_names == [names.get(n, n) for n in ("x", "y")]
+        assert lp.row_names == [names.get(n, n) for n in ("r1", "r2")]
+
+    def test_namemap_maps_a_row_and_a_column_of_one_name(self):
+        text = ("* NAMEMAP x long_x\n* NAMEMAP r long_r\nROWS\n N OBJ\n L r\n"
+                " G x\nCOLUMNS\n x OBJ 1 r 2\n r x 1\n y r 1\nENDATA\n")
+        lp = parse_mps(text)
+        assert lp.row_names == ["long_r", "long_x"]
+        assert lp.col_names == ["long_x", "long_r", "y"]
+
 
 class TestMangling:
     def test_short_safe_names_kept(self):
@@ -303,6 +330,28 @@ class TestSmallPieces:
         with pytest.raises(MPSError, match="line 10: duplicate entry for row "
                                            "'r1', column 'x'"):
             parse_mps(text)
+
+
+class TestMemory:
+    def test_parse_keeps_little_beyond_its_input(self, monkeypatch):
+        """Parsing a 168-hour northern slice, 2 MB of text, adds a traced
+        peak under 3x the text's length (2.0x measured).  Pieces of 64 K
+        characters keep each piece's transient lines and tokens small, so the
+        peak is what the reader keeps across pieces: name indices, matrix
+        blocks, the matrix and the names.  A reader holding the name map,
+        the indices and per-entry int64 blocks all at once while it builds
+        the matrix peaks at 4.5x."""
+        scenario, _ = load_config(CONFIGS / "northern")
+        text = write_mps(assemble(sh.first_hours(scenario, 168))[0])
+        monkeypatch.setattr(mps, "_CHUNK", 1 << 11)
+        tracemalloc.start()
+        try:  # the text was made before tracing starts
+            lp = parse_mps(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lp.n_rows > 10_000
+        assert peak / len(text) < 3.0
 
 
 class TestLpEqual:
