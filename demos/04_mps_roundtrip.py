@@ -37,7 +37,7 @@ solution = solve(lp)
 with tempfile.TemporaryDirectory() as td:
     sol_path = Path(td) / "tiny.sol"
     sol_path.write_text(write_solution_text(lp, solution))
-    verified = read_external_solution(lp, sol_path)
+    verified, _ = read_external_solution(lp, sol_path)
     print(f"external round trip: status {verified.status}, "
           f"objective {verified.objective:,.2f} "
           f"(matches: {verified.objective == solution.objective})")

@@ -34,7 +34,6 @@ for cell in result.cells:
           f"{val:>12} {dp:+8.2%}")
 
 with tempfile.TemporaryDirectory() as td:
-    path = emit(result, td, scenario=scenario,
-                config_digest=config_hash(config))
+    path = emit(result, td, config_digest=config_hash(config))
     print(f"\nwrote {path}")
     print(path.read_text().splitlines()[0][:100] + "...")

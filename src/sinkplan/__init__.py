@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .lp import (
+    CertificationError,
     EQ,
     GE,
     LE,
@@ -42,7 +43,6 @@ from .econ import (
 )
 from .formulation import FormulationError, VariableMap, assemble, index_variables
 from .mps import (
-    CertificationError,
     MPSError,
     lp_equal,
     parse_mps,
@@ -51,6 +51,6 @@ from .mps import (
     write_solution_text,
 )
 from .metrics import MetricsReport, report
-from .runner import Solved, SolveError, solve_scenario
+from .runner import Solved, solve_scenario
 from .sweep import SweepGrid, SweepResult, emit, run_reference, run_sweep
 from .config_io import ConfigError, config_hash, load_config, load_grid

@@ -1,12 +1,16 @@
 """Command-line entry point.
 
     sinkplan validate <config>
-    sinkplan solve <config> [--no-sink] [--mps-out DIR]
-                   [--solver internal|external --sol-in FILE]
-    sinkplan sweep <config> [--grid FILE] [--threads N] [--out DIR] [--mps-only]
+    sinkplan solve <config> [--no-sink] [--mps-out DIR [--mps-only]]
+                   [--sol-in FILE] [--sol-out FILE]
+    sinkplan sweep <config> [--grid FILE] [--threads N] [--out DIR]
+                   [--mps | --mps-only]
     sinkplan convert (--price X | --value X) --efficiency E [--vom V] [--ts T]
     sinkplan curve --annual-load MWH --base-price B [curve options]
     sinkplan certify <mps> <sol>
+
+`solve` assembles once and reports the --sol-in FILE solution, or else its
+own; an optimal solution is certified either way.
 
 SINKPLAN_THREADS sets the default worker count for sweep.
 """
@@ -20,10 +24,10 @@ from .econ import DEFAULT_CURVE, DemandCurveSpec, TechSpec, \
     build_demand_curve, output_value, product_price
 from .formulation import assemble
 from .metrics import report
-from .mps import parse_mps, read_certified_solution, \
-    read_external_solution, write_mps, write_solution_text
-from .lp import certify
-from .runner import Solved, solve_scenario
+from .mps import parse_mps, read_external_solution, write_mps, \
+    write_solution_text
+from .runner import Solved, certified
+from .simplex import solve
 from .sweep import default_parallelism, emit, run_sweep, write_cell_mps
 
 
@@ -43,9 +47,8 @@ def cmd_solve(args):
     scenario, _ = load_config(args.config)
     if args.no_sink:
         scenario = scenario.without_sink()
-    lp = None
+    lp, vmap = assemble(scenario)
     if args.mps_out:
-        lp, vmap = assemble(scenario)
         out = Path(args.mps_out)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"{scenario.name}.mps"
@@ -53,16 +56,11 @@ def cmd_solve(args):
         print(f"wrote {path}")
         if args.mps_only:
             return 0
-    if args.solver == "external":
-        if not args.sol_in:
-            print("--solver external needs --sol-in FILE", file=sys.stderr)
-            return 2
-        if lp is None:
-            lp, vmap = assemble(scenario)
-        solution = read_external_solution(lp, args.sol_in)
-        solved = Solved(scenario, lp, vmap, solution)
+    if args.sol_in:
+        solved = Solved(scenario, lp, vmap,
+                        *read_external_solution(lp, args.sol_in))
     else:
-        solved = solve_scenario(scenario)
+        solved = certified(scenario, lp, vmap, solve(lp))
     if solved.status != "optimal":
         print(f"status = {solved.status}")
         return 1
@@ -91,8 +89,9 @@ def cmd_sweep(args):
         return 0
     threads = args.threads if args.threads else default_parallelism()
     result = run_sweep(scenario, grid, parallelism=threads)
-    path = emit(result, out, include_mps=args.mps, scenario=scenario,
-                config_digest=digest)
+    path = emit(result, out, config_digest=digest)
+    if args.mps:
+        write_cell_mps(scenario, grid, out)
     failed = [c for c in result.cells if c.status != "optimal"]
     print(f"wrote {path} ({len(result.cells)} cells, {len(failed)} failed)")
     return 0 if not failed else 1
@@ -124,9 +123,7 @@ def cmd_curve(args):
 
 def cmd_certify(args):
     lp = parse_mps(Path(args.mps).read_text())
-    solution, rep = read_certified_solution(lp, args.sol)
-    if rep is None:
-        rep = certify(lp, solution)
+    solution, rep = read_external_solution(lp, args.sol)
     print(f"status = {solution.status}")
     print(f"objective = {solution.objective!r}")
     print(f"max_row_residual = {rep.max_row_residual!r}")
@@ -145,15 +142,15 @@ def main(argv=None):
     sp.add_argument("config")
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("solve", help="solve one scenario and print metrics")
+    solve_p = sp = sub.add_parser("solve",
+                                  help="solve one scenario and print metrics")
     sp.add_argument("config")
     sp.add_argument("--no-sink", action="store_true")
     sp.add_argument("--mps-out", default=None, metavar="DIR")
     sp.add_argument("--mps-only", action="store_true",
                     help="with --mps-out: write the LP and stop")
-    sp.add_argument("--solver", choices=("internal", "external"),
-                    default="internal")
-    sp.add_argument("--sol-in", default=None, metavar="FILE")
+    sp.add_argument("--sol-in", default=None, metavar="FILE",
+                    help="certify and report this solution instead of solving")
     sp.add_argument("--sol-out", default=None, metavar="FILE")
     sp.set_defaults(func=cmd_solve)
 
@@ -198,6 +195,8 @@ def main(argv=None):
     sp.set_defaults(func=cmd_certify)
 
     args = p.parse_args(argv)
+    if args.func is cmd_solve and args.mps_only and not args.mps_out:
+        solve_p.error("--mps-only needs --mps-out DIR")
     try:
         return args.func(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

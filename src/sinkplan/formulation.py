@@ -228,10 +228,10 @@ def column_bounds(scenario, vmap):
     return lower, upper
 
 
-def new_builder(scenario, vmap=None, name=None):
+def new_builder(scenario):
     """Builder pre-populated with all columns, bounds, and objective."""
-    vmap = vmap or index_variables(scenario)
-    b = LinearProgramBuilder(name or scenario.name)
+    vmap = index_variables(scenario)
+    b = LinearProgramBuilder(scenario.name)
     b.add_cols(vmap.col_names, build_objective(scenario, vmap),
                *column_bounds(scenario, vmap))
     return b, vmap
@@ -470,11 +470,13 @@ def add_demand_sink_constraints(scenario, vmap, b):
     bounded by installed sink capacity (segment caps are column bounds)."""
     if scenario.sink is None:
         return
-    hw = scenario.time.hour_weight
-    coeffs = [(vmap.sale[k], 1.0) for k in sorted(vmap.sale)]
-    coeffs += [(j, -hw) for j in range(vmap.prod.start, vmap.prod.stop)]
-    if coeffs:
-        b.add_row("saletot", LE, 0.0, coeffs)
+    sales = np.array([vmap.sale[k] for k in sorted(vmap.sale)], dtype=np.int64)
+    cols = np.concatenate([sales, np.arange(vmap.prod.start, vmap.prod.stop)])
+    vals = np.full(cols.size, -scenario.time.hour_weight)
+    vals[:sales.size] = 1.0
+    if cols.size:
+        b.add_rows(["saletot"], [LE], [0.0], np.zeros(cols.size, np.int64),
+                   cols, vals)
     T = scenario.time.n_hours
     for zid in vmap.sink_cap:
         _add_hourly(b, zid, np.zeros(T), [
@@ -512,14 +514,14 @@ _BUILDERS = (
 )
 
 
-def assemble(scenario, name=None):
+def assemble(scenario):
     """Validate, index, and run every constraint builder; deterministic."""
     violations = M.validate(scenario)
     if violations:
         listing = "; ".join(str(v) for v in violations[:8])
         raise FormulationError(
             f"scenario fails validation ({len(violations)} violations): {listing}")
-    b, vmap = new_builder(scenario, name=name)
+    b, vmap = new_builder(scenario)
     for builder in _BUILDERS:
         builder(scenario, vmap, b)
     return b.build(), vmap

@@ -260,6 +260,28 @@ class ResidualReport:
         )
 
 
+class CertificationError(RuntimeError):
+    """A solution claimed optimal whose report is not within CERTIFY_TOL."""
+
+    def __init__(self, what, report):
+        super().__init__(
+            f"{what} failed certification: "
+            f"row residual {report.max_row_residual:.3g}, "
+            f"bound violation {report.max_bound_violation:.3g}, "
+            f"duality gap {report.duality_gap:.3g}, "
+            f"complementarity {report.max_complementarity:.3g} "
+            f"(worst row {report.worst_row_name})")
+        self.report = report
+
+
+def checked(what, solution, report):
+    """The solution's report; raises CertificationError naming `what` when
+    the solution claims to be optimal and its report is not `within()`."""
+    if solution.status == OPTIMAL and not report.within():
+        raise CertificationError(what, report)
+    return report
+
+
 def certify(lp, solution):
     """Residuals, duality gap and complementarity for a full primal/dual pair."""
     x = np.asarray(solution.primal, dtype=float)

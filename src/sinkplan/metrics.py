@@ -144,25 +144,15 @@ def sink_weighted_price(solved):
     return float(p[ran] @ prices[ran] / den)
 
 
-def capacity_factor(solved, group):
-    """Realized energy over capacity x hours; group "sink" uses production
-    and installed sink capacity."""
+def sink_capacity_factor(solved):
+    """Sink production over installed sink capacity x hours; None without
+    sink capacity."""
     _require_optimal(solved)
-    T = solved.scenario.time.n_hours
-    if group == "sink":
-        cap = sink_capacity(solved)
-        if cap <= _TOL:
-            return None
-        return float(sink_production_series(solved).sum() / (cap * T))
-    energy = 0.0
-    cap = 0.0
-    for g in solved.scenario.clusters:
-        if resolve_group(g, solved.scenario) == group:
-            cap += solved.value(solved.vmap.cap[g.id])
-            energy += solved.series(solved.vmap.inj, g.id).sum()
+    cap = sink_capacity(solved)
     if cap <= _TOL:
         return None
-    return float(energy / (cap * T))
+    T = solved.scenario.time.n_hours
+    return float(sink_production_series(solved).sum() / (cap * T))
 
 
 def curtailment_fraction(solved):
@@ -262,7 +252,7 @@ def report(solved, reference=None):
         average_price=average_price(solved),
         sink_capacity_mw=cap,
         sink_capacity_fraction_of_peak=cap / peak_load(sc),
-        sink_capacity_factor=capacity_factor(solved, "sink"),
+        sink_capacity_factor=sink_capacity_factor(solved),
         sink_weighted_price=sink_weighted_price(solved),
         sink_annual_production=prod_annual,
         realized_output_value=realized_output_value(solved),

@@ -24,7 +24,7 @@ the parse starts (the interpreter, the LP written and the text).
 
 Solution exchange: `STATUS <status> OBJ <value>` header, then `COL <name>
 <value>` and `ROW <name> <dual>` lines, whitespace-separated and keyed by
-mangled names.
+mangled names.  `read_external_solution` certifies every file it reads.
 """
 
 import re
@@ -35,7 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .lp import EQ, GE, INF, LE, LinearProgram, LPError, Solution, certify
+from .lp import EQ, GE, INF, LE, LinearProgram, LPError, Solution, certify, \
+    checked
+from .lp import CertificationError  # noqa: F401  what read_external_solution raises
 
 _OBJ_NAME = "OBJ"
 _RESERVED = {_OBJ_NAME, "RHS", "BND", "MARKER"}
@@ -52,14 +54,6 @@ _NAMEMAP = re.compile(r"^\*[^\S\n]*NAMEMAP[^\S\n]+(\S+)[^\S\n]+(\S.*)$", re.M)
 
 class MPSError(LPError):
     """Malformed or unsupported MPS content."""
-
-
-class CertificationError(RuntimeError):
-    """External solution failed certification; carries the residual report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 def mangle_names(names, prefix):
@@ -472,14 +466,9 @@ def _parse_solution_file(path):
 
 def read_external_solution(lp, path):
     """Load an externally produced solution file, map names back, and
-    certify it to `lp.CERTIFY_TOL` when it claims to be optimal."""
-    return read_certified_solution(lp, path)[0]
-
-
-def read_certified_solution(lp, path):
-    """`read_external_solution`, returning `(solution, report)`: the
-    certification report of a solution that claims to be optimal, or None
-    for any other status, which is not certified."""
+    certify it to `lp.CERTIFY_TOL`, whatever its status.  Returns
+    `(solution, report)`; a solution claimed optimal that fails raises
+    `lp.CertificationError`."""
     status, cols, rows = _parse_solution_file(path)
     if status is None:
         raise MPSError(f"{path}: no STATUS header")
@@ -489,22 +478,13 @@ def read_certified_solution(lp, path):
     for what, short, got in (("columns", col_short, cols), ("rows", row_short, rows)):
         missing = [n for n in short if n not in got]
         if missing:
-            raise MPSError(f"solution file missing {what}: " + ", ".join(missing[:10]))
+            raise MPSError(f"{path}: solution file missing {what}: "
+                           + ", ".join(missing[:10]))
 
     primal = np.array([cols[n] for n in col_short])
     duals = np.array([rows[n] for n in row_short])
     reduced = lp.obj - (lp.matrix().T @ duals) if lp.n_rows else lp.obj.copy()
     solution = Solution(status=status, objective=float(lp.obj @ primal), primal=primal,
                         duals=duals, reduced_costs=np.asarray(reduced, dtype=float))
-    report = None
-    if status == "optimal":
-        report = certify(lp, solution)
-        if not report.within():
-            raise CertificationError(
-                "external solution failed certification: "
-                f"row residual {report.max_row_residual:.3g}, "
-                f"bound violation {report.max_bound_violation:.3g}, "
-                f"duality gap {report.duality_gap:.3g}, "
-                f"complementarity {report.max_complementarity:.3g} "
-                f"(worst row {report.worst_row_name})", report)
-    return solution, report
+    return solution, checked(f"solution file {path}", solution,
+                             certify(lp, solution))

@@ -5,12 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formulation import assemble
-from .lp import OPTIMAL, certify
+from .lp import OPTIMAL, certify, checked
 from .simplex import BASIC, cold_status, solve
-
-
-class SolveError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -21,7 +17,7 @@ class Solved:
     lp: object
     vmap: object
     solution: object
-    report_card: object = None       # ResidualReport when certified
+    report_card: object = None       # ResidualReport; None when not certified
 
     @property
     def status(self):
@@ -71,25 +67,24 @@ def _start_on(lp, basis):
             np.array([rows.get(r, BASIC) for r in lp.row_names]))
 
 
+def certified(scenario, lp, vmap, solution):
+    """Bundle a solution of the scenario's LP.  An optimal one is certified
+    first, carries its report as the card, and raises `CertificationError`
+    when that fails (see `lp.checked`); any other status has no card."""
+    card = None
+    if solution.status == OPTIMAL:
+        card = checked(f"solution for {scenario.name}", solution,
+                       certify(lp, solution))
+    return Solved(scenario, lp, vmap, solution, card)
+
+
 def solve_scenario(scenario, start=None):
-    """Assemble and solve.  An optimal solution is certified (feasibility,
-    duality gap and complementarity within `lp.CERTIFY_TOL`) before it is
-    returned, and raises SolveError when it is not.
+    """Assemble, solve and bundle through `certified`.
 
     start: a basis keyed by name (`Solved.basis_by_name` of a related
     scenario) to warm-start from; the solver falls back to a cold start when
     it does not fit.
     """
     lp, vmap = assemble(scenario)
-    solution = solve(lp, start=None if start is None else _start_on(lp, start))
-    card = None
-    if solution.status == OPTIMAL:
-        card = certify(lp, solution)
-        if not card.within():
-            raise SolveError(
-                f"certification failed for {scenario.name}: "
-                f"row residual {card.max_row_residual:.3g}, "
-                f"gap {card.duality_gap:.3g}, "
-                f"complementarity {card.max_complementarity:.3g} "
-                f"(worst row {card.worst_row_name})")
-    return Solved(scenario, lp, vmap, solution, card)
+    return certified(scenario, lp, vmap, solve(
+        lp, start=None if start is None else _start_on(lp, start)))

@@ -168,9 +168,9 @@ def _result_header(sample_row):
             *sample_row.keys(), "error"]
 
 
-def emit(result, out_dir, include_mps=False, scenario=None, config_digest=""):
-    """Write results.csv, per-cell price-duration curves, optional MPS files,
-    and the run manifest."""
+def emit(result, out_dir, config_digest=""):
+    """Write results.csv, per-cell price-duration curves and the run
+    manifest; `write_cell_mps` writes the cells' MPS files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -202,11 +202,6 @@ def emit(result, out_dir, include_mps=False, scenario=None, config_digest=""):
         body = ["rank,price_usd_per_mwh"]
         body += [f"{k + 1},{p!r}" for k, p in enumerate(c.report.price_duration_curve)]
         (pd_dir / f"{c.cell_id}.csv").write_text("\n".join(body) + "\n")
-
-    if include_mps:
-        if scenario is None:
-            raise ValueError("include_mps needs the scenario to rebuild cells")
-        write_cell_mps(scenario, result.grid, out)
 
     manifest = [
         f"tool_version = {__version__}",

@@ -269,8 +269,8 @@ def test_criterion_8_sweep_determinism(tiny_scenario, tiny_grid, tmp_path):
     t0 = time.time()
     serial = run_sweep(tiny_scenario, tiny_grid, parallelism=1)
     parallel = run_sweep(tiny_scenario, tiny_grid, parallelism=8)
-    p1 = emit(serial, tmp_path / "serial", scenario=tiny_scenario)
-    p2 = emit(parallel, tmp_path / "parallel", scenario=tiny_scenario)
+    p1 = emit(serial, tmp_path / "serial")
+    p2 = emit(parallel, tmp_path / "parallel")
     same_results = p1.read_text() == p2.read_text()
     same_curves = True
     for f in sorted((tmp_path / "serial" / "price_duration").glob("*.csv")):

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from sinkplan import cli, mps
+from sinkplan import cli, mps, runner
 from sinkplan.cli import main
 from sinkplan.formulation import assemble
 from sinkplan.lp import certify
@@ -54,7 +54,7 @@ class TestSolve:
         assert (tmp_path / "tiny.mps").exists()
         assert sol.exists()
         code2, out2, _ = run(capsys, "solve", str(tiny_config),
-                             "--solver", "external", "--sol-in", str(sol))
+                             "--sol-in", str(sol))
         assert code2 == 0
         line = next(l for l in out.splitlines() if l.startswith("objective"))
         line2 = next(l for l in out2.splitlines() if l.startswith("objective"))
@@ -72,7 +72,7 @@ class TestSolve:
         again = tmp_path / "again"
         code2, out2, _ = run(capsys, "solve", str(tiny_config),
                              "--mps-out", str(again),
-                             "--solver", "external", "--sol-in", str(sol))
+                             "--sol-in", str(sol))
         assert code2 == 0
         assert len(calls) == 1
         assert ((again / "tiny.mps").read_text()
@@ -85,6 +85,34 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(tiny_config),
                            "--mps-out", str(tmp_path), "--mps-only")
         assert code == 0
+        assert "average_price" not in out
+
+    def test_mps_only_needs_mps_out(self, capsys, tiny_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(tiny_config), "--mps-only"])
+        assert exc.value.code == 2
+        assert "--mps-out" in capsys.readouterr().err
+
+    def test_mps_out_assembles_once(self, capsys, tiny_config, tmp_path,
+                                    monkeypatch):
+        calls = []
+        counted = lambda sc: calls.append(sc) or assemble(sc)  # noqa: E731
+        monkeypatch.setattr(cli, "assemble", counted)
+        monkeypatch.setattr(runner, "assemble", counted)
+        code, out, _ = run(capsys, "solve", str(tiny_config),
+                           "--mps-out", str(tmp_path))
+        assert code == 0
+        assert "average_price = " in out
+        assert len(calls) == 1
+
+    def test_garbage_solution_file_rejected(self, capsys, tiny_config,
+                                            tmp_path):
+        sol = tmp_path / "garbage.sol"
+        sol.write_text("this is not a solution\n")
+        code, out, err = run(capsys, "solve", str(tiny_config),
+                             "--sol-in", str(sol))
+        assert code == 1
+        assert str(sol) in err
         assert "average_price" not in out
 
 
@@ -113,7 +141,6 @@ class TestCertify:
             return certify(lp, solution)
 
         monkeypatch.setattr(mps, "certify", counted)
-        monkeypatch.setattr(cli, "certify", counted)
         code, out, _ = run(capsys, "certify",
                            str(tmp_path / "tiny.mps"), str(sol))
         assert code == 0
@@ -172,6 +199,16 @@ class TestSweepCommand:
                            "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert code == 0
         assert (tmp_path / "o" / "results.csv").exists()
+
+    def test_mps_flag_writes_every_cell(self, capsys, tiny_config, tmp_path):
+        code, out, _ = run(capsys, "sweep", str(tiny_config),
+                           "--out", str(tmp_path), "--mps")
+        assert code == 0
+        written = sorted(p.name for p in (tmp_path / "mps").glob("*.mps"))
+        assert written == ["cx200_bp20.mps", "cx200_bp50.mps",
+                           "cx200_bp80.mps", "cx800_bp20.mps",
+                           "cx800_bp50.mps", "cx800_bp80.mps"]
+        assert (tmp_path / "results.csv").exists()
 
     def test_threads_env_default(self, monkeypatch):
         from sinkplan.sweep import default_parallelism

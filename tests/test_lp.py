@@ -1,9 +1,13 @@
 """LP container construction rules and solution certification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from sinkplan import runner
 from sinkplan.lp import (
+    CertificationError,
     EQ,
     GE,
     INF,
@@ -250,6 +254,24 @@ class TestCertify:
         bad.primal[1] = 10.5  # above its upper bound
         rep = certify(lp, bad)
         assert rep.max_bound_violation == pytest.approx(0.5)
+
+    def test_optimal_bound_violation_fails_the_solve(self, monkeypatch):
+        b = LinearProgramBuilder("lone")
+        x = b.add_col("x", obj=1.0)
+        b.add_col("z", upper=5.0)  # enters no row and costs nothing
+        b.add_row("need", GE, 1.0, [(x, 1.0)])
+        lp = b.build()
+        sol = solve(lp)
+        sol.primal[1] = 7.0  # only its bound is violated
+        monkeypatch.setattr(runner, "assemble", lambda scenario: (lp, None))
+        monkeypatch.setattr(runner, "solve", lambda lp, start=None: sol)
+        with pytest.raises(CertificationError,
+                           match="bound violation 2,") as exc:
+            runner.solve_scenario(SimpleNamespace(name="lone"))
+        rep = exc.value.report
+        assert rep.max_bound_violation == 2.0
+        assert (rep.max_row_residual, rep.duality_gap,
+                rep.max_complementarity) == (0.0, 0.0, 0.0)
 
     def test_residuals_use_row_scaling(self):
         b = LinearProgramBuilder()

@@ -8,13 +8,13 @@ from sinkplan import model as M
 from sinkplan.lp import Solution
 from sinkplan.metrics import (
     average_price,
-    capacity_factor,
     curtailment_fraction,
     daily_net_load_correlation,
     hourly_system_prices,
     price_duration_curve,
     report,
     resolve_group,
+    sink_capacity_factor,
     sink_weighted_price,
     start_costs,
     total_system_cost,
@@ -125,17 +125,17 @@ class TestCapacityFactor:
     def test_flat_production_is_fully_utilized(self):
         solved = solve_scenario(two_price_system(
             sink=sh.sink_spec(1.0), segments=sh.segments((500.0, 120.0))))
-        assert capacity_factor(solved, "sink") == pytest.approx(1.0)
+        assert sink_capacity_factor(solved) == pytest.approx(1.0)
 
     def test_half_output_half_factor(self):
         # producing at full capacity in one of two hours
         solved = solve_scenario(two_price_system(
             cheap_cap=300.0, sink=sh.sink_spec(0.01),
             segments=sh.segments((15.0, 50.0))))
-        assert capacity_factor(solved, "sink") == pytest.approx(0.5, rel=1e-6)
+        assert sink_capacity_factor(solved) == pytest.approx(0.5, rel=1e-6)
 
     def test_no_capacity_reports_absent(self, tiny_solved_nosink):
-        assert capacity_factor(tiny_solved_nosink, "sink") is None
+        assert sink_capacity_factor(tiny_solved_nosink) is None
 
 
 class TestCurtailment:

@@ -375,7 +375,7 @@ class TestSolutionExchange:
         sol = solve(lp)
         path = tmp_path / "t.sol"
         path.write_text(write_solution_text(lp, sol))
-        back = read_external_solution(lp, path)
+        back, _ = read_external_solution(lp, path)
         assert back.status == sol.status
         assert np.array_equal(back.primal, sol.primal)
         assert np.array_equal(back.duals, sol.duals)

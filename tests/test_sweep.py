@@ -256,8 +256,7 @@ class TestSegmentPrefix:
 
 class TestEmit:
     def test_files_and_schema(self, swept, small_scenario, tmp_path):
-        path = emit(swept, tmp_path / "out", scenario=small_scenario,
-                    config_digest="abc123")
+        path = emit(swept, tmp_path / "out", config_digest="abc123")
         text = path.read_text()
         header = text.splitlines()[0].split(",")
         assert header[:4] == ["cell", "capex_usd_per_kw",
@@ -273,8 +272,8 @@ class TestEmit:
 
     def test_rerun_identical_except_manifest(self, swept, small_scenario,
                                              tmp_path):
-        p1 = emit(swept, tmp_path / "a", scenario=small_scenario)
-        p2 = emit(swept, tmp_path / "b", scenario=small_scenario)
+        p1 = emit(swept, tmp_path / "a")
+        p2 = emit(swept, tmp_path / "b")
         assert p1.read_text() == p2.read_text()
         for f in sorted((tmp_path / "a" / "price_duration").glob("*.csv")):
             twin = tmp_path / "b" / "price_duration" / f.name
