@@ -24,6 +24,7 @@ diagnostics.
 
 import csv
 import hashlib
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from . import model as M
 from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, FinanceSpec
 from .model import validate
+from .sweep import SweepGrid
 
 # {file: {column: (field, kind, default)}}.  A column whose default is None
 # is required: it must be in the header and have a value in every row.
@@ -318,15 +320,15 @@ def load_config(config_dir):
         kind = rec["kind"]
         if kind not in M.POLICY_KINDS:
             _fail("policies.csv", line, "kind", f"unknown policy kind {kind!r}")
-        grouped.setdefault((kind, rec["standard_id"]), {})[rec["zone"]] = \
-            rec["value"]
+        shares = grouped.setdefault((kind, rec["standard_id"]), {})
+        if rec["zone"] in shares:
+            _fail("policies.csv", line, "zone",
+                  f"{rec['zone']!r} appears twice in this policy")
+        shares[rec["zone"]] = rec["value"]
     policies = []
-    for (kind, sid), values in sorted(grouped.items()):
-        if kind in (M.CO2_CAP_ZONAL, M.CO2_CAP_SYSTEM):
-            policies.append(M.PolicySpec(kind=kind, rates=values))
-        else:
-            policies.append(M.PolicySpec(kind=kind, fractions=values,
-                                         standard_id=sid))
+    for (kind, sid), shares in sorted(grouped.items()):
+        field = "rates" if kind in M.CAP_KINDS else "fractions"
+        policies.append(M.PolicySpec(kind, standard_id=sid, **{field: shares}))
 
     rows = _read_table(cdir / "deferrable.csv", required=False)
     base = _read_hourly(cdir / "deferrable_profiles.csv", T, 0.0,
@@ -344,14 +346,8 @@ def load_config(config_dir):
         zones_txt = man.get("sink_zones", "").strip()
         allowed = tuple(z.strip() for z in zones_txt.split(",") if z.strip()) \
             if zones_txt else None
-        sink = M.DemandSinkSpec.from_capex(
-            capex=_manifest_num(man, "sink_capex_usd_per_kw"),
-            wacc=_manifest_num(man, "sink_wacc", DEFAULT_FINANCE.wacc),
-            life=_manifest_num(man, "sink_life_yr", DEFAULT_FINANCE.life),
-            fom_fraction=_manifest_num(man, "sink_fom_fraction",
-                                       DEFAULT_FINANCE.fom_fraction),
-            allowed_zones=allowed,
-        )
+        sink = M.DemandSinkSpec(_manifest_num(man, "sink_capex_usd_per_kw"),
+                                _finance(man, "scenario.txt", "sink_"), allowed)
 
     segments = sorted((M.MarketSegment(**rec) for _, rec in
                        _read_table(cdir / "segments.csv", required=False)),
@@ -395,10 +391,16 @@ def _num_list(man, key, filename):
     return vals
 
 
+def _finance(man, filename, prefix=""):
+    """The manifest's financing from the keys wacc, life_yr and fom_fraction
+    after the prefix, each defaulting to DEFAULT_FINANCE's value."""
+    return FinanceSpec(*(
+        _manifest_num(man, prefix + key, default, filename) for key, default
+        in zip(("wacc", "life_yr", "fom_fraction"), astuple(DEFAULT_FINANCE))))
+
+
 def load_grid(path):
     """Read a sweep grid file (key = value text)."""
-    from .sweep import SweepGrid
-
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep grid file not found: {path}")
@@ -407,12 +409,7 @@ def load_grid(path):
     def num(key, default):
         return _manifest_num(man, key, default, path.name)
 
-    fin, cur = DEFAULT_FINANCE, DEFAULT_CURVE
-    finance = FinanceSpec(
-        wacc=num("wacc", fin.wacc),
-        life=num("life_yr", fin.life),
-        fom_fraction=num("fom_fraction", fin.fom_fraction),
-    )
+    finance, cur = _finance(man, path.name), DEFAULT_CURVE
     curve = DemandCurveSpec(
         anchor_price=num("anchor_price", cur.anchor_price),
         anchor_quantity_fraction=num("anchor_quantity_fraction",

@@ -8,8 +8,7 @@ adjacent segments.
 """
 
 from dataclasses import dataclass
-
-from .model import INF, MarketSegment
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,9 @@ def crf(wacc, life):
     """Capital recovery factor, end-of-year annuity convention.  Works in
     Python floats, whose power raises on overflow instead of warning."""
     wacc, life = float(wacc), float(life)
-    if not 1 <= life < INF:
+    if not 1 <= life < inf:
         raise ValueError("asset life must be at least one year and finite")
-    if not 0 <= wacc < INF:
+    if not 0 <= wacc < inf:
         raise ValueError("wacc must be nonnegative and finite")
     if wacc == 0:
         return 1.0 / life
@@ -94,7 +93,7 @@ def crf_ratio(wacc, life, ref_wacc=DEFAULT_FINANCE.wacc,
 
 def annualized_capex(capex_per_kw, fin):
     """$/kW capex to $/MW-yr annuity including fixed O&M."""
-    if not 0 <= capex_per_kw < INF:
+    if not 0 <= capex_per_kw < inf:
         raise ValueError("capex must be nonnegative and finite")
     # in Python floats, so an annuity beyond float range is inf, which
     # validate reports, instead of a numpy overflow warning
@@ -111,6 +110,13 @@ def demand_curve_step(spec):
     """
     n_anchor = round(spec.anchor_quantity_fraction / spec.segment_fraction)
     return spec.anchor_price / abs(spec.elasticity) / n_anchor
+
+
+@dataclass(frozen=True)
+class MarketSegment:
+    index: int
+    max_supply: float   # MWh/yr of electrical input the segment absorbs
+    value: float        # $/MWh of electrical input
 
 
 def build_demand_curve(spec, annual_load_mwh):

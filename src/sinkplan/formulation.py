@@ -313,8 +313,7 @@ def add_policy_constraints(scenario, vmap, b):
         return terms
 
     for p in scenario.policies:
-        co2 = p.kind in (M.CO2_CAP_ZONAL, M.CO2_CAP_SYSTEM)
-        shares = p.rates if co2 else p.fractions
+        co2, shares = p.is_cap, p.shares
         if co2:
             sense, weight = LE, (lambda g: g.emissions_rate)
         else:

@@ -37,6 +37,15 @@ class LPError(ValueError):
     """Malformed linear program."""
 
 
+def check_bounds(names, lower, upper):
+    """Raise LPError naming the first column whose bounds admit no value:
+    nan, crossed, or infinite on the wrong side."""
+    ok = (lower <= upper) & (lower < INF) & (upper > -INF)  # nan fails each
+    if not ok.all():
+        j = ok.argmin()
+        raise LPError(f"bad bounds [{lower[j]}, {upper[j]}] for {names[j]!r}")
+
+
 @dataclass
 class LinearProgram:
     name: str
@@ -112,10 +121,7 @@ class LinearProgramBuilder:
         if bad.any():
             raise LPError("non-finite objective coefficient for "
                           f"{names[bad.argmax()]!r}")
-        bad = np.isnan(lower) | np.isnan(upper) | (lower > upper)
-        if bad.any():
-            j = bad.argmax()
-            raise LPError(f"bad bounds [{lower[j]}, {upper[j]}] for {names[j]!r}")
+        check_bounds(names, lower, upper)
         start = len(self.col_names)
         self._col_set |= fresh
         self.col_names += names

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import VRE, peak_load, CO2_CAP_SYSTEM, CO2_CAP_ZONAL
+from .model import VRE, peak_load
 
 GROUPS = ("solar", "wind", "firm", "battery")
 _TOL = 1e-9
@@ -86,11 +86,8 @@ def resolve_group(cluster, scenario):
         return None
     if g != "firm_if_cap":
         return g
-    zero_cap = any(
-        p.kind in (CO2_CAP_ZONAL, CO2_CAP_SYSTEM)
-        and p.rates and all(r == 0.0 for r in p.rates.values())
-        for p in scenario.policies
-    )
+    zero_cap = any(p.is_cap and p.shares and not any(p.shares.values())
+                   for p in scenario.policies)
     return None if zero_cap else "firm"
 
 

@@ -16,6 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .econ import DEFAULT_FINANCE, FinanceSpec, MarketSegment, \
+    annualized_capex  # noqa: F401  MarketSegment is re-exported
+
 THERMAL_UC = "thermal_uc"
 DISPATCHABLE = "dispatchable"
 VRE = "vre"
@@ -27,6 +30,7 @@ CO2_CAP_SYSTEM = "co2_cap_system"
 STANDARD_ZONAL = "energy_standard_zonal"
 STANDARD_SYSTEM = "energy_standard_system"
 POLICY_KINDS = (CO2_CAP_ZONAL, CO2_CAP_SYSTEM, STANDARD_ZONAL, STANDARD_SYSTEM)
+CAP_KINDS = (CO2_CAP_ZONAL, CO2_CAP_SYSTEM)
 
 FIXED_RATIO = "fixed_ratio"
 INDEPENDENT_ENERGY = "independent_energy"
@@ -150,7 +154,16 @@ class PolicySpec:
     kind: str
     rates: dict = field(default_factory=dict)      # zone -> tCO2/MWh, cap kinds
     fractions: dict = field(default_factory=dict)  # zone -> share, standard kinds
-    standard_id: str = ""
+    standard_id: str = ""         # standard kinds only
+
+    @property
+    def is_cap(self):
+        return self.kind in CAP_KINDS
+
+    @property
+    def shares(self):
+        """zone -> share: the rates of a cap, the fractions of a standard."""
+        return self.rates if self.is_cap else self.fractions
 
 
 @dataclass(frozen=True)
@@ -167,32 +180,19 @@ class DeferrableLoad:
 
 @dataclass(frozen=True)
 class DemandSinkSpec:
-    capex: float              # $/kW of electrical input
-    wacc: float
-    life: float               # years
-    fom_fraction: float       # of capex per year
-    annuity: float            # $/MW-yr, derived from the four fields above
+    capex: float                  # $/kW of electrical input
+    finance: FinanceSpec = DEFAULT_FINANCE
     allowed_zones: tuple = None   # None = every zone
 
-    @classmethod
-    def from_capex(cls, capex, wacc, life, fom_fraction, allowed_zones=None):
-        from .econ import FinanceSpec, annualized_capex
-
-        annuity = annualized_capex(capex, FinanceSpec(wacc, life, fom_fraction))
-        return cls(capex, wacc, life, fom_fraction, annuity,
-                   tuple(allowed_zones) if allowed_zones is not None else None)
+    @property
+    def annuity(self):
+        """$/MW-yr of installed sink capacity."""
+        return annualized_capex(self.capex, self.finance)
 
     def zones(self, scenario):
         if self.allowed_zones is None:
             return [z.id for z in scenario.zones]
         return list(self.allowed_zones)
-
-
-@dataclass(frozen=True)
-class MarketSegment:
-    index: int
-    max_supply: float   # MWh/yr of electrical input the segment absorbs
-    value: float        # $/MWh of electrical input
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def _check(v, tag, entity, names, rule):
 
 
 def _unused(kind):
-    return (lambda x: x == 0, f"unused for kind {kind!r} and must be zero")
+    return (lambda x: not x, f"unused for kind {kind!r} and must be left unset")
 
 
 def validate(scenario):
@@ -349,14 +349,21 @@ def validate(scenario):
         _check(v, tag, ln, ("existing_cap", "inv_cost"), NONNEG)
         _check(v, tag, ln, ("max_new_cap",), LIMIT)
 
+    first_of = {}
     for k, p in enumerate(scenario.policies):
         tag = f"policy[{k}]"
         if p.kind not in POLICY_KINDS:
             v.append(Violation(tag, "kind", f"unknown kind {p.kind!r}"))
             continue
-        co2 = p.kind in (CO2_CAP_ZONAL, CO2_CAP_SYSTEM)
-        name, (test, message) = ("rates", NONNEG) if co2 else ("fractions", UNIT)
-        shares = getattr(p, name)
+        first = first_of.setdefault((p.kind, p.standard_id), k)
+        if first != k:
+            v.append(Violation(tag, "kind", f"same kind and standard_id as "
+                               f"policy[{first}]; merge their zones"))
+        name, (test, message) = ("rates", NONNEG) if p.is_cap else (
+            "fractions", UNIT)
+        _check(v, tag, p, ("fractions", "standard_id") if p.is_cap
+               else ("rates",), _unused(p.kind))
+        shares = p.shares
         if not shares:
             v.append(Violation(tag, name, "at least one zone required"))
         for zid, share in shares.items():
@@ -365,7 +372,7 @@ def validate(scenario):
             if not test(share):
                 v.append(Violation(tag, name,
                                    f"zone {zid!r}: {message}, got {share!r}"))
-        if co2:
+        if p.is_cap:
             continue
         if not p.standard_id:
             v.append(Violation(tag, "standard_id", "required for standards"))
@@ -398,20 +405,10 @@ def validate(scenario):
 
     s = scenario.sink
     if s is not None:
-        before = len(v)
-        _check(v, "sink", s, ("capex", "wacc", "fom_fraction", "annuity"), NONNEG)
-        _check(v, "sink", s, ("life",),
+        _check(v, "sink", s, ("capex",), NONNEG)
+        _check(v, "sink", s.finance, ("wacc", "fom_fraction"), NONNEG)
+        _check(v, "sink", s.finance, ("life",),
                (lambda x: 1 <= x < INF, "must be >= 1 year and finite"))
-        if len(v) == before:
-            from .econ import FinanceSpec, annualized_capex
-
-            expect = annualized_capex(
-                s.capex, FinanceSpec(s.wacc, s.life, s.fom_fraction))
-            if abs(s.annuity - expect) > 1e-9 * max(1.0, abs(expect)):
-                v.append(Violation(
-                    "sink", "annuity",
-                    f"inconsistent with capex/wacc/life/fom "
-                    f"(got {s.annuity}, expected {expect})"))
         if s.allowed_zones is not None:
             for zid in s.allowed_zones:
                 if zid not in zone_ids:
@@ -471,25 +468,25 @@ def _check_products(v, scenario):
                 float(g.ramp_down) + float(g.min_stable)) * du
         if g.is_storage:
             products["1/discharge_eff"] = 1.0 / float(g.discharge_eff)
+            if scenario.storage_sizing_mode == INDEPENDENT_ENERGY:
+                products["existing_cap*duration"] = (
+                    float(g.existing_cap) * float(g.duration))
         _check(v, f"cluster[{g.id}]", products, products, FINITE)
+    if scenario.sink is not None:
+        _check(v, "sink", scenario.sink, ("annuity",), FINITE)
     loads = {z.id: float(z.load.sum()) for z in scenario.zones}
     for k, p in enumerate(scenario.policies):
-        co2 = p.kind in (CO2_CAP_ZONAL, CO2_CAP_SYSTEM)
-        shares = p.rates if co2 else p.fractions
-        # each row's hour-weighted right-hand side and injection weights
-        products = {}
-        for zids in ([[zid] for zid in sorted(shares)]
-                     if p.kind in (CO2_CAP_ZONAL, STANDARD_ZONAL)
-                     else [sorted(shares)]):
-            rhs = 0.0
-            for zid in zids:
-                rhs += float(shares[zid]) * hw * loads[zid]
-            products[f"right-hand side of zones {zids}"] = rhs
+        # summed in the rows' zone order: as no term is < 0, this bounds
+        # every row's right-hand side
+        rhs = 0.0
+        for zid in sorted(p.shares):
+            rhs += float(p.shares[zid]) * hw * loads[zid]
+        products = {"hour_weight*sum(share*load)": rhs}
         for g in scenario.clusters:
-            if g.zone in shares:
-                weight = (float(g.emissions_rate) if co2
+            if g.zone in p.shares:
+                weight = (float(g.emissions_rate) if p.is_cap
                           else float(p.standard_id in g.qualifies_for))
-                loss = float(shares[g.zone]) * hw if g.is_storage else 0.0
+                loss = float(p.shares[g.zone]) * hw if g.is_storage else 0.0
                 products[f"weight of cluster {g.id!r}"] = weight * hw + loss
         _check(v, f"policy[{k}]", products, products, FINITE)
 

@@ -69,6 +69,7 @@ from .lp import (
     Solution,
     UNBOUNDED,
     certify,
+    check_bounds,
 )
 
 AT_LOWER = 0
@@ -448,8 +449,7 @@ def _check_finite(lp):
                        ("matrix", lp.values)):
         if not np.all(np.isfinite(arr)):
             raise LPError(f"non-finite value in LP {label}")
-    if np.any(np.isnan(lp.lower)) or np.any(np.isnan(lp.upper)):
-        raise LPError("NaN in LP bounds")
+    check_bounds(lp.col_names, lp.lower, lp.upper)
 
 
 def _solve_unconstrained(lp):

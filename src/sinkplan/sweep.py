@@ -10,8 +10,8 @@ phase 1 is skipped.  Cells are independent: each starts from the same
 reference basis, never from another cell, and one failed cell is recorded
 and the rest of the sweep continues.  A worker process that dies breaks its
 pool, so every cell not yet finished is then recorded as an error and the
-finished ones are kept.  Results are sorted by grid position, so the output
-is identical at any parallelism.
+finished ones are kept.  Results are in grid order, so the output is
+identical at any parallelism.
 """
 
 import os
@@ -82,9 +82,7 @@ def cell_id(capex, base_price):
 def cell_scenario(scenario, grid, capex, base_price):
     """The base scenario with this cell's sink spec and demand curve."""
     allowed = scenario.sink.allowed_zones if scenario.sink else None
-    sink = DemandSinkSpec.from_capex(
-        capex, grid.finance.wacc, grid.finance.life, grid.finance.fom_fraction,
-        allowed_zones=allowed)
+    sink = DemandSinkSpec(capex, grid.finance, allowed)
     curve = replace(grid.curve, base_price=base_price)
     segments = build_demand_curve(curve, annual_load(scenario))
     return replace(scenario, name=f"{scenario.name}:{cell_id(capex, base_price)}",
@@ -144,8 +142,6 @@ def run_sweep(scenario, grid, parallelism=1, reference=None):
             cells = [_cell_outcome(f, t) for f, t in zip(futures, tasks)]
     else:
         cells = [_solve_cell(t) for t in tasks]
-    order = {(cx, bp): k for k, (cx, bp) in enumerate(grid.cells())}
-    cells.sort(key=lambda c: order[(c.capex, c.base_price)])
     return SweepResult(scenario.name, grid, ref, cells)
 
 

@@ -40,8 +40,8 @@ def ccgt(id="ccgt", zone="Z1", unit=50.0, min_up=3, min_down=3, **kw):
 
 
 def sink_spec(capex=200.0, zones=None):
-    return M.DemandSinkSpec.from_capex(capex, 0.071, 20, 0.04,
-                                       allowed_zones=zones)
+    return M.DemandSinkSpec(
+        capex, allowed_zones=tuple(zones) if zones is not None else None)
 
 
 def segments(*value_supply):

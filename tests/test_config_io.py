@@ -196,6 +196,32 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=re.escape(f"{where}: {reason}")):
             load_config(broken)
 
+    def with_policies(self, tmp_path, tiny_config, *rows):
+        dst = tmp_path / "broken"
+        shutil.copytree(tiny_config, dst)
+        (dst / "policies.csv").write_text(
+            "\n".join(("kind,standard_id,zone,value",) + rows) + "\n")
+        return dst
+
+    def test_a_standard_id_on_a_cap_is_reported(self, tmp_path, tiny_config):
+        """Read as two system caps, these would both be the row co2_sys."""
+        broken = self.with_policies(tmp_path, tiny_config,
+                                    "co2_cap_system,,Z1,0.5",
+                                    "co2_cap_system,x,Z1,0.3")
+        with pytest.raises(ConfigError,
+                           match=r"policy\[1\]\.standard_id: unused for kind"):
+            load_config(broken)
+
+    def test_a_zone_repeated_in_a_policy_is_an_error(self, tmp_path,
+                                                     tiny_config):
+        broken = self.with_policies(tmp_path, tiny_config,
+                                    "co2_cap_zonal,,Z1,0.5",
+                                    "co2_cap_zonal,,Z1,0.05")
+        where = "policies.csv line 3, column 'zone'"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{where}: 'Z1' appears twice in this policy")):
+            load_config(broken)
+
     def test_profile_row_for_a_numeric_cap_factor_is_an_error(
             self, tmp_path, tiny_config):
         """A cap_factors.csv row applies only to a resource whose cap_factor

@@ -76,6 +76,13 @@ class TestBuilder:
         with pytest.raises(LPError):
             b.add_col("x", lower=2.0, upper=1.0)
 
+    @pytest.mark.parametrize("lower, upper", [(INF, INF), (-INF, -INF)])
+    def test_infinite_bound_on_its_wrong_side_rejected(self, lower, upper):
+        """[inf, inf] and [-inf, -inf] are ordered but hold no value."""
+        b = LinearProgramBuilder()
+        with pytest.raises(LPError, match="bad bounds"):
+            b.add_col("x", lower=lower, upper=upper)
+
 
 def _counts(b):
     lp = b.build()

@@ -7,6 +7,7 @@ import pytest
 
 import scen_helpers as sh
 from sinkplan import model as M
+from sinkplan.econ import DEFAULT_FINANCE, FinanceSpec, annualized_capex
 from sinkplan.model import annual_load, peak_load, validate
 
 
@@ -101,29 +102,42 @@ def test_storage_efficiency_ranges():
     assert {"charge_eff", "discharge_eff"} <= fields
 
 
-def test_sink_annuity_consistency_enforced():
-    good = sh.sink_spec(200.0)
-    bad = M.DemandSinkSpec(good.capex, good.wacc, good.life,
-                           good.fom_fraction, good.annuity * 1.01,
-                           good.allowed_zones)
-    sc = sh.scenario(sh.one_zone([10.0] * 4), [sh.gas()], sink=bad,
-                     segments=sh.segments((40.0, 1e3)))
-    assert any(v.field == "annuity" for v in validate(sc))
-    sc2 = sh.scenario(sh.one_zone([10.0] * 4), [sh.gas()], sink=good,
-                      segments=sh.segments((40.0, 1e3)))
-    assert validate(sc2) == []
+def _with_sink(sink):
+    return sh.scenario(sh.one_zone([10.0] * 4), [sh.gas()], sink=sink,
+                       segments=sh.segments((40.0, 1e3)))
 
 
-@pytest.mark.parametrize("field", ["capex", "wacc", "life", "fom_fraction",
-                                   "annuity"])
+def _sink_with(name, value):
+    """The default sink with capex, or one of its finance fields, set."""
+    sink = sh.sink_spec(200.0)
+    if name == "capex":
+        return replace(sink, capex=value)
+    return replace(sink, finance=replace(sink.finance, **{name: value}))
+
+
+def test_sink_annuity_follows_capex_and_finance():
+    sink = sh.sink_spec(200.0)
+    assert set(M.DemandSinkSpec.__dataclass_fields__) == {
+        "capex", "finance", "allowed_zones"}
+    assert sink.annuity == annualized_capex(200.0, DEFAULT_FINANCE)
+    dearer = _sink_with("wacc", 0.1)
+    assert dearer.annuity == annualized_capex(200.0, dearer.finance)
+    assert dearer.annuity > sink.annuity
+    assert validate(_with_sink(sink)) == []
+
+
+@pytest.mark.parametrize("field", ["capex", "wacc", "life", "fom_fraction"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_sink_fields_are_violations(field, value):
-    """A sink built field by field, past the annuity arithmetic of
-    from_capex, is still screened by validate."""
-    sink = replace(sh.sink_spec(200.0), **{field: value})
-    sc = sh.scenario(sh.one_zone([10.0] * 4), [sh.gas()], sink=sink,
-                     segments=sh.segments((40.0, 1e3)))
-    assert [v.field for v in validate(sc)] == [field]
+    """Building a sink computes nothing, so validate screens every field."""
+    assert [v.field for v in validate(_with_sink(_sink_with(field, value)))] \
+        == [field]
+
+
+def test_sink_annuity_beyond_float_range_is_a_violation():
+    """capex passes on its own, but its annuity overflows to inf."""
+    found = validate(_with_sink(_sink_with("capex", 1e306)))
+    assert [(v.entity, v.field) for v in found] == [("sink", "annuity")]
 
 
 def test_segments_without_sink_flagged():
@@ -194,34 +208,38 @@ def _mutants(sc):
                            lambda z=z, nse=nse: replace(sc, zones=swap(
                                sc.zones, z, replace(sc.zones[z],
                                                     nse_segments=nse))))
+    for k, p in enumerate(sc.policies):
+        name = "rates" if p.is_cap else "fractions"
+        for zid in p.shares:
+            for val in _PROBES:
+                new = replace(p, **{name: {**p.shares, zid: val}})
+                yield (f"policy[{k}].{name}[{zid}]={val!r}",
+                       lambda new=new, k=k: replace(
+                           sc, policies=swap(sc.policies, k, new)))
     s = sc.sink
-    spec = dict(capex=s.capex, wacc=s.wacc, life=s.life,
-                fom_fraction=s.fom_fraction, allowed_zones=s.allowed_zones)
-    for name in ("capex", "wacc", "life", "fom_fraction"):
+    for val in _PROBES:
+        yield (f"sink.capex={val!r}",
+               lambda val=val: replace(sc, sink=replace(s, capex=val)))
+    for name, _ in _scalar_fields(s.finance):
         for val in _PROBES:
-            yield (f"sink.{name}={val!r}",
-                   lambda name=name, val=val: replace(
-                       sc, sink=M.DemandSinkSpec.from_capex(
-                           **{**spec, name: val})))
+            finance = replace(s.finance, **{name: val})
+            yield (f"sink.finance.{name}={val!r}",
+                   lambda finance=finance: replace(
+                       sc, sink=replace(s, finance=finance)))
     for val in _PROBES:
         yield (f"time.hour_weight={val!r}",
                lambda val=val: replace(
                    sc, time=replace(sc.time, hour_weight=val)))
 
 
-def test_a_scenario_that_validates_assembles(tiny_scenario):
-    """The promise of validate: every single-field mutant of the tiny
-    scenario is either reported by validate or assembled.  A mutant whose
-    construction raises ValueError (the sink's annuity arithmetic) never
-    becomes a scenario and counts as rejected."""
+def _assert_mutants_validate_or_assemble(base):
+    """The promise of validate: every single-field mutant of base is either
+    reported by validate or assembled."""
     from sinkplan.formulation import assemble
 
     broken, checked = [], 0
-    for label, build in _mutants(tiny_scenario):
-        try:
-            sc = build()
-        except ValueError:
-            continue
+    for label, build in _mutants(base):
+        sc = build()
         checked += 1
         if validate(sc):
             continue
@@ -231,6 +249,64 @@ def test_a_scenario_that_validates_assembles(tiny_scenario):
             broken.append(f"{label}: {type(exc).__name__}: {exc}")
     assert checked > 500
     assert broken == []
+
+
+def test_a_scenario_that_validates_assembles(tiny_scenario):
+    _assert_mutants_validate_or_assemble(tiny_scenario)
+
+
+def test_a_scenario_with_policies_that_validates_assembles(tiny_scenario):
+    """tiny under independent energy sizing, with a zonal CO2 cap and a
+    system standard that solar qualifies for."""
+    sc = tiny_scenario
+    clusters = tuple(replace(g, qualifies_for={"rps"}) if g.id == "solar"
+                     else g for g in sc.clusters)
+    policies = (M.PolicySpec(M.CO2_CAP_ZONAL, rates={"Z1": 0.3}),
+                M.PolicySpec(M.STANDARD_SYSTEM, fractions={"Z1": 0.2},
+                             standard_id="rps"))
+    sc = replace(sc, clusters=clusters, policies=policies,
+                 storage_sizing_mode=M.INDEPENDENT_ENERGY)
+    assert validate(sc) == []
+    _assert_mutants_validate_or_assemble(sc)
+
+
+def _with_policies(*policies):
+    return sh.scenario(sh.one_zone([100.0] * 4),
+                       [sh.gas(), sh.vre(qualifies_for={"rps"})],
+                       policies=policies)
+
+
+def test_two_policies_of_one_kind_and_standard_are_reported():
+    """Both would be the row co2_sys, which the LP builder refuses."""
+    from sinkplan.formulation import FormulationError, assemble
+
+    sc = _with_policies(M.PolicySpec(M.CO2_CAP_SYSTEM, rates={"Z1": 0.5}),
+                        M.PolicySpec(M.CO2_CAP_SYSTEM, rates={"Z1": 0.3}))
+    assert [(v.entity, v.field) for v in validate(sc)] == [("policy[1]", "kind")]
+    with pytest.raises(FormulationError, match="policy"):
+        assemble(sc)
+
+
+@pytest.mark.parametrize("policy, field", [
+    (M.PolicySpec(M.CO2_CAP_ZONAL, rates={"Z1": 0.5}, standard_id="rps"),
+     "standard_id"),
+    (M.PolicySpec(M.CO2_CAP_ZONAL, rates={"Z1": 0.5}, fractions={"Z1": 0.2}),
+     "fractions"),
+    (M.PolicySpec(M.STANDARD_SYSTEM, fractions={"Z1": 0.2}, rates={"Z1": 0.5},
+                  standard_id="rps"), "rates"),
+], ids=["standard_id-on-cap", "fractions-on-cap", "rates-on-standard"])
+def test_a_policy_field_its_kind_does_not_use_is_reported(policy, field):
+    assert [v.field for v in validate(_with_policies(policy))] == [field]
+
+
+def test_stored_energy_beyond_float_range_is_reported():
+    """Under independent energy sizing the energy-capacity column's lower
+    bound is existing_cap * duration; inf there is no bound."""
+    sc = sh.scenario(sh.one_zone([100.0] * 4),
+                     [sh.gas(), sh.battery(existing_cap=1e200, duration=1e200)],
+                     storage_sizing_mode=M.INDEPENDENT_ENERGY)
+    assert [(v.entity, v.field) for v in validate(sc)] == [
+        ("cluster[batt]", "existing_cap*duration")]
 
 
 @pytest.mark.parametrize("emis, rate", [(1e307, 0.4), (0.4, 1e307)])
@@ -249,6 +325,15 @@ def test_policy_rows_beyond_float_range_are_reported(emis, rate):
     b, vmap = new_builder(sc)
     with pytest.raises(LPError):
         add_policy_constraints(sc, vmap, b)
+
+
+def test_policy_right_hand_side_beyond_float_range_is_reported():
+    """Without storage in the zone no weight holds the rate, so the summed
+    right-hand side is what catches it."""
+    policy = M.PolicySpec(M.CO2_CAP_ZONAL, rates={"Z1": 1e307})
+    sc = sh.scenario(sh.one_zone([100.0] * 4), [sh.gas()], policies=(policy,))
+    assert [(v.entity, v.field) for v in validate(sc)] == [
+        ("policy[0]", "hour_weight*sum(share*load)")]
 
 
 class TestLoadStats:
@@ -321,7 +406,10 @@ def test_every_model_input_parameter_has_exactly_one_field():
         "line topology": (M.TransmissionLine, "from_zone"),
         "emissions cap rate": (M.PolicySpec, "rates"),
         "standard fraction": (M.PolicySpec, "fractions"),
-        "sink annuity": (M.DemandSinkSpec, "annuity"),
+        "sink capital cost": (M.DemandSinkSpec, "capex"),
+        "sink cost of capital": (FinanceSpec, "wacc"),
+        "sink asset life": (FinanceSpec, "life"),
+        "sink fixed o&m share": (FinanceSpec, "fom_fraction"),
         "segment supply cap": (M.MarketSegment, "max_supply"),
         "segment product value": (M.MarketSegment, "value"),
     }

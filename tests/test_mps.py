@@ -63,9 +63,13 @@ def random_lp(seed):
     rng = np.random.default_rng(seed)
     b = LinearProgramBuilder(f"h{seed}")
     n = int(rng.integers(1, 7))
+    empty = []
     for j in range(n):
         lower = float(rng.choice([0.0, -1.5, -np.inf]))
         upper = float(rng.choice([np.inf, 4.25, lower + 1.0]))
+        if upper == -np.inf:
+            empty.append(j)
+            upper = np.inf
         b.add_col(f"col_{j}_{'x' * int(rng.integers(0, 12))}",
                   obj=float(rng.normal()), lower=lower, upper=upper)
     for i in range(int(rng.integers(1, 6))):
@@ -76,7 +80,11 @@ def random_lp(seed):
             coeffs = [(0, 1.0)]
         b.add_row(f"row{i}", str(rng.choice([LE, "=", GE])),
                   float(rng.normal()), coeffs)
-    return b.build()
+    lp = b.build()
+    # the builder refuses [-inf, -inf], which holds no value, but MPS writes
+    # and reads it (MI, then UP -inf), so it is set on the built LP
+    lp.upper[empty] = -np.inf
+    return lp
 
 
 def mps_digests():

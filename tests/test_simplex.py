@@ -7,11 +7,12 @@ import pytest
 from scipy.sparse.linalg import splu
 
 import scen_helpers as sh
-from conftest import CONFIGS
+from conftest import CONFIGS, GOLDEN
 from lp_oracle import highs_objective, oracle_solve_lp
 import sinkplan.simplex as simplex_mod
 from sinkplan import load_config
 from sinkplan.lp import EQ, GE, LE, LinearProgramBuilder, LPError, certify
+from sinkplan.mps import parse_mps
 from sinkplan.runner import solve_scenario
 from sinkplan.simplex import (
     AT_LOWER,
@@ -91,6 +92,19 @@ class TestStatuses:
         lp = build([("x", dict(obj=1.0))], [("r", GE, 3.0, [(0, 1.0)])])
         lp.rhs[0] = float("nan")
         with pytest.raises(LPError):
+            solve(lp)
+
+    @pytest.mark.parametrize("bounds", [
+        " LO  BND       x         inf\n",
+        " MI  BND       x\n UP  BND       x         -inf\n",
+        " UP  BND       x         -1.0\n",
+    ], ids=["lower-inf", "upper-minus-inf", "crossed"])
+    def test_bounds_admitting_no_value_rejected_before_solving(self, bounds):
+        """An LP read from MPS never passed the builder's bound check; the
+        solver took [inf, inf] and [0, -1] as optimal."""
+        text = (GOLDEN / "trivial.mps").read_text()
+        lp = parse_mps(text.replace("ENDATA", bounds + "ENDATA"))
+        with pytest.raises(LPError, match="bad bounds .* for 'x'"):
             solve(lp)
 
     def test_no_rows_picks_best_bounds(self):
