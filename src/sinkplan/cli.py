@@ -4,7 +4,7 @@
     sinkplan solve <config> [--no-sink] [--mps-out DIR [--mps-only]]
                    [--sol-in FILE] [--sol-out FILE]
     sinkplan sweep <config> [--grid FILE] [--threads N] [--out DIR]
-                   [--mps | --mps-only]
+                   [--mps-only]
     sinkplan convert (--price X | --value X) --efficiency E [--vom V] [--ts T]
     sinkplan curve --annual-load MWH --base-price B [curve options]
     sinkplan certify <mps> <sol>
@@ -90,8 +90,6 @@ def cmd_sweep(args):
     threads = args.threads if args.threads else default_parallelism()
     result = run_sweep(scenario, grid, parallelism=threads)
     path = emit(result, out, config_digest=digest)
-    if args.mps:
-        write_cell_mps(scenario, grid, out)
     failed = [c for c in result.cells if c.status != "optimal"]
     print(f"wrote {path} ({len(result.cells)} cells, {len(failed)} failed)")
     return 0 if not failed else 1
@@ -159,8 +157,6 @@ def main(argv=None):
     sp.add_argument("--grid", default=None, metavar="FILE")
     sp.add_argument("--threads", type=int, default=0)
     sp.add_argument("--out", default=None, metavar="DIR")
-    sp.add_argument("--mps", action="store_true",
-                    help="also write per-cell MPS files")
     sp.add_argument("--mps-only", action="store_true",
                     help="write per-cell MPS files and skip solving")
     sp.set_defaults(func=cmd_sweep)

@@ -119,20 +119,38 @@ SCHEMAS = {
 }
 
 
+_FINANCE_KEYS = ("wacc", "life_yr", "fom_fraction")
+_CURVE_KEYS = ("anchor_price", "anchor_quantity_fraction", "elasticity",
+               "segment_fraction")
+# The keys each `key = value` file may hold.
+SCENARIO_KEYS = ("name", "sub_periods", "hours_per_sub_period", "hour_weight",
+                 "storage_sizing_mode", "sink_capex_usd_per_kw", "sink_zones",
+                 *("sink_" + key for key in _FINANCE_KEYS))
+GRID_KEYS = ("capex_usd_per_kw", "base_price_usd_per_mwh", *_FINANCE_KEYS,
+             *_CURVE_KEYS)
+
+
 class ConfigError(ValueError):
     pass
 
 
-def _parse_manifest(path):
-    out = {}
+def _parse_manifest(path, keys):
+    """{key: value text} of a `key = value` file.  A key outside keys, or
+    one given twice, is an error naming its line."""
+    out, line_of = {}, {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path.name} line {lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        where = f"{path.name} line {lineno}, key {key!r}"
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key")
+        if key in out:
+            raise ConfigError(f"{where}: repeats line {line_of[key]}")
+        out[key], line_of[key] = val, lineno
     return out
 
 
@@ -272,7 +290,7 @@ def load_config(config_dir):
     man_path = cdir / "scenario.txt"
     if not man_path.exists():
         raise ConfigError("missing required file scenario.txt")
-    man = _parse_manifest(man_path)
+    man = _parse_manifest(man_path, SCENARIO_KEYS)
 
     W = _manifest_num(man, "sub_periods", 1, integer=True)
     H = _manifest_num(man, "hours_per_sub_period", integer=True)
@@ -396,7 +414,7 @@ def _finance(man, filename, prefix=""):
     after the prefix, each defaulting to DEFAULT_FINANCE's value."""
     return FinanceSpec(*(
         _manifest_num(man, prefix + key, default, filename) for key, default
-        in zip(("wacc", "life_yr", "fom_fraction"), astuple(DEFAULT_FINANCE))))
+        in zip(_FINANCE_KEYS, astuple(DEFAULT_FINANCE))))
 
 
 def load_grid(path):
@@ -404,19 +422,11 @@ def load_grid(path):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep grid file not found: {path}")
-    man = _parse_manifest(path)
-
-    def num(key, default):
-        return _manifest_num(man, key, default, path.name)
-
-    finance, cur = _finance(man, path.name), DEFAULT_CURVE
-    curve = DemandCurveSpec(
-        anchor_price=num("anchor_price", cur.anchor_price),
-        anchor_quantity_fraction=num("anchor_quantity_fraction",
-                                     cur.anchor_quantity_fraction),
-        elasticity=num("elasticity", cur.elasticity),
-        segment_fraction=num("segment_fraction", cur.segment_fraction),
-    )
+    man = _parse_manifest(path, GRID_KEYS)
+    finance = _finance(man, path.name)
+    curve = DemandCurveSpec(**{
+        key: _manifest_num(man, key, getattr(DEFAULT_CURVE, key), path.name)
+        for key in _CURVE_KEYS})
     return SweepGrid(
         capex_values=_num_list(man, "capex_usd_per_kw", path.name),
         base_prices=_num_list(man, "base_price_usd_per_mwh", path.name),

@@ -76,12 +76,12 @@ def crf(wacc, life):
         raise ValueError("asset life must be at least one year and finite")
     if not 0 <= wacc < inf:
         raise ValueError("wacc must be nonnegative and finite")
-    if wacc == 0:
-        return 1.0 / life
     try:
         f = (1.0 + wacc) ** life
     except OverflowError:   # f beyond float range, where the factor is wacc
         return wacc
+    if f == 1.0:    # wacc 0, or too small to move f: the limit as wacc -> 0
+        return 1.0 / life
     return wacc * f / (f - 1.0)
 
 
@@ -95,8 +95,6 @@ def annualized_capex(capex_per_kw, fin):
     """$/kW capex to $/MW-yr annuity including fixed O&M."""
     if not 0 <= capex_per_kw < inf:
         raise ValueError("capex must be nonnegative and finite")
-    # in Python floats, so an annuity beyond float range is inf, which
-    # validate reports, instead of a numpy overflow warning
     return 1000.0 * float(capex_per_kw) * (crf(fin.wacc, fin.life)
                                            + float(fin.fom_fraction))
 

@@ -9,7 +9,8 @@ ring, so the hour preceding t=0 is t=T-1 (no exogenous initial conditions for
 storage levels, commitment states, ramps, or deferral backlogs).  Hour weight
 multiplies every per-hour operating cost and the annual sink-sales
 aggregation, keeping investment/operations ratios meaningful on down-sampled
-horizons.
+horizons.  Start costs are the exception: `start_cost` is charged once per
+modeled start and is not hour-weighted, unlike fuel and variable O&M.
 
 Row/column bookkeeping choices that affect counts: single-variable limits
 (max new/retired capacity, line reinforcement caps, per-segment sink supply

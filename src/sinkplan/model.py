@@ -8,8 +8,9 @@ share read-only across concurrent solves.
 
 validate() returns violations as data; it never raises.  It is the only
 gate before formulation: a scenario with no violations formulates, because
-every field that reaches the LP is range-checked here (nan and inf fail) and
-the LP builders check no input themselves.
+every field that reaches the LP is range-checked here, each number within
+BIG in magnitude (nan fails, and inf too except as "no limit"), and the LP
+builders check no input themselves.
 """
 
 from dataclasses import dataclass, field, replace
@@ -226,24 +227,31 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
+# No LP number is a product of more than a few scenario fields, or a sum of
+# more than MAX_MODELED_HOURS such products, so fields bounded in magnitude
+# by BIG, and divisors by 1/BIG from below, give an LP whose numbers are all
+# finite.  The bundled configs' largest number is below 1e6.
+BIG = 1e30
+
 # Rules are (predicate, message) pairs.  Each predicate is a positive range
 # test, so nan fails it, and so does +-inf unless the range includes it.
-FINITE = (lambda x: -INF < x < INF, "must be finite")
-NONNEG = (lambda x: 0 <= x < INF, "must be >= 0 and finite")
-POSITIVE = (lambda x: 0 < x < INF, "must be > 0 and finite")
-LIMIT = (lambda x: 0 <= x <= INF, "must be >= 0")    # inf: no limit
+FINITE = (lambda x: -BIG <= x <= BIG, f"must be in [-{BIG:g}, {BIG:g}]")
+NONNEG = (lambda x: 0 <= x <= BIG, f"must be in [0, {BIG:g}]")
+POSITIVE = (lambda x: 1 / BIG <= x <= BIG,
+            f"must be in [{1 / BIG:g}, {BIG:g}]")
+LIMIT = (lambda x: 0 <= x <= BIG or x == INF,
+         f"must be in [0, {BIG:g}] or inf")    # inf: no limit
 UNIT = (lambda x: 0 <= x <= 1, "must be in [0, 1]")
-UNIT_OPEN_LOW = (lambda x: 0 < x <= 1, "must be in (0, 1]")
+UNIT_OPEN_LOW = (lambda x: 1 / BIG <= x <= 1, f"must be in [{1 / BIG:g}, 1]")
 UNIT_OPEN_HIGH = (lambda x: 0 <= x < 1, "must be in [0, 1)")
 
 
 def _check(v, tag, entity, names, rule):
     """Append a violation for each field of entity in names that fails
-    rule, a (predicate, message) pair.  entity may also be a dict of named
-    values."""
+    rule, a (predicate, message) pair."""
     test, message = rule
     for name in names:
-        value = entity[name] if isinstance(entity, dict) else getattr(entity, name)
+        value = getattr(entity, name)
         if not test(value):
             v.append(Violation(tag, name, f"{message}, got {value!r}"))
 
@@ -274,9 +282,9 @@ def validate(scenario):
         if len(z.load) != n:
             v.append(Violation(tag, "load",
                                f"series length {len(z.load)} != {n} modeled hours"))
-        if not ((z.load >= 0) & (z.load < INF)).all():
+        if not ((z.load >= 0) & (z.load <= BIG)).all():
             v.append(Violation(tag, "load",
-                               "negative or non-finite load values"))
+                               f"negative load values, or values above {BIG:g}"))
         for k, seg in enumerate(z.nse_segments):
             stag = f"{tag}.nse[{k}]"
             _check(v, stag, seg, ("slope_fraction", "size_fraction"),
@@ -399,16 +407,16 @@ def validate(scenario):
         if len(f.base_profile) != n:
             v.append(Violation(tag, "base_profile",
                                f"series length {len(f.base_profile)} != {n}"))
-        if not ((f.base_profile >= 0) & (f.base_profile < INF)).all():
+        if not ((f.base_profile >= 0) & (f.base_profile <= BIG)).all():
             v.append(Violation(tag, "base_profile",
-                               "negative or non-finite values"))
+                               f"negative values, or values above {BIG:g}"))
 
     s = scenario.sink
     if s is not None:
         _check(v, "sink", s, ("capex",), NONNEG)
         _check(v, "sink", s.finance, ("wacc", "fom_fraction"), NONNEG)
         _check(v, "sink", s.finance, ("life",),
-               (lambda x: 1 <= x < INF, "must be >= 1 year and finite"))
+               (lambda x: 1 <= x <= BIG, f"must be in [1, {BIG:g}] years"))
         if s.allowed_zones is not None:
             for zid in s.allowed_zones:
                 if zid not in zone_ids:
@@ -437,58 +445,7 @@ def validate(scenario):
     if scenario.storage_sizing_mode not in (FIXED_RATIO, INDEPENDENT_ENERGY):
         v.append(Violation("scenario", "storage_sizing_mode",
                            f"unknown mode {scenario.storage_sizing_mode!r}"))
-    if not v:
-        _check_products(v, scenario)
     return v
-
-
-def _check_products(v, scenario):
-    """Check FINITE the products that the LP builders form from fields that
-    each pass, such as a cost times hour_weight.  They are computed as the
-    builders compute them, in Python floats, where overflow gives inf
-    without a warning."""
-    hw = float(scenario.time.hour_weight)
-    for z in scenario.zones:
-        for k, seg in enumerate(z.nse_segments):
-            products = {"slope_fraction*voll*hour_weight":
-                        float(seg.slope_fraction) * float(seg.voll) * hw}
-            _check(v, f"zone[{z.id}].nse[{k}]", products, products, FINITE)
-    for g in scenario.clusters:
-        du = float(g.unit_size) if g.is_uc else 1.0
-        products = {
-            "inv_cost*unit_size": float(g.inv_cost) * du,
-            "(vom_cost+fuel_cost)*hour_weight":
-                (float(g.vom_cost) + float(g.fuel_cost)) * hw,
-            "energy_inv_cost+energy_fom_cost":
-                float(g.energy_inv_cost) + float(g.energy_fom_cost)}
-        if g.is_uc:
-            products["1/unit_size"] = 1.0 / du
-            products["ramp_up*unit_size"] = float(g.ramp_up) * du
-            products["(ramp_down+min_stable)*unit_size"] = (
-                float(g.ramp_down) + float(g.min_stable)) * du
-        if g.is_storage:
-            products["1/discharge_eff"] = 1.0 / float(g.discharge_eff)
-            if scenario.storage_sizing_mode == INDEPENDENT_ENERGY:
-                products["existing_cap*duration"] = (
-                    float(g.existing_cap) * float(g.duration))
-        _check(v, f"cluster[{g.id}]", products, products, FINITE)
-    if scenario.sink is not None:
-        _check(v, "sink", scenario.sink, ("annuity",), FINITE)
-    loads = {z.id: float(z.load.sum()) for z in scenario.zones}
-    for k, p in enumerate(scenario.policies):
-        # summed in the rows' zone order: as no term is < 0, this bounds
-        # every row's right-hand side
-        rhs = 0.0
-        for zid in sorted(p.shares):
-            rhs += float(p.shares[zid]) * hw * loads[zid]
-        products = {"hour_weight*sum(share*load)": rhs}
-        for g in scenario.clusters:
-            if g.zone in p.shares:
-                weight = (float(g.emissions_rate) if p.is_cap
-                          else float(p.standard_id in g.qualifies_for))
-                loss = float(p.shares[g.zone]) * hw if g.is_storage else 0.0
-                products[f"weight of cluster {g.id!r}"] = weight * hw + loss
-        _check(v, f"policy[{k}]", products, products, FINITE)
 
 
 def peak_load(scenario):

@@ -337,6 +337,8 @@ class _Reader:
                 self.fail(t, f"malformed numeric field {toks[3]!r}")
             if btype in ("LO", "FX", "FR", "MI"):
                 self.lower[j] = v[0] if n == 4 else -INF
+            elif btype == "UP" and v[0] < 0 and j not in self.lower:
+                self.lower[j] = -INF  # the common reading of a negative UP
             if btype in ("UP", "FX", "FR", "PL"):
                 self.upper[j] = v[0] if n == 4 else INF
 

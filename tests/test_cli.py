@@ -201,14 +201,15 @@ class TestSweepCommand:
         assert (tmp_path / "o" / "results.csv").exists()
 
     def test_mps_flag_writes_every_cell(self, capsys, tiny_config, tmp_path):
+        """--mps-only writes each cell's LP and solves nothing."""
         code, out, _ = run(capsys, "sweep", str(tiny_config),
-                           "--out", str(tmp_path), "--mps")
+                           "--out", str(tmp_path), "--mps-only")
         assert code == 0
         written = sorted(p.name for p in (tmp_path / "mps").glob("*.mps"))
         assert written == ["cx200_bp20.mps", "cx200_bp50.mps",
                            "cx200_bp80.mps", "cx800_bp20.mps",
                            "cx800_bp50.mps", "cx800_bp80.mps"]
-        assert (tmp_path / "results.csv").exists()
+        assert not (tmp_path / "results.csv").exists()
 
     def test_threads_env_default(self, monkeypatch):
         from sinkplan.sweep import default_parallelism

@@ -196,6 +196,34 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=re.escape(f"{where}: {reason}")):
             load_config(broken)
 
+    @pytest.mark.parametrize("filename, key, typo", [
+        ("scenario.txt", "hour_weight", "hour_weigth"),
+        ("scenario.txt", "sink_wacc", "sink_wac"),
+        ("sweep.txt", "elasticity", "elasticty"),
+    ])
+    def test_misspelled_manifest_key_is_an_error(self, tmp_path, tiny_config,
+                                                 filename, key, typo):
+        """Instead of leaving the key it meant at its default."""
+        lines = (tiny_config / filename).read_text().splitlines()
+        line = 1 + [l.split("=")[0].strip() for l in lines].index(key)
+        broken = self.make_broken(tmp_path, tiny_config, filename,
+                                  lambda text: text.replace(key, typo))
+        where = f"{filename} line {line}, key '{typo}'"
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: unknown key")):
+            load_config(broken)
+
+    def test_repeated_manifest_key_is_an_error(self, tmp_path, tiny_config):
+        """Instead of the later value replacing the earlier one."""
+        lines = (tiny_config / "scenario.txt").read_text().splitlines()
+        first = 1 + [l.split("=")[0].strip() for l in lines].index("hour_weight")
+        broken = self.make_broken(
+            tmp_path, tiny_config, "scenario.txt",
+            lambda text: text.rstrip("\n") + "\nhour_weight = 1.0\n")
+        where = f"scenario.txt line {len(lines) + 1}, key 'hour_weight'"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{where}: repeats line {first}")):
+            load_config(broken)
+
     def with_policies(self, tmp_path, tiny_config, *rows):
         dst = tmp_path / "broken"
         shutil.copytree(tiny_config, dst)

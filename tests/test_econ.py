@@ -72,6 +72,10 @@ class TestCrf:
     def test_zero_rate(self):
         assert crf(0.0, 10) == pytest.approx(0.1)
 
+    def test_rate_too_small_to_move_the_factor_is_the_zero_rate(self):
+        """(1 + 1e-20) ** 20 is 1.0, so the closed form would divide by 0."""
+        assert crf(1e-20, 20) == crf(0.0, 20) == 1 / 20
+
     def test_reference_cell(self):
         assert crf(0.071, 20) == pytest.approx(crf_decimal(0.071, 20), rel=1e-9)
 

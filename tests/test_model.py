@@ -135,9 +135,9 @@ def test_non_finite_sink_fields_are_violations(field, value):
 
 
 def test_sink_annuity_beyond_float_range_is_a_violation():
-    """capex passes on its own, but its annuity overflows to inf."""
+    """A capex whose annuity would overflow to inf is past BIG itself."""
     found = validate(_with_sink(_sink_with("capex", 1e306)))
-    assert [(v.entity, v.field) for v in found] == [("sink", "annuity")]
+    assert [(v.entity, v.field) for v in found] == [("sink", "capex")]
 
 
 def test_segments_without_sink_flagged():
@@ -160,7 +160,8 @@ def test_too_many_hours_rejected():
 
 
 _PROBES = (np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 1e300, 1e307,
-           np.finfo(float).max)
+           np.finfo(float).max, M.BIG, np.nextafter(M.BIG, np.inf),
+           1 / M.BIG, np.nextafter(1 / M.BIG, 0.0))
 
 
 def _scalar_fields(entity):
@@ -270,6 +271,59 @@ def test_a_scenario_with_policies_that_validates_assembles(tiny_scenario):
     _assert_mutants_validate_or_assemble(sc)
 
 
+# Fractions at their largest, and the fields the LP divides by at their
+# smallest; every other float field is at BIG.
+_EDGE = {"min_stable": 1.0, "charge_eff": 1.0,
+         "self_discharge": np.nextafter(1.0, 0.0), "slope_fraction": 1.0,
+         "size_fraction": 1.0, "defer_fraction": 1.0,
+         "unit_size": 1 / M.BIG, "discharge_eff": 1 / M.BIG}
+
+
+def _at_bound(entity, unused=()):
+    """entity with each float field not in unused at its edge."""
+    return replace(entity, **{name: _EDGE.get(name, M.BIG)
+                              for name, is_int in _scalar_fields(entity)
+                              if not is_int and name not in unused})
+
+
+@pytest.mark.parametrize("mode", [M.FIXED_RATIO, M.INDEPENDENT_ENERGY])
+def test_every_field_at_the_bound_gives_a_finite_lp(tiny_scenario, mode):
+    """tiny with every number at once at the edge of its range, with a
+    system CO2 cap at BIG and a zonal standard: products of BIG fields stay
+    far inside float range."""
+    from sinkplan.formulation import assemble
+
+    sc, big = tiny_scenario, M.BIG
+    n = sc.time.n_hours
+    clusters = tuple(
+        _at_bound(replace(g, qualifies_for={"rps"}),
+                  unused=(() if g.is_uc else ("start_cost",))
+                  + (() if g.is_storage else (
+                      "charge_eff", "discharge_eff", "self_discharge",
+                      "duration", "energy_inv_cost", "energy_fom_cost")))
+        for g in sc.clusters)
+    zones = tuple(replace(z, load=np.full(n, big), nse_segments=tuple(
+        _at_bound(seg) for seg in z.nse_segments)) for z in sc.zones)
+    deferrables = tuple(_at_bound(replace(f, base_profile=np.full(n, big)))
+                        for f in sc.deferrable_loads)
+    policies = (M.PolicySpec(M.CO2_CAP_SYSTEM, rates={"Z1": big}),
+                M.PolicySpec(M.STANDARD_ZONAL, fractions={"Z1": 1.0},
+                             standard_id="rps"))
+    sink = replace(sc.sink, capex=big,
+                   finance=FinanceSpec(wacc=big, life=big, fom_fraction=big))
+    sc = replace(sc, time=replace(sc.time, hour_weight=big), zones=zones,
+                 clusters=clusters, deferrable_loads=deferrables,
+                 policies=policies, sink=sink,
+                 segments=tuple(_at_bound(seg) for seg in sc.segments),
+                 storage_sizing_mode=mode)
+    assert validate(sc) == []
+    lp, _ = assemble(sc)
+    for numbers in (lp.obj, lp.rhs, lp.values):
+        assert np.isfinite(numbers).all()
+    for bound in (lp.lower, lp.upper):
+        assert not np.isnan(bound).any()
+
+
 def _with_policies(*policies):
     return sh.scenario(sh.one_zone([100.0] * 4),
                        [sh.gas(), sh.vre(qualifies_for={"rps"})],
@@ -301,39 +355,40 @@ def test_a_policy_field_its_kind_does_not_use_is_reported(policy, field):
 
 def test_stored_energy_beyond_float_range_is_reported():
     """Under independent energy sizing the energy-capacity column's lower
-    bound is existing_cap * duration; inf there is no bound."""
+    bound is existing_cap * duration, which would overflow to inf, no
+    bound; each factor is past BIG."""
     sc = sh.scenario(sh.one_zone([100.0] * 4),
                      [sh.gas(), sh.battery(existing_cap=1e200, duration=1e200)],
                      storage_sizing_mode=M.INDEPENDENT_ENERGY)
     assert [(v.entity, v.field) for v in validate(sc)] == [
-        ("cluster[batt]", "existing_cap*duration")]
+        ("cluster[batt]", "existing_cap"), ("cluster[batt]", "duration")]
 
 
 @pytest.mark.parametrize("emis, rate", [(1e307, 0.4), (0.4, 1e307)])
 def test_policy_rows_beyond_float_range_are_reported(emis, rate):
-    """A CO2 row whose hour-weighted coefficients or right-hand side
-    overflow is a violation; the builder would raise on it."""
+    """A CO2 row whose hour-weighted coefficients or right-hand side would
+    overflow has a field past BIG; the builder would raise on it."""
     from sinkplan.formulation import add_policy_constraints, new_builder
     from sinkplan.lp import LPError
 
     policy = M.PolicySpec(M.CO2_CAP_ZONAL, rates={"Z1": rate})
     sc = sh.scenario(sh.one_zone([100.0] * 4), [sh.gas(emis=emis), sh.battery()],
                      policies=(policy,))
-    found = validate(sc)
-    assert found and all(x.entity == "policy[0]" and
-                         x.rule.startswith("must be finite") for x in found)
+    field = ("cluster[gas]", "emissions_rate") if emis > rate else (
+        "policy[0]", "rates")
+    assert [(x.entity, x.field) for x in validate(sc)] == [field]
     b, vmap = new_builder(sc)
     with pytest.raises(LPError):
         add_policy_constraints(sc, vmap, b)
 
 
 def test_policy_right_hand_side_beyond_float_range_is_reported():
-    """Without storage in the zone no weight holds the rate, so the summed
-    right-hand side is what catches it."""
+    """Without storage in the zone no weight holds the rate, and only the
+    summed right-hand side would overflow; the rate is past BIG."""
     policy = M.PolicySpec(M.CO2_CAP_ZONAL, rates={"Z1": 1e307})
     sc = sh.scenario(sh.one_zone([100.0] * 4), [sh.gas()], policies=(policy,))
     assert [(v.entity, v.field) for v in validate(sc)] == [
-        ("policy[0]", "hour_weight*sum(share*load)")]
+        ("policy[0]", "rates")]
 
 
 class TestLoadStats:

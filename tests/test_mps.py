@@ -183,6 +183,21 @@ class TestParserLayout:
                 "ENDATA\n")
         assert lp_equal(parse_mps(text), two_row_lp())
 
+    @pytest.mark.parametrize("bounds, lower", [
+        (" UP  BND       x         -1.0\n", -np.inf),
+        (" LO  BND       x         -5.0\n UP  BND       x         -1.0\n", -5.0),
+    ], ids=["lower-unset", "lower-set-before"])
+    def test_negative_up_bound_frees_an_unset_lower_bound(self, bounds, lower):
+        """The common MPS reading: a negative UP on a column whose lower
+        bound no earlier line set makes that bound -inf, not [0, -1]."""
+        text = (GOLDEN / "trivial.mps").read_text().replace(
+            "ENDATA\n", bounds + "ENDATA\n")
+        lp = parse_mps(text)
+        assert (lp.lower[0], lp.upper[0]) == (lower, -1.0)
+        solution = solve(lp)
+        assert solution.status == "optimal"
+        assert solution.objective == pytest.approx(6.5)  # x = -1, y = 4
+
     def test_lower_case_keywords(self):
         text = ("NAME t\nrows\n n  OBJ\n l  r1\n g  r2\ncolumns\n"
                 " x  OBJ  1.5\n x  r1  1.0\n x  r2  3.0\n y  r1  2.0\n"

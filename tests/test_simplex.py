@@ -97,7 +97,7 @@ class TestStatuses:
     @pytest.mark.parametrize("bounds", [
         " LO  BND       x         inf\n",
         " MI  BND       x\n UP  BND       x         -inf\n",
-        " UP  BND       x         -1.0\n",
+        " LO  BND       x         0.0\n UP  BND       x         -1.0\n",
     ], ids=["lower-inf", "upper-minus-inf", "crossed"])
     def test_bounds_admitting_no_value_rejected_before_solving(self, bounds):
         """An LP read from MPS never passed the builder's bound check; the
