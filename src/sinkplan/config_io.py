@@ -24,7 +24,7 @@ diagnostics.
 
 import csv
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +398,7 @@ def load_config(config_dir):
 
 
 def _num_list(man, key, filename):
+    """A grid axis: a non-empty list of numbers without repeats."""
     if key not in man:
         raise ConfigError(f"{filename}: missing key {key!r}")
     vals = tuple(_key_number(filename, key, v)
@@ -418,17 +419,27 @@ def _finance(man, filename, prefix=""):
 
 
 def load_grid(path):
-    """Read a sweep grid file (key = value text)."""
+    """Read a sweep grid file (key = value text).  Every cell's sink capex
+    and financing pass the rules `validate` applies to a scenario's sink, so
+    a bad value is reported here, before anything is solved."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep grid file not found: {path}")
     man = _parse_manifest(path, GRID_KEYS)
     finance = _finance(man, path.name)
+    capex_values = _num_list(man, "capex_usd_per_kw", path.name)
+    bad = [b for capex in capex_values for b in
+           M.sink_cost_violations(M.DemandSinkSpec(capex, finance))]
+    if bad:
+        key_of = dict(zip(["capex", *(f.name for f in fields(FinanceSpec))],
+                          ["capex_usd_per_kw", *_FINANCE_KEYS]))
+        raise ConfigError(
+            f"{path.name}: key {key_of[bad[0].field]!r}: {bad[0].rule}")
     curve = DemandCurveSpec(**{
         key: _manifest_num(man, key, getattr(DEFAULT_CURVE, key), path.name)
         for key in _CURVE_KEYS})
     return SweepGrid(
-        capex_values=_num_list(man, "capex_usd_per_kw", path.name),
+        capex_values=capex_values,
         base_prices=_num_list(man, "base_price_usd_per_mwh", path.name),
         finance=finance,
         curve=curve,

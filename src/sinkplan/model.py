@@ -413,10 +413,7 @@ def validate(scenario):
 
     s = scenario.sink
     if s is not None:
-        _check(v, "sink", s, ("capex",), NONNEG)
-        _check(v, "sink", s.finance, ("wacc", "fom_fraction"), NONNEG)
-        _check(v, "sink", s.finance, ("life",),
-               (lambda x: 1 <= x <= BIG, f"must be in [1, {BIG:g}] years"))
+        v += sink_cost_violations(s)
         if s.allowed_zones is not None:
             for zid in s.allowed_zones:
                 if zid not in zone_ids:
@@ -445,6 +442,18 @@ def validate(scenario):
     if scenario.storage_sizing_mode not in (FIXED_RATIO, INDEPENDENT_ENERGY):
         v.append(Violation("scenario", "storage_sizing_mode",
                            f"unknown mode {scenario.storage_sizing_mode!r}"))
+    return v
+
+
+def sink_cost_violations(sink):
+    """The violations of a sink spec's capital cost and financing: what
+    `validate` checks of `scenario.sink` apart from its zones, and what
+    `load_grid` checks of every cell of a sweep grid."""
+    v = []
+    _check(v, "sink", sink, ("capex",), NONNEG)
+    _check(v, "sink", sink.finance, ("wacc", "fom_fraction"), NONNEG)
+    _check(v, "sink", sink.finance, ("life",),
+           (lambda x: 1 <= x <= BIG, f"must be in [1, {BIG:g}] years"))
     return v
 
 

@@ -60,7 +60,7 @@ class Solved:
 
 def _start_on(lp, basis):
     """A basis keyed by name as a start for lp: a column it does not name is
-    nonbasic by the cold rule, a row it does not name has its slack basic."""
+    nonbasic by the cold rule, a row it does not name has its logical basic."""
     cols, rows = basis
     cold = cold_status(lp.lower, lp.upper).tolist()
     return (np.array([cols.get(c, st) for c, st in zip(lp.col_names, cold)]),

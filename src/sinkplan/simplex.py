@@ -1,10 +1,15 @@
 """Bounded-variable primal simplex for desk-scale LPs.
 
-Method: two-phase primal simplex on the equality form obtained by appending one
-slack column per inequality row, with native handling of column bounds (flips
-included).  Only the nucleus of the basis B is factorized (Suhl & Suhl, ORSA
-J. Comput. 2, 1990).  A basic slack or artificial is a unit column, +-1 in
-one row; those rows S are solved by substitution.  The structural basics on
+Method: two-phase primal simplex with native handling of column bounds (flips
+included) on the equality form obtained by appending one logical column per
+row, column n + i for row i: [0, inf) for a <= row, (-inf, 0] for a >= row
+and fixed at [0, 0] for an = row.  A cold solve starts from the slack crash:
+a row's logical is basic where its bound admits the row's residual, and
+elsewhere phase 1 appends a signed artificial in [0, inf) with cost 1 after
+the logicals.  An LP without rows takes the same path with an empty basis.
+Only the nucleus of the basis B is factorized (Suhl & Suhl, ORSA J. Comput.
+2, 1990).  A basic logical or artificial is a unit column, +-1 in one row;
+those rows S are solved by substitution.  The structural basics on
 the remaining rows R form the nucleus K, factorized by SuperLU (via scipy) in
 symmetric mode after a bipartite matching has permuted its rows onto a
 zero-free diagonal (Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001),
@@ -41,11 +46,13 @@ Rows are equilibrated (divided by their largest absolute coefficient) before
 solving and duals are rescaled on return.
 
 Warm starts: `solve` may be given a starting basis, one status per column and
-one per row (the row's slack, or for an equality row its artificial), in the
-form every Solution returns as `basis`.  A start with exactly one basic per
-row that factorizes and puts every basic within `_FEAS_TOL` of its bounds
-skips phase 1; any other start is dropped for the cold slack crash, and
-`Solution.warm_start` says which of the two ran.
+one per row (its logical's), in the form every Solution returns as `basis`;
+a row whose phase-1 artificial ended basic is returned basic.  The start is
+the status vector of the columns and logicals as given, so it adds no
+column.  A start with exactly one basic per row that factorizes and puts
+every basic within `_FEAS_TOL` of its bounds skips phase 1; any other start
+is dropped for the cold slack crash, and `Solution.warm_start` says which of
+the two ran.
 
 Determinism: identical LPs and starts take identical pivot sequences, so two
 solves return bit-identical Solutions.
@@ -58,7 +65,6 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.sparse.linalg import splu
 
 from .lp import (
-    EQ,
     GE,
     INF,
     INFEASIBLE,
@@ -129,56 +135,53 @@ def _valid_status(status, lower, upper):
 
 
 class _Workspace:
-    """Mutable solver state over the slack-extended, row-scaled problem.
-
-    Without a start the basis is the slack crash, with artificials where a
-    slack cannot be basic.  With a start the basis is the given one; equality
-    rows whose artificial it makes basic get that artificial fixed at zero,
-    and `basis` is None when the start is malformed or has not m basics.
-    """
+    """Mutable solver state over the row-scaled problem, with row i's
+    logical at column n + i and the phase-1 artificials after them.  The
+    basis is the slack crash, or the start's; `basis` is None when the start
+    is malformed or has not m basics."""
 
     def __init__(self, lp, start=None):
         m, n = lp.n_rows, lp.n_cols
         self.m = m
         self.n_struct = n
+        self.n_logical = n + m
         self.scales = lp.row_scales()
         self.b = lp.rhs / self.scales
 
-        # one slack per inequality row: <= gets s in [0, inf), >= gets s in (-inf, 0]
         senses = np.asarray(lp.senses)
-        slack_rows = np.flatnonzero(senses != EQ)
-        self.n_logical = n + len(slack_rows)
-        slack_cols = np.arange(n, self.n_logical)
-        self.slack_of_row = np.full(m, -1, dtype=np.int64)
-        self.slack_of_row[slack_rows] = slack_cols
-        le = senses[slack_rows] == LE
-        lower = np.concatenate([lp.lower, np.where(le, 0.0, -INF)])
-        upper = np.concatenate([lp.upper, np.where(le, INF, 0.0)])
-        rows = np.concatenate([lp.row_idx, slack_rows])
-        cols = np.concatenate([lp.col_idx, slack_cols])
+        logical = np.arange(n, n + m)
+        lower = np.concatenate([lp.lower, np.where(senses == GE, -INF, 0.0)])
+        upper = np.concatenate([lp.upper, np.where(senses == LE, INF, 0.0)])
+        rows = np.concatenate([lp.row_idx, np.arange(m)])
+        cols = np.concatenate([lp.col_idx, logical])
         data = np.concatenate([lp.values / self.scales[lp.row_idx],
-                               np.ones(len(slack_rows))])
+                               np.ones(m)])
 
         self.warm_start = start is not None
         if start is None:
             status = cold_status(lower, upper)
-            x = _nonbasic_value(status, lower, upper)
-            logical = csc_matrix((data, (rows, cols)), shape=(m, self.n_logical))
-            basis, art_rows, art_sign = self._crash(senses, self.b - logical @ x)
-            art_upper = INF
+            A = csc_matrix((data, (rows, cols)), shape=(m, n + m))
+            resid = self.b - A @ _nonbasic_value(status, lower, upper)
+            # the slack crash: an artificial where the logical cannot be basic
+            ok = (((senses == LE) & (resid >= 0.0))
+                  | ((senses == GE) & (resid <= 0.0)))
+            art_rows = np.flatnonzero(~ok)
+            art_sign = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
+            basis = logical.copy()
+            basis[art_rows] = n + m + np.arange(len(art_rows))
         else:
-            picked = self._from_start(start, lower, upper)
-            if picked is None:
+            status = self._from_start(start, lower, upper)
+            if status is None:
                 self.basis = None
                 return
-            status, x, basis, art_rows = picked
-            art_sign = np.ones(len(art_rows))
-            art_upper = 0.0
+            art_rows, art_sign = np.zeros(0, dtype=np.int64), np.zeros(0)
+            basis = np.flatnonzero(status == BASIC)
 
+        x = _nonbasic_value(status, lower, upper)
         n_art = len(art_rows)
-        n_total = self.n_logical + n_art
+        n_total = n + m + n_art
         self.art_rows = art_rows
-        self.art_cols = np.arange(self.n_logical, n_total)
+        self.art_cols = np.arange(n + m, n_total)
         self.A = csc_matrix(
             (np.concatenate([data, art_sign]),
              (np.concatenate([rows, art_rows]),
@@ -187,10 +190,9 @@ class _Workspace:
         )
         self.AT = self.A.T.tocsc()
         self.lower = np.concatenate([lower, np.zeros(n_art)])
-        self.upper = np.concatenate([upper, np.full(n_art, art_upper)])
+        self.upper = np.concatenate([upper, np.full(n_art, INF)])
         self.cost2 = np.concatenate([lp.obj, np.zeros(n_total - n)])
-        self.cost1 = np.zeros(n_total)
-        self.cost1[self.n_logical :] = 1.0
+        self.cost1 = np.concatenate([np.zeros(n + m), np.ones(n_art)])
 
         self.status = np.concatenate([status,
                                       np.full(n_art, AT_LOWER, dtype=np.int8)])
@@ -201,9 +203,8 @@ class _Workspace:
         self.xb = self.lb = self.ub = None
 
         # the row and sign of each unit column, by column index - n
-        self.row_of_unit = np.concatenate([slack_rows, art_rows])
-        self.sign_of_unit = np.concatenate([np.ones(len(slack_rows)),
-                                            art_sign])
+        self.row_of_unit = np.concatenate([np.arange(m), art_rows])
+        self.sign_of_unit = np.concatenate([np.ones(m), art_sign])
         self.lu = None          # SuperLU of the nucleus, None when it is empty
         self.factored_at = -1   # iteration count at the last factorization
         # eta file U, r, M: row j of U is u_j = w_j - e_(r_j), with w_j the
@@ -220,45 +221,23 @@ class _Workspace:
         self.free = None        # and those without bounds
         self.iterations = 0
         self.phase1_iterations = 0
-        self.need_phase1 = n_art > 0 and start is None
-
-    def _crash(self, senses, resid):
-        """Slack basic where its bound allows, artificial otherwise: basis,
-        artificial rows and the artificials' signs."""
-        ok = ((senses == LE) & (resid >= 0.0)) | ((senses == GE) & (resid <= 0.0))
-        art_rows = np.flatnonzero(~ok)
-        basis = self.slack_of_row.copy()
-        basis[art_rows] = self.n_logical + np.arange(len(art_rows))
-        return basis, art_rows, np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
 
     def _from_start(self, start, lower, upper):
-        """Statuses, values, basis and basic-artificial rows of a start, or
-        None if it does not fit this LP or has not m basics."""
+        """The start's statuses, one per column and logical, or None if it
+        does not fit this LP or has not m basics."""
         col_st, row_st = (np.asarray(a) for a in start)
         if col_st.shape != (self.n_struct,) or row_st.shape != (self.m,):
             return None
-        slack = self.slack_of_row
-        has_slack = slack >= 0
-        status = np.empty(self.n_logical, dtype=np.int64)
-        status[: self.n_struct] = col_st
-        status[slack[has_slack]] = row_st[has_slack]
-        eq_st = row_st[~has_slack]      # an equality row's artificial: [0, 0]
-        if not (np.all(_valid_status(status, lower, upper))
-                and np.all(_valid_status(eq_st, 0.0, 0.0))):
+        status = np.concatenate([col_st, row_st])
+        if (not np.all(_valid_status(status, lower, upper))
+                or np.sum(status == BASIC) != self.m):
             return None
-        art_rows = np.flatnonzero(~has_slack)[eq_st == BASIC]
-        basics = np.flatnonzero(status == BASIC)
-        if len(basics) + len(art_rows) != self.m:
-            return None
-        basis = np.concatenate([
-            basics, self.n_logical + np.arange(len(art_rows), dtype=np.int64)])
-        status = status.astype(np.int8)
-        return status, _nonbasic_value(status, lower, upper), basis, art_rows
+        return status.astype(np.int8)
 
     # -- factorization ----------------------------------------------------
 
     def refactorize(self):
-        """Factorize the basis nucleus.  A basic slack or artificial is a
+        """Factorize the basis nucleus.  A basic logical or artificial is a
         unit column, its sign s in one row; those rows are S.  The nucleus K
         is the structural basics on the other rows R, factorized on a row
         matching, and C holds the structural basics' entries in the rows S."""
@@ -387,22 +366,19 @@ def solve(lp, start=None):
     and its final basis.
 
     start: a basis to begin from, `(column statuses, row statuses)` as in
-    `Solution.basis`.  It is used only if it has exactly one basic per row,
-    factorizes and is primal feasible to `_FEAS_TOL`; otherwise the solve
-    starts cold, exactly as with no start.
+    `Solution.basis`, a row's status being its logical's.  It is used only
+    if it has exactly one basic per row, factorizes and is primal feasible
+    to `_FEAS_TOL`; otherwise the solve starts cold, exactly as with no
+    start.
     """
     _check_finite(lp)
-
-    if lp.n_rows == 0:
-        return _solve_unconstrained(lp)
-
     ws = _started(lp, start) if start is not None else None
     if ws is None:
         ws = _Workspace(lp)
         ws.refactorize()
     max_iter = _max_iter(ws)
 
-    if ws.need_phase1:
+    if len(ws.art_cols):
         outcome = _iterate(ws, ws.cost1, max_iter)
         ws.phase1_iterations = ws.iterations
         if outcome == "iteration_limit":
@@ -450,21 +426,6 @@ def _check_finite(lp):
         if not np.all(np.isfinite(arr)):
             raise LPError(f"non-finite value in LP {label}")
     check_bounds(lp.col_names, lp.lower, lp.upper)
-
-
-def _solve_unconstrained(lp):
-    """No rows: each column sits at the bound its cost points to, or by the
-    cold rule when it costs nothing."""
-    c = lp.obj
-    if np.any(((c > 0) & (lp.lower == -INF)) | ((c < 0) & (lp.upper == INF))):
-        return Solution(UNBOUNDED, -INF, np.zeros(lp.n_cols), np.zeros(0),
-                        c.copy())
-    status = np.where(c > 0, AT_LOWER,
-                      np.where(c < 0, AT_UPPER, cold_status(lp.lower, lp.upper)))
-    status = status.astype(np.int8)
-    x = _nonbasic_value(status, lp.lower, lp.upper)
-    return Solution(OPTIMAL, float(c @ x), x, np.zeros(0), c.copy(),
-                    basis=(status, np.zeros(0, dtype=np.int8)))
 
 
 def _iterate(ws, cost, max_iter):
@@ -594,7 +555,8 @@ def _ratio_test(ws, q, w, direction):
     taking it can leave a singular basis.  Only the rows that pass are
     read."""
     aw = np.abs(w)
-    rows = np.flatnonzero(aw > max(_PIVOT_TOL, _PIVOT_REL * aw.max()))
+    tol = max(_PIVOT_TOL, _PIVOT_REL * aw.max(initial=0))  # empty w: no rows
+    rows = np.flatnonzero(aw > tol)
     piv = aw[rows]
     dec = direction * w[rows] > 0.0     # x_i decreases along the step
     xb = ws.xb[rows]
@@ -645,11 +607,9 @@ def _finish(lp, ws, status, feasible):
 
 
 def _final_basis(ws):
-    """(column statuses, row statuses): a row takes its slack's status, and
-    is basic when its artificial is."""
-    st = ws.status
-    rows = np.full(ws.m, AT_LOWER, dtype=np.int8)
-    has_slack = ws.slack_of_row >= 0
-    rows[has_slack] = st[ws.slack_of_row[has_slack]]
+    """(column statuses, row statuses): a row takes its logical's status,
+    and is basic when its phase-1 artificial is."""
+    n, st = ws.n_struct, ws.status
+    rows = st[n : n + ws.m].copy()
     rows[ws.art_rows[st[ws.art_cols] == BASIC]] = BASIC
-    return st[: ws.n_struct].copy(), rows
+    return st[:n].copy(), rows

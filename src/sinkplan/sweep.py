@@ -5,7 +5,7 @@ demand curve for that base price, assembles and solves the full LP, and
 reports metrics against the no-sink reference.  A cell is the reference plus
 the sink's columns and its `<=` rows, so every cell is warm-started from the
 reference's optimal basis, mapped by column and row name: the sink columns
-start nonbasic at zero and the new rows' slacks basic, which is feasible, so
+start nonbasic at zero and the new rows' logicals basic, which is feasible, so
 phase 1 is skipped.  Cells are independent: each starts from the same
 reference basis, never from another cell, and one failed cell is recorded
 and the rest of the sweep continues.  A worker process that dies breaks its
@@ -33,6 +33,8 @@ from .runner import solve_scenario
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """A capex x base-price grid; `load_grid` checks its axes and sink
+    costs."""
     capex_values: tuple      # $/kW of input capacity
     base_prices: tuple       # $/MWh-input starting value per scenario
     finance: FinanceSpec = DEFAULT_FINANCE
@@ -41,12 +43,6 @@ class SweepGrid:
     def __post_init__(self):
         object.__setattr__(self, "capex_values", tuple(self.capex_values))
         object.__setattr__(self, "base_prices", tuple(self.base_prices))
-        if not self.capex_values or not self.base_prices:
-            raise ValueError("sweep grid axes must be non-empty")
-        for name in ("capex_values", "base_prices"):
-            vals = getattr(self, name)
-            if len(set(vals)) != len(vals):
-                raise ValueError(f"duplicate entries in {name}")
 
     def cells(self):
         return [(cx, bp) for cx in self.capex_values for bp in self.base_prices]
@@ -115,7 +111,8 @@ def _solve_cell(args):
         return CellResult(capex, base_price, "optimal",
                           report=report(solved, reference=ref), **counts)
     except Exception as exc:  # cell isolation: a bad corner must not kill the batch
-        return CellResult(capex, base_price, "error", error=str(exc))
+        return CellResult(capex, base_price, "error",
+                          error=f"{type(exc).__name__}: {exc}")
 
 
 def _cell_outcome(future, task):

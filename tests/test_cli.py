@@ -200,6 +200,20 @@ class TestSweepCommand:
         assert code == 0
         assert (tmp_path / "o" / "results.csv").exists()
 
+    def test_bad_grid_value_fails_before_solving(self, capsys, tiny_config,
+                                                 tmp_path, monkeypatch):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("capex_usd_per_kw = -5, 200\n"
+                        "base_price_usd_per_mwh = 50\n"
+                        "wacc = 1e40\n")
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda *a, **kw: pytest.fail("a cell was solved"))
+        code, _, err = run(capsys, "sweep", str(tiny_config),
+                           "--grid", str(grid), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "grid.txt: key 'capex_usd_per_kw'" in err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
     def test_mps_flag_writes_every_cell(self, capsys, tiny_config, tmp_path):
         """--mps-only writes each cell's LP and solves nothing."""
         code, out, _ = run(capsys, "sweep", str(tiny_config),

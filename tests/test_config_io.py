@@ -272,6 +272,25 @@ class TestGridFile:
         with pytest.raises(ConfigError, match="duplicates"):
             load_grid(p)
 
+    @pytest.mark.parametrize("lines, key, rule", [
+        (["capex_usd_per_kw = -5, 200", "wacc = 1e40"], "capex_usd_per_kw",
+         "must be in [0, 1e+30], got -5.0"),
+        (["capex_usd_per_kw = 200", "wacc = 1e40"], "wacc",
+         "must be in [0, 1e+30], got 1e+40"),
+        (["capex_usd_per_kw = 200", "fom_fraction = -0.1"], "fom_fraction",
+         "must be in [0, 1e+30], got -0.1"),
+        (["capex_usd_per_kw = 200", "life_yr = 0.5"], "life_yr",
+         "must be in [1, 1e+30] years, got 0.5"),
+    ], ids=["capex", "wacc", "fom_fraction", "life_yr"])
+    def test_sink_cost_rules_checked_on_load(self, tmp_path, lines, key, rule):
+        """A cell's capex and financing are checked by the rules `validate`
+        applies to a scenario's sink, once, before any cell is solved."""
+        p = tmp_path / "grid.txt"
+        p.write_text("\n".join(["base_price_usd_per_mwh = 50", *lines]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"grid.txt: key {key!r}: {rule}")):
+            load_grid(p)
+
     def test_standalone_grid(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("capex_usd_per_kw = 200, 1400\n"

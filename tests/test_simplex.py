@@ -18,6 +18,7 @@ from sinkplan.simplex import (
     AT_LOWER,
     AT_UPPER,
     BASIC,
+    FREE_ZERO,
     cold_status,
     solve,
 )
@@ -107,16 +108,41 @@ class TestStatuses:
         with pytest.raises(LPError, match="bad bounds .* for 'x'"):
             solve(lp)
 
-    def test_no_rows_picks_best_bounds(self):
-        lp = build([("x", dict(obj=2.0, lower=1.0, upper=4.0)),
-                    ("y", dict(obj=-3.0, upper=2.0))], [])
+    @pytest.mark.parametrize("cols, primal, statuses", [
+        ([("x", dict(obj=2.0, lower=1.0, upper=4.0)),
+          ("y", dict(obj=-3.0, upper=2.0))], [1.0, 2.0], [AT_LOWER, AT_UPPER]),
+        ([("x", dict(obj=5.0, lower=-2.0)),
+          ("y", dict(obj=1.0, lower=3.0, upper=3.0))],
+         [-2.0, 3.0], [AT_LOWER, AT_LOWER]),
+        ([("x", dict(obj=-1.0, lower=-np.inf, upper=-1.0)),
+          ("y", dict(obj=-4.0, lower=-5.0, upper=5.0))],
+         [-1.0, 5.0], [AT_UPPER, AT_UPPER]),
+        ([("x", dict(lower=1.0, upper=4.0)),
+          ("y", dict(lower=-np.inf, upper=3.0)),
+          ("z", dict(lower=-np.inf))],
+         [1.0, 3.0, 0.0], [AT_LOWER, AT_UPPER, FREE_ZERO]),
+    ], ids=["lower-and-upper", "positive-cost-at-lower",
+            "negative-cost-at-upper", "zero-cost-by-the-cold-rule"])
+    def test_no_rows_picks_best_bounds(self, cols, primal, statuses):
+        lp = build(cols, [])
         s = solve(lp)
         assert s.status == "optimal"
-        assert s.objective == pytest.approx(2.0 * 1.0 - 3.0 * 2.0)
+        assert s.objective == pytest.approx(lp.obj @ primal)
+        assert list(s.primal) == primal
+        assert list(s.basis[0]) == statuses and len(s.basis[1]) == 0
 
-    def test_no_rows_unbounded(self):
-        lp = build([("x", dict(obj=-1.0))], [])
-        assert solve(lp).status == "unbounded"
+    @pytest.mark.parametrize("col, status", [
+        (dict(obj=-1.0), AT_LOWER),
+        (dict(obj=1.0, lower=-np.inf, upper=0.0), AT_UPPER),
+        (dict(obj=1.0, lower=-np.inf), FREE_ZERO),
+        (dict(obj=-1.0, lower=-np.inf), FREE_ZERO),
+    ], ids=["negative-cost-without-upper", "positive-cost-without-lower",
+            "free-positive-cost", "free-negative-cost"])
+    def test_no_rows_unbounded(self, col, status):
+        s = solve(build([("x", col)], []))
+        assert s.status == "unbounded"
+        assert s.objective == -np.inf
+        assert list(s.basis[0]) == [status] and len(s.basis[1]) == 0
 
 
 class TestDeterminism:
@@ -222,10 +248,31 @@ GARBAGE_STARTS = {
 }
 
 
+def crashed_feasible_lp():
+    """Feasible, and its slack crash puts artificials on all three rows: the
+    <= row's residual is negative, the >= row's positive."""
+    return build([("x0", dict(obj=1.0)), ("x1", dict(obj=2.0)),
+                  ("x2", dict(obj=1.0))],
+                 [("r0", LE, -1.0, [(0, 1.0), (1, -1.0)]),
+                  ("r1", GE, 2.0, [(0, 1.0), (2, 1.0)]),
+                  ("r2", EQ, 4.0, [(1, 1.0), (2, 1.0)])])
+
+
+def redundant_equality_lp():
+    """Two equality rows, one twice the other: an artificial stays basic."""
+    return build([("x", dict(obj=1.0)), ("y", dict(obj=2.0))],
+                 [("r0", EQ, 2.0, [(0, 1.0), (1, 1.0)]),
+                  ("r1", EQ, 4.0, [(0, 2.0), (1, 2.0)])])
+
+
+WARM_LPS = {"crashed": crashed_feasible_lp,
+            "redundant-equality": redundant_equality_lp}
+
+
 class TestWarmStart:
-    @pytest.mark.parametrize("seed", [0, 2, 8, 9])
-    def test_optimal_basis_restarts_without_pivots(self, seed):
-        lp = random_lp(seed)
+    @pytest.mark.parametrize("case", [0, 2, 8, 9, *WARM_LPS])
+    def test_optimal_basis_restarts_without_pivots(self, case):
+        lp = random_lp(case) if isinstance(case, int) else WARM_LPS[case]()
         cold = solve(lp)
         warm = solve(lp, start=cold.basis)
         assert cold.status == warm.status == "optimal"
@@ -244,9 +291,7 @@ class TestWarmStart:
 
     def test_redundant_equality_restarts_on_its_artificial(self):
         # one of the two equal rows keeps its artificial basic at zero
-        lp = build([("x", dict(obj=1.0)), ("y", dict(obj=2.0))],
-                   [("r0", EQ, 2.0, [(0, 1.0), (1, 1.0)]),
-                    ("r1", EQ, 4.0, [(0, 2.0), (1, 2.0)])])
+        lp = redundant_equality_lp()
         cold = solve(lp)
         cols, rows = cold.basis
         assert list(cols) == [BASIC, AT_LOWER] and BASIC in rows
@@ -519,7 +564,7 @@ class TestFactorization:
 
     def test_two_unit_columns_on_one_row_raise(self):
         ws = simplex_mod._Workspace(crashed_lp())
-        ws.basis[3] = ws.slack_of_row[0]    # r0's artificial is basic too
+        ws.basis[3] = ws.n_struct + 0    # r0's artificial is basic too
         with pytest.raises(RuntimeError):
             ws.refactorize()
 
