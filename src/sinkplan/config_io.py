@@ -186,7 +186,8 @@ def _read_table(path, required=True):
     schema = SCHEMAS[path.name]
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        index = {c: i for i, c in enumerate(next(reader, []))}
+        header = next(reader, [])
+        index = {c: i for i, c in enumerate(header)}
         missing = [c for c, (_, _, default) in schema.items()
                    if default is None and c not in index]
         if missing:
@@ -208,6 +209,9 @@ def _read_table(path, required=True):
             if not row:
                 continue
             line = reader.line_num
+            if len(row) > len(header):
+                raise ConfigError(f"{path.name} line {line}: {len(row)} cells, "
+                                  f"but the header has {len(header)}")
             rec = dict(absent)
             for i, column, field, kind, minimum, default in cells:
                 text = row[i].strip() if i < len(row) else ""
@@ -231,12 +235,13 @@ def _read_table(path, required=True):
 
 
 def _read_hourly(path, n_hours, fill, required=True, known=None):
-    """{key: series} from an hourly table; hours a key omits hold `fill`.
-    known, when given, is (keys, where): a key outside keys has no row in
-    `where` (a file, and perhaps which of its rows) and is an error."""
+    """{key: series} from an hourly table; hours a key omits hold `fill`,
+    and a (key, hour) pair given twice is an error.  known, when given, is
+    (keys, where): a key outside keys has no row in `where` (a file, and
+    perhaps which of its rows) and is an error."""
     key_column = next(c for c, (field, _, _) in SCHEMAS[path.name].items()
                       if field == "key")
-    columns = {}
+    columns, line_of = {}, {}
     for line, rec in _read_table(path, required):
         hour = rec["hour"]
         if hour > n_hours:
@@ -245,6 +250,10 @@ def _read_hourly(path, n_hours, fill, required=True, known=None):
         if known is not None and rec["key"] not in known[0]:
             _fail(path.name, line, key_column,
                   f"{rec['key']!r} has no row in {known[1]}")
+        seen = line_of.setdefault((rec["key"], hour), line)
+        if seen != line:
+            _fail(path.name, line, "hour",
+                  f"hour {hour} of {rec['key']!r} repeats line {seen}")
         hours, values = columns.setdefault(rec["key"], ([], []))
         hours.append(hour - 1)
         values.append(rec["value"])

@@ -3,12 +3,18 @@
 Method: two-phase primal simplex with native handling of column bounds (flips
 included) on the equality form obtained by appending one logical column per
 row, column n + i for row i: [0, inf) for a <= row, (-inf, 0] for a >= row
-and fixed at [0, 0] for an = row.  A cold solve starts from the slack crash:
-a row's logical is basic where its bound admits the row's residual, and
-elsewhere phase 1 appends a signed artificial in [0, inf) with cost 1 after
-the logicals.  An LP without rows takes the same path with an empty basis.
-Only the nucleus of the basis B is factorized (Suhl & Suhl, ORSA J. Comput.
-2, 1990).  A basic logical or artificial is a unit column, +-1 in one row;
+and fixed at [0, 0] for an = row.  A cold solve starts from the slack basis:
+each structural at a bound by the cold rule and every logical basic.  Phase 1
+minimizes the sum of the basics' infeasibilities on these columns alone
+(Wolfe, SIAM Review 7, 1965; Maros, Computational Techniques of the Simplex
+Method, 2003).  At each refactorization a basic below its lower bound by more
+than `_FEAS_TOL` costs -1 and may rise only as far as that bound, one above
+its upper bound costs +1 and may fall only as far as it, and every other
+column costs 0; a basic that leaves takes the status of the bound it reached
+and drops out of the cost.  A phase-1 optimum that leaves a basic outside its
+bounds proves the LP infeasible.  An LP without rows takes the same path with
+an empty basis.  Only the nucleus of the basis B is factorized (Suhl & Suhl,
+ORSA J. Comput. 2, 1990).  A basic logical is the unit column e_i of its row;
 those rows S are solved by substitution.  The structural basics on
 the remaining rows R form the nucleus K, factorized by SuperLU (via scipy) in
 symmetric mode after a bipartite matching has permuted its rows onto a
@@ -16,10 +22,9 @@ zero-free diagonal (Duff & Koster, SIAM J. Matrix Anal. Appl. 22, 2001),
 which keeps the fill of L and U low.  The diagonal pivot threshold is 1, so
 SuperLU takes a diagonal pivot only when it is its column's largest: lower
 thresholds let entries of U grow to 1e37 on well-conditioned nuclei.  With
-C the structural basics' entries in the rows S and s the unit columns'
-signs, B x = v is x_K = K^-1 v_R and
-x_S = s * (v_S - C x_K); B^T y = v, with v indexed by basis position, is
-y_S = s * v_S and y_R = K^-T (v_K - C^T y_S).  Basis changes since the last
+C the structural basics' entries in the rows S, B x = v is x_K = K^-1 v_R
+and x_S = v_S - C x_K; B^T y = v, with v indexed by basis position, is
+y_S = v_S and y_R = K^-T (v_K - C^T y_S).  Basis changes since the last
 factorization are kept as one preallocated block of product-form etas with a
 small lower-triangular matrix M of their pivot-row entries.  Both solves
 apply the whole block with one triangular solve on M (LAPACK trtrs) and one
@@ -46,13 +51,11 @@ Rows are equilibrated (divided by their largest absolute coefficient) before
 solving and duals are rescaled on return.
 
 Warm starts: `solve` may be given a starting basis, one status per column and
-one per row (its logical's), in the form every Solution returns as `basis`;
-a row whose phase-1 artificial ended basic is returned basic.  The start is
-the status vector of the columns and logicals as given, so it adds no
-column.  A start with exactly one basic per row that factorizes and puts
-every basic within `_FEAS_TOL` of its bounds skips phase 1; any other start
-is dropped for the cold slack crash, and `Solution.warm_start` says which of
-the two ran.
+one per row (its logical's), in the form every Solution returns as `basis`.
+A cold start is the slack basis in that same form.  A start with exactly one
+basic per row that factorizes and puts every basic within `_FEAS_TOL` of its
+bounds skips phase 1; the workspace resets any other start to the slack
+basis, and `Solution.warm_start` says which of the two ran.
 
 Determinism: identical LPs and starts take identical pivot sequences, so two
 solves return bit-identical Solutions.
@@ -110,7 +113,7 @@ def _upper_solve(a, v, trans):
 
 def _max_iter(ws):
     """Iteration limit of a solve, scaled with the problem size."""
-    return 50 * (ws.m + ws.n_logical) + 10000
+    return 50 * (ws.m + len(ws.obj)) + 10000
 
 
 def cold_status(lower, upper):
@@ -119,11 +122,6 @@ def cold_status(lower, upper):
     lower, upper = np.asarray(lower), np.asarray(upper)
     return np.where(lower > -INF, AT_LOWER,
                     np.where(upper < INF, AT_UPPER, FREE_ZERO)).astype(np.int8)
-
-
-def _nonbasic_value(status, lower, upper):
-    return np.where(status == AT_LOWER, lower,
-                    np.where(status == AT_UPPER, upper, 0.0))
 
 
 def _valid_status(status, lower, upper):
@@ -136,75 +134,34 @@ def _valid_status(status, lower, upper):
 
 class _Workspace:
     """Mutable solver state over the row-scaled problem, with row i's
-    logical at column n + i and the phase-1 artificials after them.  The
-    basis is the slack crash, or the start's; `basis` is None when the start
-    is malformed or has not m basics."""
+    logical at column n + i.  The basis is the start's, or the slack basis
+    when start is None; see `take`."""
 
     def __init__(self, lp, start=None):
         m, n = lp.n_rows, lp.n_cols
         self.m = m
         self.n_struct = n
-        self.n_logical = n + m
         self.scales = lp.row_scales()
         self.b = lp.rhs / self.scales
 
         senses = np.asarray(lp.senses)
-        logical = np.arange(n, n + m)
-        lower = np.concatenate([lp.lower, np.where(senses == GE, -INF, 0.0)])
-        upper = np.concatenate([lp.upper, np.where(senses == LE, INF, 0.0)])
-        rows = np.concatenate([lp.row_idx, np.arange(m)])
-        cols = np.concatenate([lp.col_idx, logical])
-        data = np.concatenate([lp.values / self.scales[lp.row_idx],
-                               np.ones(m)])
-
-        self.warm_start = start is not None
-        if start is None:
-            status = cold_status(lower, upper)
-            A = csc_matrix((data, (rows, cols)), shape=(m, n + m))
-            resid = self.b - A @ _nonbasic_value(status, lower, upper)
-            # the slack crash: an artificial where the logical cannot be basic
-            ok = (((senses == LE) & (resid >= 0.0))
-                  | ((senses == GE) & (resid <= 0.0)))
-            art_rows = np.flatnonzero(~ok)
-            art_sign = np.where(resid[art_rows] >= 0.0, 1.0, -1.0)
-            basis = logical.copy()
-            basis[art_rows] = n + m + np.arange(len(art_rows))
-        else:
-            status = self._from_start(start, lower, upper)
-            if status is None:
-                self.basis = None
-                return
-            art_rows, art_sign = np.zeros(0, dtype=np.int64), np.zeros(0)
-            basis = np.flatnonzero(status == BASIC)
-
-        x = _nonbasic_value(status, lower, upper)
-        n_art = len(art_rows)
-        n_total = n + m + n_art
-        self.art_rows = art_rows
-        self.art_cols = np.arange(n + m, n_total)
         self.A = csc_matrix(
-            (np.concatenate([data, art_sign]),
-             (np.concatenate([rows, art_rows]),
-              np.concatenate([cols, self.art_cols]))),
-            shape=(m, n_total),
+            (np.concatenate([lp.values / self.scales[lp.row_idx], np.ones(m)]),
+             (np.concatenate([lp.row_idx, np.arange(m)]),
+              np.concatenate([lp.col_idx, np.arange(n, n + m)]))),
+            shape=(m, n + m),
         )
         self.AT = self.A.T.tocsc()
-        self.lower = np.concatenate([lower, np.zeros(n_art)])
-        self.upper = np.concatenate([upper, np.full(n_art, INF)])
-        self.cost2 = np.concatenate([lp.obj, np.zeros(n_total - n)])
-        self.cost1 = np.concatenate([np.zeros(n + m), np.ones(n_art)])
-
-        self.status = np.concatenate([status,
-                                      np.full(n_art, AT_LOWER, dtype=np.int8)])
-        self.x = np.concatenate([x, np.zeros(n_art)])
-        self.basis = basis
-        self.status[basis] = BASIC
-        # values, lower and upper bounds of the basics, by basis position
+        self.lower = np.concatenate([lp.lower,
+                                     np.where(senses == GE, -INF, 0.0)])
+        self.upper = np.concatenate([lp.upper,
+                                     np.where(senses == LE, INF, 0.0)])
+        self.obj = np.concatenate([lp.obj, np.zeros(m)])
+        self.fixed = np.flatnonzero(self.upper <= self.lower)  # never move
+        self.free = np.flatnonzero((self.lower == -INF) & (self.upper == INF))
+        # values, lower and upper bounds of the basics, by basis position;
+        # in phase 1 an infeasible basic's bounds are those `_reprice` sets
         self.xb = self.lb = self.ub = None
-
-        # the row and sign of each unit column, by column index - n
-        self.row_of_unit = np.concatenate([np.arange(m), art_rows])
-        self.sign_of_unit = np.concatenate([np.ones(m), art_sign])
         self.lu = None          # SuperLU of the nucleus, None when it is empty
         self.factored_at = -1   # iteration count at the last factorization
         # eta file U, r, M: row j of U is u_j = w_j - e_(r_j), with w_j the
@@ -214,40 +171,50 @@ class _Workspace:
         self.eta_u = np.empty((_REFACTOR_EVERY, m))
         self.eta_rows = np.empty(_REFACTOR_EVERY, dtype=np.int64)
         self.eta_m = np.zeros((_REFACTOR_EVERY, _REFACTOR_EVERY))
+        self.phase1 = False     # whether phase 1 is running,
+        self.bland = False      # and under the Bland fallback
         self.cost = None        # the running phase's cost,
         self.d = None           # its reduced costs
         self.weights = None     # its Devex reference weights
-        self.fixed = None       # the columns it cannot move
-        self.free = None        # and those without bounds
         self.iterations = 0
         self.phase1_iterations = 0
+        self.take(start)
 
-    def _from_start(self, start, lower, upper):
-        """The start's statuses, one per column and logical, or None if it
-        does not fit this LP or has not m basics."""
+    def take(self, start):
+        """Take the start's statuses, one per column and one per row, or
+        those of the slack basis when start is None: each column at a bound
+        by the cold rule and every logical basic; `warm_start` says which.
+        `basis` is None when the start does not fit this LP or has not m
+        basics."""
+        n = self.n_struct
+        self.warm_start = start is not None
+        if start is None:
+            start = (cold_status(self.lower[:n], self.upper[:n]),
+                     np.full(self.m, BASIC))
         col_st, row_st = (np.asarray(a) for a in start)
-        if col_st.shape != (self.n_struct,) or row_st.shape != (self.m,):
-            return None
+        self.basis = None
+        if col_st.shape != (n,) or row_st.shape != (self.m,):
+            return
         status = np.concatenate([col_st, row_st])
-        if (not np.all(_valid_status(status, lower, upper))
+        if (not np.all(_valid_status(status, self.lower, self.upper))
                 or np.sum(status == BASIC) != self.m):
-            return None
-        return status.astype(np.int8)
+            return
+        self.status = status.astype(np.int8)
+        self.x = np.where(status == AT_LOWER, self.lower,
+                          np.where(status == AT_UPPER, self.upper, 0.0))
+        self.basis = np.flatnonzero(status == BASIC)
 
     # -- factorization ----------------------------------------------------
 
     def refactorize(self):
-        """Factorize the basis nucleus.  A basic logical or artificial is a
-        unit column, its sign s in one row; those rows are S.  The nucleus K
-        is the structural basics on the other rows R, factorized on a row
-        matching, and C holds the structural basics' entries in the rows S."""
-        n = self.n_struct
-        unit = self.basis >= n
+        """Factorize the basis nucleus.  A basic logical is the unit column
+        of its row; those rows are S.  The nucleus K is the structural
+        basics on the other rows R, factorized on a row matching, and C holds
+        the structural basics' entries in the rows S."""
+        unit = self.basis >= self.n_struct
         self.unit_pos = np.flatnonzero(unit)
         self.nucleus_pos = np.flatnonzero(~unit)
-        j = self.basis[self.unit_pos] - n
-        self.unit_rows = self.row_of_unit[j]
-        self.unit_signs = self.sign_of_unit[j]
+        self.unit_rows = self.basis[self.unit_pos] - self.n_struct
         in_r = np.ones(self.m, dtype=bool)
         in_r[self.unit_rows] = False
         r = np.flatnonzero(in_r)
@@ -271,25 +238,24 @@ class _Workspace:
         self.n_etas = 0
         self.factored_at = self.iterations
         self.recompute_basics()
-        self.gather_bounds()
 
     def b_solve(self, v):
         """x with B x = v for the factorized basis: x_K = K^-1 v_R, then
-        x_S = s * (v_S - C x_K)."""
+        x_S = v_S - C x_K."""
         x = np.empty(self.m)
         xs = v[self.unit_rows]
         if self.lu is not None:
             xk = self.lu.solve(v[self.nucleus_rows])
             x[self.nucleus_pos] = xk
             xs -= self.C @ xk
-        x[self.unit_pos] = xs * self.unit_signs
+        x[self.unit_pos] = xs
         return x
 
     def bt_solve(self, v):
-        """y with B^T y = v for the factorized basis: y_S = s * v_S, then
+        """y with B^T y = v for the factorized basis: y_S = v_S, then
         y_R = K^-T (v_K - C^T y_S)."""
         y = np.empty(self.m)
-        ys = v[self.unit_pos] * self.unit_signs
+        ys = v[self.unit_pos]
         y[self.unit_rows] = ys
         if self.lu is not None:
             y[self.nucleus_rows] = self.lu.solve(
@@ -300,14 +266,6 @@ class _Workspace:
         nb = self.x.copy()
         nb[self.basis] = 0.0
         self.xb = self.b_solve(self.b - self.A @ nb)
-
-    def gather_bounds(self):
-        self.lb = self.lower[self.basis]
-        self.ub = self.upper[self.basis]
-
-    def store_basics(self):
-        """Write the basic values into x, for a reader of the whole vector."""
-        self.x[self.basis] = self.xb
 
     def reduced_costs(self):
         """c - A^T y for the phase cost, y solving B^T y = c_B."""
@@ -368,32 +326,28 @@ def solve(lp, start=None):
     start: a basis to begin from, `(column statuses, row statuses)` as in
     `Solution.basis`, a row's status being its logical's.  It is used only
     if it has exactly one basic per row, factorizes and is primal feasible
-    to `_FEAS_TOL`; otherwise the solve starts cold, exactly as with no
-    start.
+    to `_FEAS_TOL`; otherwise the solve starts cold from the slack basis,
+    exactly as with no start, and runs phase 1 if a basic of that basis
+    lies outside its bounds.
     """
     _check_finite(lp)
-    ws = _started(lp, start) if start is not None else None
-    if ws is None:
-        ws = _Workspace(lp)
+    ws = _Workspace(lp, start)
+    if ws.warm_start and not _usable(ws):
+        ws.take(None)
+    if not ws.warm_start:
         ws.refactorize()
     max_iter = _max_iter(ws)
 
-    if len(ws.art_cols):
-        outcome = _iterate(ws, ws.cost1, max_iter)
+    if np.any(_infeasibility(ws)):
+        outcome = _iterate(ws, True, max_iter)
         ws.phase1_iterations = ws.iterations
         if outcome == "iteration_limit":
             return _finish(lp, ws, ITERATION_LIMIT, feasible=False)
-        ws.store_basics()
-        if float(ws.cost1 @ ws.x) > _FEAS_TOL:
+        if np.any(_infeasibility(ws)):
             # infeasibility is proven only by a phase-1 optimum
             status = INFEASIBLE if outcome == "optimal" else ITERATION_LIMIT
             return _finish(lp, ws, status, feasible=False)
-        art = ws.art_cols
-        ws.upper[art] = 0.0
-        nonbasic = art[ws.status[art] != BASIC]
-        ws.status[nonbasic] = AT_LOWER
-        ws.x[nonbasic] = 0.0
-    outcome = _iterate(ws, ws.cost2, max_iter)
+    outcome = _iterate(ws, False, max_iter)
     if outcome == "unbounded":
         return _finish(lp, ws, UNBOUNDED, feasible=True)
     if outcome == "iteration_limit":
@@ -406,18 +360,25 @@ def solve(lp, start=None):
     return solution
 
 
-def _started(lp, start):
-    """A workspace factorized on the start's basis, or None when the start
-    is malformed, singular or primal infeasible."""
-    ws = _Workspace(lp, start)
+def _usable(ws):
+    """Whether the workspace took a start that factorizes and is primal
+    feasible to `_FEAS_TOL`; such a start is left factorized."""
     if ws.basis is None:
-        return None
+        return False
     try:
         ws.refactorize()
     except RuntimeError:     # SuperLU: the basis matrix is exactly singular
-        return None
-    inside = (ws.xb >= ws.lb - _FEAS_TOL) & (ws.xb <= ws.ub + _FEAS_TOL)
-    return ws if np.all(inside) else None
+        return False
+    return not np.any(_infeasibility(ws))
+
+
+def _infeasibility(ws):
+    """By basis position, -1 where a basic lies below its lower bound by
+    more than `_FEAS_TOL`, +1 where it lies above its upper bound by more,
+    and 0 elsewhere."""
+    lower, upper = ws.lower[ws.basis], ws.upper[ws.basis]
+    return ((ws.xb > upper + _FEAS_TOL).astype(float)
+            - (ws.xb < lower - _FEAS_TOL))
 
 
 def _check_finite(lp):
@@ -428,30 +389,28 @@ def _check_finite(lp):
     check_bounds(lp.col_names, lp.lower, lp.upper)
 
 
-def _iterate(ws, cost, max_iter):
-    ws.cost = cost
-    ws.fixed = np.flatnonzero(ws.upper <= ws.lower)
-    ws.free = np.flatnonzero((ws.lower == -INF) & (ws.upper == INF))
-    ws.gather_bounds()
-    ws.d = ws.reduced_costs()
-    ws.weights = np.ones(len(cost))
+def _iterate(ws, phase1, max_iter):
+    ws.phase1 = phase1
+    ws.cost = ws.obj
+    _reprice(ws)
+    ws.weights = np.ones(len(ws.obj))
     degen_run = 0
-    bland = False
+    ws.bland = False
     verify_rounds = 0
     while True:
         if ws.iterations >= max_iter:
             return "iteration_limit"
         if ws.n_etas >= _REFACTOR_EVERY:
             ws.refactorize()
-            ws.d = ws.reduced_costs()
+            _reprice(ws)
 
-        q = _price(ws, ws.d, bland, _OPT_TOL)
+        q = _price(ws, ws.d, ws.bland, _OPT_TOL)
         if q < 0:
             # claimed optimal: verify on a fresh factorization
             if ws.n_etas or verify_rounds == 0:
                 ws.refactorize()
-                ws.d = ws.reduced_costs()
-                q = _price(ws, ws.d, bland, _OPT_TOL)
+                _reprice(ws)
+                q = _price(ws, ws.d, ws.bland, _OPT_TOL)
                 verify_rounds += 1
                 if q < 0:
                     return "optimal"
@@ -479,10 +438,10 @@ def _iterate(ws, cost, max_iter):
         if step <= 1e-12:
             degen_run += 1
             if degen_run > _BLAND_AFTER:
-                bland = True
+                ws.bland = True
         else:
             degen_run = 0
-            bland = False
+            ws.bland = False
 
         ws.xb -= direction * step * w
         if leave_row < 0:
@@ -502,11 +461,33 @@ def _iterate(ws, cost, max_iter):
         ws.xb[leave_row] = ws.x[q] + direction * step
         ws.lb[leave_row] = ws.lower[q]
         ws.ub[leave_row] = ws.upper[q]
-        ws.status[jl] = leave_to
+        # in phase 1 an infeasible basic rises to its lower bound, or falls
+        # to its upper one
+        ws.status[jl] = AT_LOWER if ws.x[jl] == ws.lower[jl] else AT_UPPER
         ws.status[q] = BASIC
         ws.basis[leave_row] = q
         ws.add_eta(leave_row, w)
         _update_pricing(ws, q, jl, alpha, w[leave_row])
+        if phase1:          # jl is feasible now, so it costs nothing
+            ws.d[jl] -= ws.cost[jl]
+            ws.cost[jl] = 0.0
+
+
+def _reprice(ws):
+    """The basics' bounds and the reduced costs, from scratch.  In phase 1
+    the cost is reset first from the basics' infeasibility: a basic below its
+    lower bound costs -1 and may rise only as far as that bound, one above
+    its upper bound costs +1 and may fall only as far as it, and every other
+    column costs 0."""
+    ws.lb, ws.ub = ws.lower[ws.basis], ws.upper[ws.basis]
+    if ws.phase1:
+        c = _infeasibility(ws)
+        below, above = c < 0, c > 0
+        ws.ub[below], ws.lb[below] = ws.lb[below], -INF
+        ws.lb[above], ws.ub[above] = ws.ub[above], INF
+        ws.cost = np.zeros(len(ws.obj))
+        ws.cost[ws.basis] = c
+    ws.d = ws.reduced_costs()
 
 
 def _update_pricing(ws, q, jl, alpha, pivot):
@@ -548,12 +529,13 @@ def _price(ws, d, bland, tol):
 
 def _ratio_test(ws, q, w, direction):
     """Largest feasible step; returns (step, leaving_row or -1, bound hit).
-    Among rows within 1e-10 of the smallest ratio the largest |w_i| leaves,
-    and of pivots within 1e-12 of it the lowest basis index.  A row whose
-    |w_i| is below `_PIVOT_TOL`, or `_PIVOT_REL` times the largest |w_i|,
-    never limits the step: such a pivot may be roundoff of a true zero, and
-    taking it can leave a singular basis.  Only the rows that pass are
-    read."""
+    Among rows within 1e-10 of the smallest ratio a basic with equal bounds
+    (an = row's logical, which never enters again) leaves first, except
+    under the Bland fallback; then the largest |w_i|, and of pivots within
+    1e-12 of it the lowest basis index.  A row whose |w_i| is below
+    `_PIVOT_TOL`, or `_PIVOT_REL` times the largest |w_i|, never limits the
+    step: such a pivot may be roundoff of a true zero, and taking it can
+    leave a singular basis.  Only the rows that pass are read."""
     aw = np.abs(w)
     tol = max(_PIVOT_TOL, _PIVOT_REL * aw.max(initial=0))  # empty w: no rows
     rows = np.flatnonzero(aw > tol)
@@ -569,6 +551,11 @@ def _ratio_test(ws, q, w, direction):
     if rmin >= best:
         return best, -1, AT_LOWER
     cand = np.flatnonzero(ratios <= rmin + 1e-10)
+    if not ws.bland:
+        jb = ws.basis[rows[cand]]
+        fixed = cand[ws.lower[jb] == ws.upper[jb]]
+        if len(fixed):
+            cand = fixed
     tied = piv[cand]
     near = cand[tied >= tied.max() - 1e-12]
     leave = near[np.argmin(ws.basis[rows[near]])]
@@ -580,12 +567,12 @@ def _finish(lp, ws, status, feasible):
     n = ws.n_struct
     if ws.iterations != ws.factored_at:     # bound flips count: they move x
         ws.refactorize()
-    ws.store_basics()
+    ws.x[ws.basis] = ws.xb
     x = ws.x[:n].copy()
     objective = float(lp.obj @ x)
 
     if feasible:
-        y_scaled = _btran(ws, ws.cost2[ws.basis].astype(float))
+        y_scaled = _btran(ws, ws.obj[ws.basis])
         duals = y_scaled / ws.scales
         reduced = lp.obj - (lp.matrix().T @ duals)
     else:
@@ -600,16 +587,7 @@ def _finish(lp, ws, status, feasible):
         duals=np.asarray(duals, dtype=float),
         reduced_costs=np.asarray(reduced, dtype=float),
         iterations=ws.iterations,
-        basis=_final_basis(ws),
+        basis=(ws.status[:n].copy(), ws.status[n:].copy()),
         phase1_iterations=ws.phase1_iterations,
         warm_start=ws.warm_start,
     )
-
-
-def _final_basis(ws):
-    """(column statuses, row statuses): a row takes its logical's status,
-    and is basic when its phase-1 artificial is."""
-    n, st = ws.n_struct, ws.status
-    rows = st[n : n + ws.m].copy()
-    rows[ws.art_rows[st[ws.art_cols] == BASIC]] = BASIC
-    return st[:n].copy(), rows

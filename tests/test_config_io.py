@@ -120,6 +120,30 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="hour"):
             load_config(broken)
 
+    def test_extra_cell_is_an_error(self, tmp_path, tiny_config):
+        """Instead of the cell past the header being dropped."""
+        broken = self.make_broken(
+            tmp_path, tiny_config, "load.csv",
+            lambda text: text.replace("1,Z1,458.579", "1,Z1,458.579,999", 1))
+        with pytest.raises(ConfigError, match=re.escape(
+                "load.csv line 2: 4 cells, but the header has 3")):
+            load_config(broken)
+
+    @pytest.mark.parametrize("filename", ["load.csv", "cap_factors.csv",
+                                          "deferrable_profiles.csv"])
+    def test_repeated_hour_is_an_error(self, tmp_path, tiny_config, filename):
+        """Instead of the later value replacing the earlier one."""
+        lines = (tiny_config / filename).read_text().splitlines()
+        hour, key, _ = lines[1].split(",")
+        broken = self.make_broken(
+            tmp_path, tiny_config, filename,
+            lambda text: text.replace(lines[1], f"{lines[1]}\n{hour},{key},1.0",
+                                      1))
+        where = f"{filename} line 3, column 'hour'"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{where}: hour {hour} of {key!r} repeats line 2")):
+            load_config(broken)
+
     def test_validation_failures_surface(self, tmp_path, tiny_config):
         def mutate(text):
             return text.replace("0.3", "1.3")  # ocgt min stable

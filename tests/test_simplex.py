@@ -11,6 +11,7 @@ from conftest import CONFIGS, GOLDEN
 from lp_oracle import highs_objective, oracle_solve_lp
 import sinkplan.simplex as simplex_mod
 from sinkplan import load_config
+from sinkplan.formulation import assemble
 from sinkplan.lp import EQ, GE, LE, LinearProgramBuilder, LPError, certify
 from sinkplan.mps import parse_mps
 from sinkplan.runner import solve_scenario
@@ -249,8 +250,8 @@ GARBAGE_STARTS = {
 
 
 def crashed_feasible_lp():
-    """Feasible, and its slack crash puts artificials on all three rows: the
-    <= row's residual is negative, the >= row's positive."""
+    """Feasible, and every logical of its slack basis lies outside its
+    bounds: the <= row's below 0, the >= row's and the = row's above it."""
     return build([("x0", dict(obj=1.0)), ("x1", dict(obj=2.0)),
                   ("x2", dict(obj=1.0))],
                  [("r0", LE, -1.0, [(0, 1.0), (1, -1.0)]),
@@ -259,14 +260,19 @@ def crashed_feasible_lp():
 
 
 def redundant_equality_lp():
-    """Two equality rows, one twice the other: an artificial stays basic."""
+    """Two equality rows, one twice the other: a logical stays basic."""
     return build([("x", dict(obj=1.0)), ("y", dict(obj=2.0))],
                  [("r0", EQ, 2.0, [(0, 1.0), (1, 1.0)]),
                   ("r1", EQ, 4.0, [(0, 2.0), (1, 2.0)])])
 
 
-WARM_LPS = {"crashed": crashed_feasible_lp,
-            "redundant-equality": redundant_equality_lp}
+WARM_LPS = {
+    "crashed": crashed_feasible_lp,
+    "redundant-equality": redundant_equality_lp,
+    "tiny": lambda: assemble(load_config(CONFIGS / "tiny")[0])[0],
+    **{f"instance{seed}": lambda seed=seed: assemble(
+        sh.random_instance(seed, with_sink=True))[0] for seed in range(6)},
+}
 
 
 class TestWarmStart:
@@ -280,6 +286,13 @@ class TestWarmStart:
         assert warm.iterations == warm.phase1_iterations == 0
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
         assert certify(lp, warm).within(1e-6)
+        # statuses by column index, logicals after the structurals
+        ws = simplex_mod._Workspace(lp)
+        for s in (cold, warm):
+            status = np.concatenate(s.basis)
+            assert np.all(simplex_mod._valid_status(status, ws.lower,
+                                                    ws.upper))
+            assert np.sum(status == BASIC) == lp.n_rows
 
     def test_basis_has_one_basic_per_row(self, tiny_solved):
         cols, rows = tiny_solved.solution.basis
@@ -290,7 +303,7 @@ class TestWarmStart:
         assert not tiny_solved.solution.warm_start
 
     def test_redundant_equality_restarts_on_its_artificial(self):
-        # one of the two equal rows keeps its artificial basic at zero
+        # one of the two equal rows keeps its logical basic at zero
         lp = redundant_equality_lp()
         cold = solve(lp)
         cols, rows = cold.basis
@@ -367,7 +380,8 @@ class TestUnconfirmedOptimum:
         assert s.objective == pytest.approx(-1.0)
 
     def test_unconfirmed_phase1_is_not_infeasible(self, monkeypatch):
-        # eight floors: phase 1 stops after five pivots with artificials left
+        # eight floors: phase 1 stops after five pivots, with three logicals
+        # still above their upper bounds
         n = 8
         lp = build([(f"x{j}", dict(obj=1.0)) for j in range(n)],
                    [(f"r{j}", GE, 1.0, [(j, 1.0)]) for j in range(n)])
@@ -429,7 +443,7 @@ def test_denormal_pivot_does_not_limit_the_step():
     ws = SimpleNamespace(basis=np.array([0, 1, 2]),
                          xb=np.array([1.0, 2.0, 3.0]), lb=np.zeros(3),
                          ub=np.full(3, np.inf), lower=np.zeros(4),
-                         upper=np.full(4, np.inf))
+                         upper=np.full(4, np.inf), bland=False)
     w = np.array([1e-310, 0.5, -2.0])
     step, leave_row, leave_to = simplex_mod._ratio_test(ws, 3, w, 1.0)
     assert (step, leave_row, leave_to) == (4.0, 1, AT_LOWER)
@@ -444,8 +458,8 @@ def structural_pair():
 
 
 def crashed_lp():
-    """Four rows whose slack crash leaves artificials of sign -1 on r0 and
-    r2, +1 on r1, and r3's slack basic."""
+    """Four rows whose slack basis puts r0's and r2's logicals below their
+    lower bounds, r1's above its upper bound and r3's within its bounds."""
     return build([(f"x{j}", dict(obj=1.0)) for j in range(4)],
                  [("r0", LE, -2.0, [(0, 1.0), (1, 1.0)]),
                   ("r1", GE, 3.0, [(1, 1.0), (2, 1.0), (3, 1.0)]),
@@ -453,12 +467,12 @@ def crashed_lp():
                   ("r3", LE, 5.0, [(0, 1.0), (2, 2.0)])])
 
 
-# bases of crashed_lp by position, from its crash basis
+# bases of crashed_lp by position, from its slack basis
 NUCLEUS_CASES = {
     "all unit": lambda ws: ws.basis,
-    # x2 and x0 replace r1's artificial and r3's slack: K is rows r1, r3,
-    # and C couples both to the -1 artificials of r0 and r2
-    "negative artificials": lambda ws: [ws.basis[0], 2, ws.basis[2], 0],
+    # x2 and x0 replace r1's and r3's logicals: K is rows r1, r3, and C
+    # couples both to the logicals of r0 and r2
+    "logicals and structurals": lambda ws: [ws.basis[0], 2, ws.basis[2], 0],
     "no unit column": lambda ws: [0, 1, 2, 3],
 }
 
@@ -515,8 +529,17 @@ class TestFactorization:
 
         def checked(ws):
             if ws.factored_at >= 0:
-                assert np.array_equal(ws.lb, ws.lower[ws.basis])
-                assert np.array_equal(ws.ub, ws.upper[ws.basis])
+                lb, ub = ws.lower[ws.basis], ws.upper[ws.basis]
+                if ws.phase1:
+                    # a basic that costs -1 is below its lower bound and may
+                    # rise only to it; one that costs +1 may fall only to
+                    # its upper bound
+                    c = ws.cost[ws.basis]
+                    lb, ub = (
+                        np.where(c < 0, -np.inf, np.where(c > 0, ub, lb)),
+                        np.where(c > 0, np.inf, np.where(c < 0, lb, ub)))
+                assert np.array_equal(ws.lb, lb)
+                assert np.array_equal(ws.ub, ub)
                 nonbasic = ws.x.copy()
                 nonbasic[ws.basis] = 0.0
                 want = splu(ws.A[:, ws.basis].tocsc()).solve(
@@ -552,10 +575,8 @@ class TestFactorization:
         n_unit = int(np.sum(ws.basis >= ws.n_struct))
         assert len(ws.unit_pos) == n_unit
         assert (ws.lu is None) == (n_unit == ws.m)
-        if kind == "all unit":
-            assert list(ws.unit_signs) == [-1.0, 1.0, -1.0, 1.0]
-        if kind == "negative artificials":
-            assert np.any(ws.unit_signs < 0) and ws.C.nnz
+        if kind == "logicals and structurals":
+            assert ws.C.nnz
         B = ws.A[:, ws.basis].toarray()
         v = np.random.default_rng(1).normal(size=ws.m)
         for got, want in [(ws.b_solve(v), np.linalg.solve(B, v)),
@@ -563,8 +584,8 @@ class TestFactorization:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_two_unit_columns_on_one_row_raise(self):
-        ws = simplex_mod._Workspace(crashed_lp())
-        ws.basis[3] = ws.n_struct + 0    # r0's artificial is basic too
+        ws = simplex_mod._Workspace(crashed_lp())   # the slack basis
+        ws.basis[3] = ws.n_struct + 0    # r0's logical is basic twice
         with pytest.raises(RuntimeError):
             ws.refactorize()
 
