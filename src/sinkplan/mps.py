@@ -12,24 +12,39 @@ representation, so parse(write(lp)) reproduces every float bit for bit.
 
 Both directions work a section at a time and keep no list, tuple or dict
 per line, which the cyclic garbage collector would walk again and again.
-Each also holds a large object only while it is needed.  The writer frees
-its sort arrays and padded names before the final join, which holds the text
-twice.  The reader keeps each piece's comment lines as one string, and each
-COLUMNS block as int64 (column << 31 | row) keys, float values and int32 line
-offsets.  At the end it looks up the rows and columns the NAMEMAP comments
-name, frees its name dicts, builds the matrix with one stable sort, and makes
-the original names last.  On the 8,760-hour northern LP (a 103 MB file) a
-write and read-back peaks at 575-595 MB RSS; ~380 MB of it is held before
-the parse starts (the interpreter, the LP written and the text).
+Each also holds a large object only while it is needed.  The writer formats
+each distinct value of a piece once and frees its sort arrays and padded
+names before the final join, which holds the text twice.
+
+The reader finds a piece's data, comment and section lines with array
+operations on its characters.  Each run of data lines (a block) goes to
+np.loadtxt, numpy's C text reader: ROWS blocks as (type, name), COLUMNS
+blocks as (column, row, value), and at the end each piece's comments, when
+every one is a `* NAMEMAP short original` line, as (short, original).  Rows
+and columns are found with np.searchsorted in sorted arrays of their names,
+and a COLUMNS block looks each distinct column up once.  A name field is
+one character wider than the longest name it has held, and a block with a
+name that fills it is read again with the field widened.  Blocks the loader
+refuses are read line by line: two pairs on a line, integer markers,
+numbers such as `1_5` that float reads and numpy does not, unknown rows,
+NUL characters.  So are RHS and BOUNDS and other comments, and that reader
+names a refused block's earliest faulty line.  The reader keeps each
+COLUMNS block as int64 (column << 31 | row) keys, float values and int32
+line offsets, frees its name indices before the matrix is built with one
+stable sort, and makes the original names last.  On the 8,760-hour
+northern LP (a 103 MB file) a write and read-back peaks at 569-578 MB RSS;
+~380 MB of it is held before the parse starts (the interpreter, the LP
+written and the text).
 
 Solution exchange: `STATUS <status> OBJ <value>` header, then `COL <name>
 <value>` and `ROW <name> <dual>` lines, whitespace-separated and keyed by
 mangled names.  `read_external_solution` certifies every file it reads.
 """
 
+import io
 import re
 from collections import defaultdict
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -47,6 +62,7 @@ _TYPE_TO_SENSE = {"L": LE, "E": EQ, "G": GE}
 _BOUND_TYPES = ("FX", "FR", "MI", "LO", "UP")
 _CHUNK = 1 << 17  # lines formatted, or 1/32 of the characters split, at once
 _ROW = (1 << 31) - 1  # the row bits of a matrix entry's key
+_MAP = "* NAMEMAP "  # how the writer starts a NAMEMAP comment
 # the short and original name of a NAMEMAP comment line, as the second and
 # third item of `line[1:].split(None, 2)`
 _NAMEMAP = re.compile(r"^\*[^\S\n]*NAMEMAP[^\S\n]+(\S+)[^\S\n]+(\S.*)$", re.M)
@@ -60,10 +76,12 @@ def mangle_names(names, prefix):
     """Deterministic <=8 char MPS names; keeps safe short names as-is."""
     out = list(map(f"{prefix}%07d".__mod__, range(1, len(names) + 1)))
     fits = np.fromiter(map(len, names), np.intp, len(names)) <= 8
-    for i in np.flatnonzero(fits).tolist():
-        if _SAFE_NAME.fullmatch(names[i]) and names[i] not in _RESERVED:
-            out[i] = names[i]
-    if len(set(out)) < len(out):
+    kept = [i for i in np.flatnonzero(fits).tolist()
+            if _SAFE_NAME.fullmatch(names[i]) and names[i] not in _RESERVED]
+    for i in kept:
+        out[i] = names[i]
+    # generated names are distinct, so only a kept one can collide
+    if kept and len(set(out)) < len(out):
         seen = {}
         for orig, short in zip(names, out):
             if short in seen:
@@ -76,15 +94,16 @@ def mangle_names(names, prefix):
 def write_mps(lp):
     """Serialize a LinearProgram to MPS text."""
     rows, cols = mangle_names(lp.row_names, "R"), mangle_names(lp.col_names, "C")
-    out = ["".join([f"* NAMEMAP {s} {o}\n" for short, names in
+    out = ["".join([f"{_MAP}{s} {o}\n" for short, names in
                     ((rows, lp.row_names), (cols, lp.col_names))
                     for s, o in zip(short, names) if s != o]),
            f"NAME          {lp.name}\nROWS\n N   {_OBJ_NAME}\n",
            "".join([f" {_SENSE_TO_TYPE[s]}   {r}\n" for s, r in zip(lp.senses, rows)]),
            "COLUMNS\n"]
-    # a name field and the two spaces after it; row -1 is the objective
+    # a name field and the two spaces after it, a column's after the line's
+    # leading space; row -1 is the objective
     rpad = [f"{s:<8}  " for s in rows] + [f"{_OBJ_NAME:<8}  "]
-    cpad = [f"{s:<8}  " for s in cols]
+    cpad = [f" {s:<8}  " for s in cols]
     out += _entries(lp, rpad, cpad)
     nz = np.flatnonzero(lp.rhs != 0.0)
     out.append("RHS\n" + "".join([f" RHS       {rpad[i]}{v!r}\n" for i, v in
@@ -104,7 +123,7 @@ def write_mps(lp):
     j, kind = j[order], kind[order]
     out.append("RANGES\nBOUNDS\n" + "".join([
         f" {_BOUND_TYPES[k]}  BND       {cols[c]}\n" if k in (1, 2) else
-        f" {_BOUND_TYPES[k]}  BND       {cpad[c]}{v!r}\n" for k, c, v in
+        f" {_BOUND_TYPES[k]}  BND      {cpad[c]}{v!r}\n" for k, c, v in
         zip(kind.tolist(), j.tolist(), np.where(kind == 4, up[j], lo[j]).tolist())]))
     out.append("ENDATA\n")
     del rows, cols, rpad, cpad  # freed before the join holds the text twice
@@ -121,8 +140,13 @@ def _entries(lp, rpad, cpad):
     out = []
     for a in range(0, len(order), _CHUNK):
         k = order[a:a + _CHUNK]
-        out.append("".join([f" {cpad[j]}{rpad[i]}{v!r}\n" for j, i, v in
-                            zip(col[k].tolist(), row[k].tolist(), val[k].tolist())]))
+        # each distinct value of the piece formatted once, told apart by its
+        # bits: a float comparison takes -0.0 for 0.0
+        bits, v = np.unique(val[k].view(np.int64), return_inverse=True)
+        text = [f"{x!r}\n" for x in bits.view(float).tolist()]
+        out.append("".join(chain.from_iterable(zip(
+            map(cpad.__getitem__, col[k].tolist()), map(rpad.__getitem__, row[k].tolist()),
+            map(text.__getitem__, v.tolist())))))
     return out
 
 
@@ -131,8 +155,41 @@ def parse_mps(text):
 
     Each run of data lines is read as one block, which raises at its earliest
     faulty line.  Repeated matrix entries are looked for over all blocks at
-    once before any later fault is raised, so errors name the earliest line."""
+    once before any later fault is raised, so errors name the earliest line.
+    Lines end at a newline, a carriage return or the two together."""
     return _Reader().read(text)
+
+
+# str.split's whitespace, which np.loadtxt splits on too, below U+3001: U+3000
+# is the last, so `np.take(_SPACE, code, mode="clip")` flags any character;
+# `bytes.translate(_ASCII_SPACE)` flags an ASCII text's several times faster
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+_ASCII_SPACE = _SPACE[:256].tobytes()
+_DATA, _NOTE, _BLANK, _HEAD = range(4)
+# ROWS types in either case, sorted, and the sense of each (None for N)
+_ROW_TYPES = np.array(sorted("NnEeGgLl"))
+_ROW_SENSES = np.array([_TYPE_TO_SENSE.get(t.upper()) for t in _ROW_TYPES], object)
+
+
+def _lines(piece):
+    """Where the piece's lines start (line k is piece[at[k]:at[k + 1] - 1])
+    and the kind of each: a data line starts with whitespace and is not
+    blank, a comment line starts with '*', and any other line that is not
+    blank is a section line."""
+    if piece.isascii():
+        raw = piece.encode()
+        code, space = (np.frombuffer(raw, np.uint8),
+                       np.frombuffer(raw.translate(_ASCII_SPACE), bool))
+    else:
+        code = np.frombuffer(piece.encode("utf-32-le", "surrogatepass"), np.uint32)
+        space = np.take(_SPACE, code, mode="clip")
+    at = np.concatenate([[0], np.flatnonzero(code == 10) + 1])
+    if not piece.endswith("\n"):
+        at = np.append(at, len(piece) + 1)
+    start = at[:-1]
+    kind = np.where(space[start], _DATA, np.where(code[start] == 42, _NOTE, _HEAD))
+    kind[np.minimum.reduceat(space, start)] = _BLANK
+    return at, kind
 
 
 def _counts(lines):
@@ -203,13 +260,38 @@ def _floats(tokens):
                 return np.array(out)
 
 
+def _sorted(index):
+    """The names of a {name: index} dict in sorted order, as an array one
+    character wider than the longest name, and their indices.  The array
+    holds str objects where a name ends in NUL, which a U array drops."""
+    names = np.array(list(index), f"U{max(map(len, index), default=0) + 1}")
+    if np.char.str_len(names).sum() < sum(map(len, index)):
+        names = np.array(list(index), object)
+    order = np.argsort(names, kind="stable")
+    return names[order], np.fromiter(index.values(), np.int64, len(index))[order]
+
+
+def _find(names, index, keys):
+    """The index of each key among sorted names, or -2 for a key not there."""
+    if not len(names):
+        return np.full(len(keys), -2, np.int64)
+    # keys are cut to the names' width, so the names are never cast to
+    # theirs; a key that was cut is no name and matches none
+    at = np.searchsorted(names, keys.astype(names.dtype))
+    at = np.minimum(at, len(names) - 1)
+    return np.where(names[at] == keys, index[at], -2)
+
+
 class _Reader:
     def __init__(self):
         self.name, self.section, self.obj_row = "lp", None, None
         self.notes = []  # each piece's comment lines, joined by newlines
         self.row_index, self.row_names, self.senses = {}, [], []
+        self.row_order = None  # _sorted(self.row_index) once COLUMNS needs it
         # a column's index is given out when a COLUMNS line first names it
         self.col_index = defaultdict(count().__next__)
+        # a string field's width in `load`: 8-character names fit at first
+        self.width = defaultdict(lambda: 9)
         # row or column index -> value; the last line to set one wins
         self.lower, self.upper, self.rhs = {}, {}, {}
         # per COLUMNS block: objective (columns, values), matrix entry keys
@@ -220,28 +302,27 @@ class _Reader:
         start, lineno = 0, 1
         while start < len(text):  # about 32 * _CHUNK characters at a time
             end = text.find("\n", start + 32 * _CHUNK) + 1 or len(text)
-            lines = text[start:end].splitlines()
-            width, body = (np.fromiter(map(len, x), np.intp, len(lines))
-                           for x in (lines, map(str.lstrip, lines)))
-            # comments, blank lines and section lines end a block
-            ends = np.flatnonzero((body == 0) | (body == width)).tolist()
-            raw = list(map(lines.__getitem__, ends))
-            note = list(map(str.startswith, raw, repeat("*")))
-            after = np.diff(ends, prepend=-1) > 1  # data lines before ends[k]
-            head = (body[ends] > 0) & ~np.array(note, bool)
-            for k in np.flatnonzero(after | head).tolist():
-                i = ends[k]
-                if after[k]:
-                    prev = ends[k - 1] + 1 if k else 0
-                    self.block(lines[prev:i], lineno + prev)
-                if head[k] and self.header(raw[k].split(), lineno + i):
-                    self.notes.append("\n".join(compress(raw[:k], note)))
+            piece = text[start:end]
+            if "\r" in piece:
+                piece = piece.replace("\r\n", "\n").replace("\r", "\n")
+            at, kind = _lines(piece)
+            # runs of lines of one kind, each section line a run of its own
+            first = np.flatnonzero(np.concatenate(
+                [[True], (kind[1:] != kind[:-1]) | (kind[1:] == _HEAD)]))
+            end_at = at[np.append(first[1:], len(kind))] - 1
+            notes = []
+            for a, lo, hi, k in zip(first.tolist(), at[first].tolist(), end_at.tolist(),
+                                    kind[first].tolist()):
+                lines = piece[lo:hi]
+                if k == _DATA:
+                    self.block(lines, lineno + a)
+                elif k == _NOTE:
+                    notes.append(lines)
+                elif k == _HEAD and self.header(lines.split(), lineno + a):
+                    self.notes.append("\n".join(notes))
                     return self.finish(saw_endata=True)
-            self.notes.append("\n".join(compress(raw, note)))
-            prev = ends[-1] + 1 if ends else 0
-            if prev < len(lines):
-                self.block(lines[prev:], lineno + prev)
-            start, lineno = end, lineno + len(lines)
+            self.notes.append("\n".join(notes))
+            start, lineno = end, lineno + len(kind)
         return self.finish(saw_endata=False)
 
     def fail(self, lineno, msg):
@@ -262,13 +343,72 @@ class _Reader:
             self.fail(lineno, f"unknown section {toks[0]!r}")
         return head == "ENDATA"
 
-    def block(self, lines, lineno):
+    def block(self, text, lineno):
+        """Take in a run of data lines, `text` without its last newline."""
         if self.section in (None, "RANGES"):
             self.fail(lineno, "RANGES entries unsupported" if self.section
                       else "data before any section header")
-        getattr(self, "_" + self.section.lower())(lines, lineno)
+        getattr(self, "_" + self.section.lower())(text, lineno)
 
-    def _rows(self, lines, lineno):
+    def load(self, text, fields, usecols=None):
+        """A block as np.loadtxt reads it into `fields`, (name, dtype) pairs,
+        from the tokens `usecols` numbers (all by default), or None where the
+        loader refuses it.  A field whose dtype is None holds each token
+        whole: it is one character wider than the longest token it has held,
+        and when a token fills it the block is read again with the field
+        wider than the block's longest token, unless the field would then
+        hold more than four times the block's characters.  The loader's
+        strings drop trailing NULs, so a block with a NUL is refused too."""
+        if "\x00" in text:
+            return None
+        width = self.width
+        while True:
+            try:
+                got = np.loadtxt(io.StringIO(text), comments=None, ndmin=1,
+                                 usecols=usecols, dtype=[
+                                     (f, t or f"U{width[f]}") for f, t in fields])
+            except ValueError:
+                return None
+            held = {f: int(np.char.str_len(got[f]).max()) for f, t in fields if t is None}
+            full = [f for f, k in held.items() if k == width[f]]
+            if not full:
+                for f, k in held.items():
+                    self.width[f] = max(self.width[f], k + 1)
+                return got
+            wide = max(map(len, text.split())) + 1
+            if wide * len(got) > 4 * len(text):
+                return None
+            width = {**width, **dict.fromkeys(full, wide)}
+
+    def _rows(self, text, lineno):
+        self.row_order = None
+        got = self.load(text, [("type", "U2"), ("name", None)])
+        if got is None or not self.take_rows(got["type"], got["name"].tolist()):
+            self._row_lines(text.split("\n"), lineno)
+
+    def take_rows(self, types, names):
+        """Declare the rows of a block the loader read; False, declaring
+        none, if a type is unknown, a name repeats one declared before or in
+        the block, or a second objective (N) row is declared."""
+        code = np.minimum(np.searchsorted(_ROW_TYPES, types), len(_ROW_TYPES) - 1)
+        obj = np.isin(types, ("N", "n"))
+        if ((_ROW_TYPES[code] != types).any()
+                or np.count_nonzero(obj) > (self.obj_row is None)):
+            return False
+        index = np.cumsum(~obj) + (len(self.row_names) - 1)
+        index[obj] = -1
+        new = dict(zip(names, index.tolist()))
+        if len(new) < len(names) or not self.row_index.keys().isdisjoint(new):
+            return False
+        self.row_index.update(new)
+        if obj.any():
+            self.obj_row = names[int(np.argmax(obj))]
+            names = list(compress(names, (~obj).tolist()))
+        self.row_names += names
+        self.senses += _ROW_SENSES[code[~obj]].tolist()
+        return True
+
+    def _row_lines(self, lines, lineno):
         bad = _first(_counts(lines) != 2)
         flat = " ".join(lines[:bad]).split()
         types, names = map(str.upper, flat[0::2]), flat[1::2]
@@ -288,41 +428,65 @@ class _Reader:
         if bad < len(lines):
             self.fail(lineno + bad, "ROWS entries need a type and a name")
 
-    def _columns(self, lines, lineno):
+    def _columns(self, text, lineno):
+        if self.row_order is None:
+            self.row_order = _sorted(self.row_index)
+        rows, index = self.row_order
+        # a row token longer than every row name is cut to one that is not a
+        # row name either, and left to the line path to name
+        got = self.load(text, [("column", None), ("row", rows.dtype), ("value", float)])
+        i = None if got is None else _find(rows, index, got["row"])
+        if i is None or (i == -2).any():
+            return self._column_lines(text.split("\n"), lineno)
+        # each column an index at its first line, looked up once per name
+        col = got["column"]
+        head = np.flatnonzero(np.concatenate([[True], col[1:] != col[:-1]]))
+        cols, first, inv = np.unique(col[head], return_index=True, return_inverse=True)
+        first = np.argsort(first)
+        j = np.empty(len(cols), np.int64)
+        j[first] = np.fromiter(map(self.col_index.__getitem__, cols[first].tolist()),
+                               np.int64, len(cols))
+        j = np.repeat(j[inv], np.diff(np.append(head, len(col))))
+        self.entries(lineno, np.arange(len(col)), j, i, got["value"])
+
+    def _column_lines(self, lines, lineno):
         cols, rows, svals, at, fault = _pairs(lines, lineno)
         j = np.fromiter(map(self.col_index.__getitem__, cols), np.int64, len(cols))
         i = np.fromiter(map(self.row_index.get, rows, repeat(-2)), np.int64, len(rows))
         v = _floats(svals)
         p = min(len(v), _first(i == -2))
-        obj, ok = i[:p] == -1, i[:p] >= 0
-        self.obj.append((j[:p][obj], v[:p][obj]))
-        self.keys.append(j[:p][ok] << 31 | i[:p][ok])
-        self.values.append(v[:p][ok])
-        self.lines.append((lineno, (at[:p][ok] - lineno).astype(np.int32)))
+        self.entries(lineno, at[:p] - lineno, j[:p], i[:p], v[:p])
         if p < len(rows):
             self.fail(at[p], f"unknown row {rows[p]!r}" if p < len(v) else
                       f"malformed numeric field {svals[p]!r}")
         if fault:
             self.fail(*fault)
 
-    def _rhs(self, lines, lineno):
-        for t, toks in _tokens(lines, lineno):
+    def entries(self, lineno, at, j, i, v):
+        """Take in COLUMNS entries (j, i, v) from lines lineno + at, where
+        row i -1 is the objective."""
+        obj, ok = i == -1, i >= 0
+        self.obj.append((j[obj], v[obj]))
+        self.keys.append(j[ok] << 31 | i[ok])
+        self.values.append(v[ok])
+        self.lines.append((lineno, at[ok].astype(np.int32)))
+
+    def _rhs(self, text, lineno):
+        for t, toks in _tokens(text.split("\n"), lineno):
             if len(toks) not in (3, 5):
                 self.fail(t, "RHS entries come in (set, row, value) groups")
             for rname, sval in zip(toks[1::2], toks[2::2]):
-                v, i = _floats([sval]), self.row_index.get(rname, -2)
-                if not len(v):
-                    self.fail(t, f"malformed numeric field {sval!r}")
+                v, i = self.number(sval, t), self.row_index.get(rname, -2)
                 if i == -1:
                     self.fail(t, "objective-row RHS (constant term) unsupported")
                 if i == -2:
                     self.fail(t, f"unknown row {rname!r}")
                 if i in self.rhs:
                     self.fail(t, f"duplicate RHS for row {rname!r}")
-                self.rhs[i] = v[0]
+                self.rhs[i] = v
 
-    def _bounds(self, lines, lineno):
-        for t, toks in _tokens(lines, lineno):
+    def _bounds(self, text, lineno):
+        for t, toks in _tokens(text.split("\n"), lineno):
             btype, n = toks[0].upper(), len(toks)
             if btype in ("BV", "LI", "UI"):
                 self.fail(t, f"integer bound type {btype!r} unsupported")
@@ -332,15 +496,20 @@ class _Reader:
             j = self.col_index.get(toks[2])
             if j is None:
                 self.fail(t, f"unknown column {toks[2]!r}")
-            v = _floats(toks[3:])
-            if len(v) < n - 3:
-                self.fail(t, f"malformed numeric field {toks[3]!r}")
+            v = self.number(toks[3], t) if n == 4 else None
             if btype in ("LO", "FX", "FR", "MI"):
-                self.lower[j] = v[0] if n == 4 else -INF
-            elif btype == "UP" and v[0] < 0 and j not in self.lower:
+                self.lower[j] = v if n == 4 else -INF
+            elif btype == "UP" and v < 0 and j not in self.lower:
                 self.lower[j] = -INF  # the common reading of a negative UP
             if btype in ("UP", "FX", "FR", "PL"):
-                self.upper[j] = v[0] if n == 4 else INF
+                self.upper[j] = v if n == 4 else INF
+
+    def number(self, tok, lineno):
+        """float(tok), failing at the line if it is malformed."""
+        try:
+            return float(tok)
+        except ValueError:
+            self.fail(lineno, f"malformed numeric field {tok!r}")
 
     def matrix(self, cols):
         """The sorted keys and values of the nonzero matrix entries so far,
@@ -369,31 +538,36 @@ class _Reader:
             key, v = key[keep], v[keep]
         return key, v
 
-    def targets(self, note, shared):
-        """The rows and the columns (-1 for none) that the NAMEMAP comments
-        of a note name, and their original names joined by newlines.  A row
-        name is looked up among the columns only if it is in `shared`."""
+    def targets(self, note, rows, cols):
+        """The rows and the columns (negative for none) that the NAMEMAP
+        comments of a note name, given each as (sorted names, indices), and
+        their original names joined by newlines."""
+        # each line '* NAMEMAP ', the short and the original name, one
+        # character apart: the loader then reads what _NAMEMAP finds
+        if note.startswith(_MAP) and note.count("\n" + _MAP) == note.count("\n"):
+            got = self.load(note, [("short", None), ("original", None)], (2, 3))
+            if got is not None:
+                names, short = "\n".join(got["original"].tolist()), got["short"]
+                if len(note) == len(names) + np.char.str_len(short).sum() + 11 * len(got):
+                    return _find(*rows, short), _find(*cols, short), names
         pairs = _NAMEMAP.findall(note)
-        short = list(map(itemgetter(0), pairs))
-        i = np.fromiter(map(self.row_index.get, short, repeat(-1)), np.int32,
-                        len(short))
-        ask = i < 0
-        if shared:
-            ask |= np.fromiter(map(shared.__contains__, short), bool, len(short))
-        j = np.full(len(short), -1, np.int32)
-        j[ask] = np.fromiter(map(self.col_index.get, compress(short, ask.tolist()),
-                                 repeat(-1)), np.int32, np.count_nonzero(ask))
-        return i, j, "\n".join(map(itemgetter(1), pairs))
+        # str objects: a U array would drop a name's trailing NULs
+        short = np.array(list(map(itemgetter(0), pairs)), object)
+        return _find(*rows, short), _find(*cols, short), "\n".join(map(itemgetter(1), pairs))
 
     def finish(self, saw_endata):
         rows, cols = self.row_names, list(self.col_index)
         # NAMEMAP names are looked up and the name indices freed before the
         # matrix is built; the original names are made last, and where two
         # comments map one name the later wins
-        mapped, shared = [], self.row_index.keys() & self.col_index.keys()
+        found = self.row_order or _sorted(self.row_index), _sorted(self.col_index)
+        self.row_index = self.col_index = self.row_order = None
+        mapped = []
         while self.notes:  # each note freed once read
-            mapped.append(self.targets(self.notes.pop(0), shared))
-        self.row_index = self.col_index = None
+            note = self.notes.pop(0)
+            if note:
+                mapped.append(self.targets(note, *found))
+        del found
         key, v = self.matrix(cols)
         if not saw_endata:
             raise MPSError("missing ENDATA terminator")
@@ -454,16 +628,28 @@ def _parse_solution_file(path):
                        np.intp, len(head))
     bad = _first((n < need) | (need == 0) | ((need == 3) & (n != 3)))
     take = lambda k: list(map(flat.__getitem__, k.tolist()))
-    rec = at[:bad][need[:bad] == 3]
-    values = list(map(float, take(rec + 2)))  # raises at the earliest line
+    keep = need[:bad] == 3  # the COL and ROW records before the first bad line
+    rec, lineno = at[:bad][keep], (line[:bad][keep] + 1).tolist()
+    kinds, names, text = take(rec), take(rec + 1), take(rec + 2)
+    values = _floats(text)  # those before the first malformed one
+    pick = lambda kind: dict(compress(zip(names, values), map(kind.__eq__, kinds)))
+    cols, rows = pick("COL"), pick("ROW")
+    if len(cols) + len(rows) < len(values):  # the first repeat comes first
+        seen = {}
+        for t, key in zip(lineno, zip(kinds, names)):
+            if key in seen:
+                raise MPSError(f"{path}: line {t}: {key[0]} {key[1]!r} repeats "
+                               f"line {seen[key]}")
+            seen[key] = t
+    if len(values) < len(text):
+        raise MPSError(f"{path}: line {lineno[len(values)]}: malformed numeric "
+                       f"field {text[len(values)]!r}")
     if bad < len(head):
         raise MPSError(f"{path}: line {line[bad] + 1}: " + (
             f"unknown record {head[bad]!r}" if need[bad] == 0
             else f"malformed {head[bad]} entry"))
     status = take(at[need == 2][-1:] + 1)
-    kinds, names = take(rec), take(rec + 1)
-    pick = lambda kind: dict(compress(zip(names, values), map(kind.__eq__, kinds)))
-    return (status[0] if status else None), pick("COL"), pick("ROW")
+    return (status[0] if status else None), cols, rows
 
 
 def read_external_solution(lp, path):

@@ -106,6 +106,15 @@ class TestGolden:
         lp = trivial_lp()
         assert write_mps(lp) == write_mps(lp)
 
+    def test_signed_zeros_keep_their_sign(self):
+        b = LinearProgramBuilder("z")
+        b.add_col("x", obj=-0.0)
+        b.add_col("y", obj=0.0)
+        b.add_row("r", LE, 1.0, [(0, 1.0), (1, 1.0)])
+        lines = write_mps(b.build()).splitlines()
+        assert [ln.split() for ln in lines if " OBJ " in ln] == [
+            ["x", "OBJ", "-0.0"], ["y", "OBJ", "0.0"]]
+
     def test_writer_matches_frozen_digests(self):
         frozen = json.loads((GOLDEN / "mps_digests.json").read_text())
         assert mps_digests() == frozen
@@ -355,6 +364,184 @@ class TestSmallPieces:
             parse_mps(text)
 
 
+def two_pairs_per_line(text):
+    """The MPS text with each two consecutive COLUMNS entries of a column on
+    one line, as other writers lay them out."""
+    head, rest = text.split("COLUMNS\n")
+    body, tail = rest.split("RHS\n")
+    lines, out, k = [ln.split() for ln in body.splitlines()], [], 0
+    while k < len(lines):
+        if k + 1 < len(lines) and lines[k + 1][0] == lines[k][0]:
+            out.append("  ".join([""] + lines[k] + lines[k + 1][1:]))
+            k += 2
+        else:
+            out.append("  ".join([""] + lines[k]))
+            k += 1
+    return head + "COLUMNS\n" + "\n".join(out) + "\nRHS\n" + tail
+
+
+@pytest.fixture
+def line_path(monkeypatch):
+    """The COLUMNS blocks np.loadtxt refused, read line by line instead."""
+    refused = []
+    column_lines = mps._Reader._column_lines
+
+    def spy(reader, lines, lineno):
+        refused.append(lineno)
+        return column_lines(reader, lines, lineno)
+
+    monkeypatch.setattr(mps._Reader, "_column_lines", spy)
+    return refused
+
+
+def parse_at(monkeypatch, text, chunk):
+    monkeypatch.setattr(mps, "_CHUNK", chunk)
+    return parse_mps(text)
+
+
+CHUNKS = pytest.mark.parametrize("chunk", [mps._CHUNK, 1], ids=["chunk", "chunk1"])
+
+
+class TestLoaderPath:
+    """Blocks np.loadtxt reads and those it refuses, which are read line by
+    line, give the same LP at any piece size."""
+
+    LPS = [awkward_lp()] + [random_lp(seed) for seed in range(20)]
+
+    @CHUNKS
+    def test_two_pairs_per_line_are_read_line_by_line(self, monkeypatch, line_path,
+                                                      chunk):
+        for lp in self.LPS:
+            text = two_pairs_per_line(write_mps(lp))
+            assert text.count("\n") < write_mps(lp).count("\n")
+            del line_path[:]
+            assert lp_equal(parse_at(monkeypatch, text, chunk), lp)
+            assert line_path
+
+    @CHUNKS
+    def test_three_and_five_tokens_in_one_block(self, monkeypatch, line_path, chunk):
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\n G  r2\nCOLUMNS\n"
+                " x  OBJ  1.5\n x  r1  1.0  r2  3.0\n y  r1  2.0\n"
+                "RHS\n RHS  r1  3.0  r2  4.0\nBOUNDS\n UP BND x 4.0\nENDATA\n")
+        assert lp_equal(parse_at(monkeypatch, text, chunk), two_row_lp())
+        assert line_path
+
+    @CHUNKS
+    @pytest.mark.parametrize("sep", ["\t", "\x0b", "\xa0"], ids=["tab", "vt", "nbsp"])
+    def test_other_whitespace_separates_fields(self, monkeypatch, line_path, chunk, sep):
+        for lp in self.LPS:
+            text = re.sub(" +", sep, write_mps(lp))
+            assert lp_equal(parse_at(monkeypatch, text, chunk), lp)
+        assert not line_path
+
+    @CHUNKS
+    def test_crlf_line_endings(self, monkeypatch, line_path, chunk):
+        for lp in self.LPS:
+            text = write_mps(lp).replace("\n", "\r\n")
+            assert lp_equal(parse_at(monkeypatch, text, chunk), lp)
+        assert not line_path
+
+    @given(seed=st.integers(0, 10_000), edits=st.lists(st.tuples(
+        st.integers(0, 10_000), st.sampled_from(["sep", "token", "insert", "drop"]),
+        st.sampled_from(["\t", "\xa0", "x", "r1", "OBJ", "1_5", "abc", "nan", "l",
+                         "'MARKER'", "R00000011", "a_longer_name", "*", "",
+                         "* NAMEMAP x y", "* NAMEMAP R0000001 z"])), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_loader_and_line_path_read_alike(self, seed, edits):
+        """A written file with a few lines edited reads to the same LP, or
+        fails with the same message, with and without the loader."""
+        lines = write_mps(random_lp(seed)).split("\n")
+        for at, edit, token in edits:
+            k = at % len(lines)
+            if edit == "sep":
+                lines[k] = lines[k].replace(" ", token if token in "\t\xa0" else "  ")
+            elif edit == "token" and lines[k].split():
+                toks = lines[k].split()
+                toks[at % len(toks)] = token or "x"
+                lines[k] = " " * lines[k].startswith(" ") + " ".join(toks)
+            elif edit == "insert":
+                lines.insert(k, token)
+            elif edit == "drop":
+                del lines[k]
+        text = "\n".join(lines)
+
+        def read():
+            try:
+                return parse_mps(text)
+            except MPSError as e:
+                return str(e)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mps._Reader, "load", lambda reader, *args: None)
+            by_line = read()
+        got = read()
+        if isinstance(by_line, str):
+            assert got == by_line
+        else:  # numbers are compared by their bits, which nan equals
+            bits = lambda lp: replace(lp, **{f: getattr(lp, f).view(np.int64) for f in
+                                             ("obj", "lower", "upper", "rhs", "values")})
+            assert lp_equal(bits(got), bits(by_line))
+
+    @CHUNKS
+    def test_name_with_hash(self, monkeypatch, line_path, chunk):
+        text = ("NAME t\nROWS\n N  OBJ\n L  r#1\nCOLUMNS\n x#y  OBJ  1.5\n"
+                " x#y  r#1  2.0\nRHS\n RHS  r#1  3.0\nENDATA\n")
+        lp = parse_at(monkeypatch, text, chunk)
+        assert (lp.col_names, lp.row_names, lp.values.tolist()) == (["x#y"], ["r#1"], [2.0])
+        assert not line_path
+
+    @CHUNKS
+    def test_trailing_nul_is_part_of_a_name(self, monkeypatch, line_path, chunk):
+        # numpy's strings drop trailing NULs
+        text = ("* NAMEMAP x\x00 long\nNAME t\nROWS\n N  OBJ\n L  r1\n L  r1\x00\n"
+                "COLUMNS\n x  r1  1.0\n x\x00  r1  2.0\n*\n y  r1\x00  3.0\n"
+                "*\n y  r1  4.0\nRHS\nENDATA\n")
+        lp = parse_at(monkeypatch, text, chunk)
+        assert (lp.col_names, lp.row_names) == (["x", "long", "y"], ["r1", "r1\x00"])
+        assert lp_equal(lp, replace(lp, row_idx=np.array([0, 0, 1, 0]), col_idx=np.array(
+            [0, 1, 2, 2]), values=np.array([1.0, 2.0, 3.0, 4.0])))
+        assert line_path
+
+    @CHUNKS
+    def test_longer_column_name_in_a_later_piece(self, monkeypatch, line_path, chunk):
+        # blocks of ten lines, the longer names in the last
+        names = [f"c{k}" for k in range(57)] + ["a8chars_", "nine_char",
+                                                "a_much_longer_name"]
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\nCOLUMNS\n" + "".join(
+            f" {c}  r1  1.0\n" + "*\n" * (k % 10 == 9) for k, c in enumerate(names))
+            + "RHS\nENDATA\n")
+        assert parse_at(monkeypatch, text, chunk).col_names == names
+        assert not line_path
+
+    @CHUNKS
+    @pytest.mark.parametrize("token", ["r1x", "r1xyz"])
+    def test_row_token_extending_a_row_name(self, monkeypatch, chunk, token):
+        text = (TestParserErrors.HEAD + " x  r1  1.0\n x  r2  1.0\n"
+                f" y  r2  1.0\n y  {token}  1.0\nENDATA\n")
+        with pytest.raises(MPSError, match=re.escape(f"line 10: unknown row '{token}'")):
+            parse_at(monkeypatch, text, chunk)
+
+    @CHUNKS
+    def test_numbers_read_as_float_reads_them(self, monkeypatch, chunk):
+        tokens = ["1_5", "+1.5", "-Infinity", "nan", "4.9e-324", "-0.0", "1e999"]
+        for some in [tokens[:1], tokens[1:], tokens]:
+            text = (TestParserErrors.HEAD + "".join(
+                f" c{k}  OBJ  {tok}\n c{k}  r1  1.0\n c{k}  r2  1.0\n"
+                for k, tok in enumerate(some)) + "ENDATA\n")
+            lp = parse_at(monkeypatch, text, chunk)
+            assert lp.obj.view(np.int64).tolist() == np.array(
+                [float(t) for t in some]).view(np.int64).tolist()
+
+    @CHUNKS
+    @pytest.mark.parametrize("token", ["0x1p3", "1.5d0"])
+    def test_numbers_float_refuses_are_malformed(self, monkeypatch, chunk, token):
+        text = (TestParserErrors.HEAD + f" x  r1  1.0\n x  r2  {token}\n"
+                " y  r1  2.0\nENDATA\n")
+        with pytest.raises(MPSError, match=re.escape(
+                f"line 8: malformed numeric field '{token}'")):
+            parse_at(monkeypatch, text, chunk)
+
+
 class TestMemory:
     def test_parse_keeps_little_beyond_its_input(self, monkeypatch):
         """Parsing a 168-hour northern slice, 2 MB of text, adds a traced
@@ -445,6 +632,22 @@ class TestSolutionExchange:
                         "ROW cover 1.5\n")
         with pytest.raises(MPSError, match=r"t\.sol: line 4: malformed COL"):
             read_external_solution(lp, path)
+
+    def test_malformed_value_named_with_line(self, tmp_path):
+        path = tmp_path / "t.sol"
+        path.write_text("STATUS optimal OBJ 4.5\nCOL x 3.0\nCOL y abc\n"
+                        "ROW cover 1.5\nROW cap zz\n")
+        with pytest.raises(MPSError, match=re.escape(
+                "t.sol: line 3: malformed numeric field 'abc'")):
+            read_external_solution(trivial_lp(), path)
+
+    def test_repeated_record_named_with_line(self, tmp_path):
+        path = tmp_path / "t.sol"
+        path.write_text("STATUS optimal OBJ 4.5\nCOL x 1.0\nROW x 1.0\n"
+                        "COL x 1.0\nCOL y abc\n")
+        with pytest.raises(MPSError, match=re.escape(
+                "t.sol: line 4: COL 'x' repeats line 2")):
+            read_external_solution(trivial_lp(), path)
 
 
 if __name__ == "__main__":
