@@ -244,6 +244,8 @@ LIMIT = (lambda x: 0 <= x <= BIG or x == INF,
 UNIT = (lambda x: 0 <= x <= 1, "must be in [0, 1]")
 UNIT_OPEN_LOW = (lambda x: 1 / BIG <= x <= 1, f"must be in [{1 / BIG:g}, 1]")
 UNIT_OPEN_HIGH = (lambda x: 0 <= x < 1, "must be in [0, 1)")
+# ids become parts of LP row and column names, which hold no whitespace
+NO_SPACE = (lambda x: not any(map(str.isspace, str(x))), "must be whitespace-free")
 
 
 def _check(v, tag, entity, names, rule):
@@ -254,6 +256,15 @@ def _check(v, tag, entity, names, rule):
         value = getattr(entity, name)
         if not test(value):
             v.append(Violation(tag, name, f"{message}, got {value!r}"))
+
+
+def _check_id(v, tag, entity, seen, kind):
+    """Append a violation if entity's id repeats one in seen or holds
+    whitespace, and add the id to seen."""
+    if entity.id in seen:
+        v.append(Violation(tag, "id", f"duplicate {kind} id"))
+    seen.add(entity.id)
+    _check(v, tag, entity, ("id",), NO_SPACE)
 
 
 def _unused(kind):
@@ -276,9 +287,7 @@ def validate(scenario):
     zone_ids = set()
     for z in scenario.zones:
         tag = f"zone[{z.id}]"
-        if z.id in zone_ids:
-            v.append(Violation(tag, "id", "duplicate zone id"))
-        zone_ids.add(z.id)
+        _check_id(v, tag, z, zone_ids, "zone")
         if len(z.load) != n:
             v.append(Violation(tag, "load",
                                f"series length {len(z.load)} != {n} modeled hours"))
@@ -301,9 +310,7 @@ def validate(scenario):
     cluster_ids = set()
     for g in scenario.clusters:
         tag = f"cluster[{g.id}]"
-        if g.id in cluster_ids:
-            v.append(Violation(tag, "id", "duplicate cluster id"))
-        cluster_ids.add(g.id)
+        _check_id(v, tag, g, cluster_ids, "cluster")
         if g.kind not in KINDS:
             v.append(Violation(tag, "kind", f"unknown kind {g.kind!r}"))
             continue
@@ -345,9 +352,7 @@ def validate(scenario):
     line_ids = set()
     for ln in scenario.lines:
         tag = f"line[{ln.id}]"
-        if ln.id in line_ids:
-            v.append(Violation(tag, "id", "duplicate line id"))
-        line_ids.add(ln.id)
+        _check_id(v, tag, ln, line_ids, "line")
         if ln.from_zone == ln.to_zone:
             v.append(Violation(tag, "to_zone", "endpoints must be distinct"))
         if ln.from_zone not in zone_ids:
@@ -384,6 +389,7 @@ def validate(scenario):
             continue
         if not p.standard_id:
             v.append(Violation(tag, "standard_id", "required for standards"))
+        _check(v, tag, p, ("standard_id",), NO_SPACE)
         groups = ([[zid] for zid in shares] if p.kind == STANDARD_ZONAL
                   else [list(shares)])
         loads = {z.id: z.load.sum() for z in scenario.zones}
@@ -398,8 +404,10 @@ def validate(scenario):
                                    f"zones {zids} need qualifying energy, but "
                                    "no resource there qualifies"))
 
+    deferrable_ids = set()
     for f in scenario.deferrable_loads:
         tag = f"deferrable[{f.id}]"
+        _check_id(v, tag, f, deferrable_ids, "deferrable")
         if f.zone not in zone_ids:
             v.append(Violation(tag, "zone", f"unknown zone {f.zone!r}"))
         _check(v, tag, f, ("defer_fraction",), UNIT)
@@ -415,10 +423,13 @@ def validate(scenario):
     if s is not None:
         v += sink_cost_violations(s)
         if s.allowed_zones is not None:
-            for zid in s.allowed_zones:
+            for k, zid in enumerate(s.allowed_zones):
                 if zid not in zone_ids:
                     v.append(Violation("sink", "allowed_zones",
                                        f"unknown zone {zid!r}"))
+                if zid in s.allowed_zones[:k]:
+                    v.append(Violation("sink", "allowed_zones",
+                                       f"duplicate zone {zid!r}"))
             if len(s.allowed_zones) == 0:
                 v.append(Violation("sink", "allowed_zones",
                                    "empty; use None to allow every zone"))

@@ -24,11 +24,11 @@ every one is a `* NAMEMAP short original` line, as (short, original).  Rows
 and columns are found with np.searchsorted in sorted arrays of their names,
 and a COLUMNS block looks each distinct column up once.  A name field is
 one character wider than the longest name it has held, and a block with a
-name that fills it is read again with the field widened.  Blocks the loader
-refuses are read line by line: two pairs on a line, integer markers,
-numbers such as `1_5` that float reads and numpy does not, unknown rows,
-NUL characters.  So are RHS and BOUNDS and other comments, and that reader
-names a refused block's earliest faulty line.  The reader keeps each
+name that fills it is read again with the field widened.  One per-line
+reader, `_tokens`, reads what the loader refuses (two pairs on a line,
+integer markers, numbers such as `1_5` that float reads and numpy does not,
+unknown rows, NUL characters, other comments), RHS, BOUNDS and solution
+files, and stops at the earliest faulty line.  The reader keeps each
 COLUMNS block as int64 (column << 31 | row) keys, float values and int32
 line offsets, frees its name indices before the matrix is built with one
 stable sort, and makes the original names last.  On the 8,760-hour
@@ -36,16 +36,15 @@ northern LP (a 103 MB file) a write and read-back peaks at 569-578 MB RSS;
 ~380 MB of it is held before the parse starts (the interpreter, the LP
 written and the text).
 
-Solution exchange: `STATUS <status> OBJ <value>` header, then `COL <name>
-<value>` and `ROW <name> <dual>` lines, whitespace-separated and keyed by
+Solution exchange: one `STATUS <status> OBJ <value>` line, then `COL <name>
+<value>` and `ROW <name> <dual>` lines, split as MPS lines are and keyed by
 mangled names.  `read_external_solution` certifies every file it reads.
 """
 
 import io
 import re
 from collections import defaultdict
-from itertools import chain, compress, count, repeat
-from operator import itemgetter
+from itertools import chain, compress, count
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +62,6 @@ _BOUND_TYPES = ("FX", "FR", "MI", "LO", "UP")
 _CHUNK = 1 << 17  # lines formatted, or 1/32 of the characters split, at once
 _ROW = (1 << 31) - 1  # the row bits of a matrix entry's key
 _MAP = "* NAMEMAP "  # how the writer starts a NAMEMAP comment
-# the short and original name of a NAMEMAP comment line, as the second and
-# third item of `line[1:].split(None, 2)`
-_NAMEMAP = re.compile(r"^\*[^\S\n]*NAMEMAP[^\S\n]+(\S+)[^\S\n]+(\S.*)$", re.M)
 
 
 class MPSError(LPError):
@@ -192,39 +188,9 @@ def _lines(piece):
     return at, kind
 
 
-def _counts(lines):
-    """The number of whitespace-separated tokens on each line."""
-    return np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-
-
-def _pairs(lines, lineno):
-    """(column, row, value) tokens and line number of each (row, value) pair on
-    the COLUMNS lines before the first malformed one, and (its number, error)."""
-    counts = _counts(lines)
-    bad = _first((counts != 3) & (counts != 5))
-    msg = "COLUMNS entries come in (column, row, value) groups"
-    if "'MARKER'" in " ".join(lines):
-        marked = next(k for k, ln in enumerate(lines) if "'MARKER'" in ln)
-        if marked <= bad:
-            bad, msg = marked, "integer markers unsupported"
-    fault = (lineno + bad, msg) if bad < len(lines) else None
-    flat, counts = " ".join(lines[:bad]).split(), counts[:bad]
-    if (counts == 3).all():
-        return flat[0::3], flat[1::3], flat[2::3], lineno + np.arange(bad), fault
-    at = np.repeat(np.arange(bad), (counts - 1) // 2)  # each pair's line
-    head = (np.cumsum(counts) - counts)[at]
-    name = head + 1
-    name[1:] += 2 * (at[1:] == at[:-1])  # a line's second pair
-    take = lambda k: list(map(flat.__getitem__, k.tolist()))
-    return take(head), take(name), take(name + 1), lineno + at, fault
-
-
-def _tokens(lines, lineno):
-    """(line number, tokens) of each line, all split at once."""
-    flat, at = " ".join(lines).split(), 0
-    for t, n in zip(count(lineno), _counts(lines).tolist()):
-        yield t, flat[at:at + n]
-        at += n
+def _tokens(text, lineno):
+    """(line number, tokens) of each line of text, the first numbered lineno."""
+    return zip(count(lineno), map(str.split, text.split("\n")))
 
 
 def _first(flags):
@@ -245,19 +211,6 @@ def _put_last(out, index, values):
     index, last = np.unique(index[::-1], return_index=True)
     keep = index >= 0
     out[index[keep]] = values[::-1][last[keep]]
-
-
-def _floats(tokens):
-    """Python floats of the tokens before the first malformed one."""
-    try:
-        return np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        out = []
-        for tok in tokens:
-            try:
-                out.append(float(tok))
-            except ValueError:
-                return np.array(out)
 
 
 def _sorted(index):
@@ -384,7 +337,7 @@ class _Reader:
         self.row_order = None
         got = self.load(text, [("type", "U2"), ("name", None)])
         if got is None or not self.take_rows(got["type"], got["name"].tolist()):
-            self._row_lines(text.split("\n"), lineno)
+            self._row_lines(text, lineno)
 
     def take_rows(self, types, names):
         """Declare the rows of a block the loader read; False, declaring
@@ -408,11 +361,11 @@ class _Reader:
         self.senses += _ROW_SENSES[code[~obj]].tolist()
         return True
 
-    def _row_lines(self, lines, lineno):
-        bad = _first(_counts(lines) != 2)
-        flat = " ".join(lines[:bad]).split()
-        types, names = map(str.upper, flat[0::2]), flat[1::2]
-        for t, rtype, rname in zip(count(lineno), types, names):
+    def _row_lines(self, text, lineno):
+        for t, toks in _tokens(text, lineno):
+            if len(toks) != 2:
+                self.fail(t, "ROWS entries need a type and a name")
+            rtype, rname = toks[0].upper(), toks[1]
             if rtype == "N":
                 if self.obj_row is not None:
                     self.fail(t, f"second objective row {rname!r}")
@@ -425,19 +378,19 @@ class _Reader:
                 self.row_index[rname] = len(self.row_names)
                 self.row_names.append(rname)
                 self.senses.append(_TYPE_TO_SENSE[rtype])
-        if bad < len(lines):
-            self.fail(lineno + bad, "ROWS entries need a type and a name")
 
     def _columns(self, text, lineno):
         if self.row_order is None:
             self.row_order = _sorted(self.row_index)
         rows, index = self.row_order
         # a row token longer than every row name is cut to one that is not a
-        # row name either, and left to the line path to name
-        got = self.load(text, [("column", None), ("row", rows.dtype), ("value", float)])
+        # row name either, and left to the line path to name; so is an
+        # integer marker, which the loader would take for a column name
+        got = None if "'MARKER'" in text else self.load(
+            text, [("column", None), ("row", rows.dtype), ("value", float)])
         i = None if got is None else _find(rows, index, got["row"])
         if i is None or (i == -2).any():
-            return self._column_lines(text.split("\n"), lineno)
+            return self._column_lines(text, lineno)
         # each column an index at its first line, looked up once per name
         col = got["column"]
         head = np.flatnonzero(np.concatenate([[True], col[1:] != col[:-1]]))
@@ -449,18 +402,38 @@ class _Reader:
         j = np.repeat(j[inv], np.diff(np.append(head, len(col))))
         self.entries(lineno, np.arange(len(col)), j, i, got["value"])
 
-    def _column_lines(self, lines, lineno):
-        cols, rows, svals, at, fault = _pairs(lines, lineno)
-        j = np.fromiter(map(self.col_index.__getitem__, cols), np.int64, len(cols))
-        i = np.fromiter(map(self.row_index.get, rows, repeat(-2)), np.int64, len(rows))
-        v = _floats(svals)
-        p = min(len(v), _first(i == -2))
-        self.entries(lineno, at[:p] - lineno, j[:p], i[:p], v[:p])
-        if p < len(rows):
-            self.fail(at[p], f"unknown row {rows[p]!r}" if p < len(v) else
-                      f"malformed numeric field {svals[p]!r}")
+    def _column_lines(self, text, lineno):
+        """Take in a block up to its earliest faulty line, then raise that
+        line's fault, so that `fail` names an earlier repeated entry first."""
+        marked, fault = "'MARKER'" in text, None
+        at, j, i, v = [], [], [], []
+        for t, toks in _tokens(text, lineno):
+            if marked and "'MARKER'" in " ".join(toks):
+                fault = "integer markers unsupported"
+            elif len(toks) not in (3, 5):
+                fault = "COLUMNS entries come in (column, row, value) groups"
+            else:
+                col = self.col_index[toks[0]]
+                for rname, sval in zip(toks[1::2], toks[2::2]):
+                    try:
+                        value = float(sval)
+                    except ValueError:
+                        fault = f"malformed numeric field {sval!r}"
+                        break
+                    row = self.row_index.get(rname, -2)
+                    if row == -2:
+                        fault = f"unknown row {rname!r}"
+                        break
+                    at.append(t)
+                    j.append(col)
+                    i.append(row)
+                    v.append(value)
+            if fault:
+                break
+        self.entries(lineno, np.array(at, np.int64) - lineno, np.array(j, np.int64),
+                     np.array(i, np.int64), np.array(v, float))
         if fault:
-            self.fail(*fault)
+            self.fail(t, fault)
 
     def entries(self, lineno, at, j, i, v):
         """Take in COLUMNS entries (j, i, v) from lines lineno + at, where
@@ -472,7 +445,7 @@ class _Reader:
         self.lines.append((lineno, at[ok].astype(np.int32)))
 
     def _rhs(self, text, lineno):
-        for t, toks in _tokens(text.split("\n"), lineno):
+        for t, toks in _tokens(text, lineno):
             if len(toks) not in (3, 5):
                 self.fail(t, "RHS entries come in (set, row, value) groups")
             for rname, sval in zip(toks[1::2], toks[2::2]):
@@ -486,7 +459,7 @@ class _Reader:
                 self.rhs[i] = v
 
     def _bounds(self, text, lineno):
-        for t, toks in _tokens(text.split("\n"), lineno):
+        for t, toks in _tokens(text, lineno):
             btype, n = toks[0].upper(), len(toks)
             if btype in ("BV", "LI", "UI"):
                 self.fail(t, f"integer bound type {btype!r} unsupported")
@@ -543,17 +516,19 @@ class _Reader:
         comments of a note name, given each as (sorted names, indices), and
         their original names joined by newlines."""
         # each line '* NAMEMAP ', the short and the original name, one
-        # character apart: the loader then reads what _NAMEMAP finds
+        # character apart: the loader then reads what line[1:].split(None, 2)
+        # finds
         if note.startswith(_MAP) and note.count("\n" + _MAP) == note.count("\n"):
             got = self.load(note, [("short", None), ("original", None)], (2, 3))
             if got is not None:
                 names, short = "\n".join(got["original"].tolist()), got["short"]
                 if len(note) == len(names) + np.char.str_len(short).sum() + 11 * len(got):
                     return _find(*rows, short), _find(*cols, short), names
-        pairs = _NAMEMAP.findall(note)
+        pairs = [toks[1:] for toks in (line[1:].split(None, 2) for line in note.split("\n"))
+                 if len(toks) == 3 and toks[0] == "NAMEMAP"]
         # str objects: a U array would drop a name's trailing NULs
-        short = np.array(list(map(itemgetter(0), pairs)), object)
-        return _find(*rows, short), _find(*cols, short), "\n".join(map(itemgetter(1), pairs))
+        short = np.array([name for name, _ in pairs], object)
+        return _find(*rows, short), _find(*cols, short), "\n".join(o for _, o in pairs)
 
     def finish(self, saw_endata):
         rows, cols = self.row_names, list(self.col_index)
@@ -618,38 +593,36 @@ def write_solution_text(lp, solution):
 
 
 def _parse_solution_file(path):
-    lines = Path(path).read_text().splitlines()
-    counts = _counts(lines)
-    flat = " ".join(lines).split()
-    line = np.flatnonzero(counts)  # the lines that are not blank
-    at, n = (np.cumsum(counts) - counts)[line], counts[line]
-    head = list(map(flat.__getitem__, at.tolist()))
-    need = np.fromiter(map({"STATUS": 2, "COL": 3, "ROW": 3}.get, head, repeat(0)),
-                       np.intp, len(head))
-    bad = _first((n < need) | (need == 0) | ((need == 3) & (n != 3)))
-    take = lambda k: list(map(flat.__getitem__, k.tolist()))
-    keep = need[:bad] == 3  # the COL and ROW records before the first bad line
-    rec, lineno = at[:bad][keep], (line[:bad][keep] + 1).tolist()
-    kinds, names, text = take(rec), take(rec + 1), take(rec + 2)
-    values = _floats(text)  # those before the first malformed one
-    pick = lambda kind: dict(compress(zip(names, values), map(kind.__eq__, kinds)))
-    cols, rows = pick("COL"), pick("ROW")
-    if len(cols) + len(rows) < len(values):  # the first repeat comes first
-        seen = {}
-        for t, key in zip(lineno, zip(kinds, names)):
-            if key in seen:
-                raise MPSError(f"{path}: line {t}: {key[0]} {key[1]!r} repeats "
-                               f"line {seen[key]}")
-            seen[key] = t
-    if len(values) < len(text):
-        raise MPSError(f"{path}: line {lineno[len(values)]}: malformed numeric "
-                       f"field {text[len(values)]!r}")
-    if bad < len(head):
-        raise MPSError(f"{path}: line {line[bad] + 1}: " + (
-            f"unknown record {head[bad]!r}" if need[bad] == 0
-            else f"malformed {head[bad]} entry"))
-    status = take(at[need == 2][-1:] + 1)
-    return (status[0] if status else None), cols, rows
+    """The status and the {name: value} dicts of the COL and ROW records of
+    a solution file, raising at its earliest faulty line."""
+    text = Path(path).read_text()  # which ends lines at \n, \r\n and \r
+    status, records = None, {"COL": {}, "ROW": {}}
+    for t, toks in _tokens(text, 1):
+        if not toks:
+            continue
+        head, fault = toks[0], None
+        if head in records and len(toks) == 3:
+            got, name = records[head], toks[1]
+            try:
+                value = float(toks[2])
+            except ValueError:
+                fault = f"malformed numeric field {toks[2]!r}"
+            else:
+                if name in got:  # the first line of the record is looked up
+                    first = next(k for k, seen in _tokens(text, 1)
+                                 if seen[:2] == [head, name])
+                    fault = f"{head} {name!r} repeats line {first}"
+                got[name] = value
+        elif head == "STATUS" and len(toks) > 1:
+            if status:
+                fault = f"STATUS repeats line {status[1]}"
+            status = toks[1], t
+        else:
+            fault = (f"malformed {head} entry" if head in ("STATUS", *records)
+                     else f"unknown record {head!r}")
+        if fault:
+            raise MPSError(f"{path}: line {t}: {fault}")
+    return status[0] if status else None, records["COL"], records["ROW"]
 
 
 def read_external_solution(lp, path):

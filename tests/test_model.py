@@ -1,6 +1,8 @@
 """Domain-type validation and load statistics."""
 
+import re
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -178,13 +180,14 @@ def _probes(is_int, n_hours):
     return _PROBES
 
 
+def _swap(items, k, new):
+    return items[:k] + (new,) + items[k + 1:]
+
+
 def _mutants(sc):
     """(label, build) for every single-field mutant of sc's scalar inputs;
     build() returns the mutated scenario."""
     T = sc.time.n_hours
-
-    def swap(items, k, new):
-        return items[:k] + (new,) + items[k + 1:]
 
     def tuple_mutants(attr, tag):
         items = getattr(sc, attr)
@@ -194,7 +197,7 @@ def _mutants(sc):
                     new = replace(item, **{name: val})
                     yield (f"{tag}[{k}].{name}={val!r}",
                            lambda new=new, k=k: replace(
-                               sc, **{attr: swap(items, k, new)}))
+                               sc, **{attr: _swap(items, k, new)}))
 
     yield from tuple_mutants("clusters", "cluster")
     yield from tuple_mutants("segments", "segment")
@@ -203,10 +206,10 @@ def _mutants(sc):
         for k, seg in enumerate(zone.nse_segments):
             for name, _ in _scalar_fields(seg):
                 for val in _PROBES:
-                    nse = swap(zone.nse_segments, k,
-                               replace(seg, **{name: val}))
+                    nse = _swap(zone.nse_segments, k,
+                                replace(seg, **{name: val}))
                     yield (f"zone[{z}].nse[{k}].{name}={val!r}",
-                           lambda z=z, nse=nse: replace(sc, zones=swap(
+                           lambda z=z, nse=nse: replace(sc, zones=_swap(
                                sc.zones, z, replace(sc.zones[z],
                                                     nse_segments=nse))))
     for k, p in enumerate(sc.policies):
@@ -216,7 +219,7 @@ def _mutants(sc):
                 new = replace(p, **{name: {**p.shares, zid: val}})
                 yield (f"policy[{k}].{name}[{zid}]={val!r}",
                        lambda new=new, k=k: replace(
-                           sc, policies=swap(sc.policies, k, new)))
+                           sc, policies=_swap(sc.policies, k, new)))
     s = sc.sink
     for val in _PROBES:
         yield (f"sink.capex={val!r}",
@@ -233,13 +236,57 @@ def _mutants(sc):
                    sc, time=replace(sc.time, hour_weight=val)))
 
 
+def _with_zone_renamed(sc, old, new):
+    """sc with zone old called new, in every place that names it."""
+    z = lambda zid: new if zid == old else zid
+    allowed = sc.sink.allowed_zones if sc.sink else None
+    return replace(
+        sc, zones=tuple(replace(x, id=z(x.id)) for x in sc.zones),
+        clusters=tuple(replace(g, zone=z(g.zone)) for g in sc.clusters),
+        lines=tuple(replace(ln, from_zone=z(ln.from_zone), to_zone=z(ln.to_zone))
+                    for ln in sc.lines),
+        deferrable_loads=tuple(replace(f, zone=z(f.zone)) for f in sc.deferrable_loads),
+        policies=tuple(replace(p, rates={z(k): x for k, x in p.rates.items()},
+                               fractions={z(k): x for k, x in p.fractions.items()})
+                       for p in sc.policies),
+        sink=sc.sink and replace(sc.sink, allowed_zones=allowed and tuple(map(z, allowed))))
+
+
+def _id_mutants(sc):
+    """(label, build) for mutants of sc's ids: each id and standard_id with
+    whitespace in it, each entity listed twice, and the sink's zone list
+    with each of its zones twice."""
+    spaced = lambda name: [f"{name}{space}2" for space in (" ", "\t", "\xa0")]
+    for z in sc.zones:
+        for new in spaced(z.id):
+            yield (f"zone {z.id!r} renamed {new!r}",
+                   lambda old=z.id, new=new: _with_zone_renamed(sc, old, new))
+    for attr in ("zones", "clusters", "lines", "deferrable_loads"):
+        for k, item in enumerate(getattr(sc, attr)):
+            for new in ([] if attr == "zones" else spaced(item.id)):
+                yield (f"{attr}[{k}].id={new!r}",
+                       lambda attr=attr, k=k, item=item, new=new: replace(
+                           sc, **{attr: _swap(getattr(sc, attr), k, replace(item, id=new))}))
+            yield (f"{attr}[{k}] twice", lambda attr=attr, item=item: replace(
+                sc, **{attr: getattr(sc, attr) + (item,)}))
+    for k, p in enumerate(sc.policies):
+        for new in ([] if p.is_cap else spaced(p.standard_id)):
+            yield (f"policy[{k}].standard_id={new!r}", lambda k=k, new=new: replace(
+                sc, policies=_swap(sc.policies, k, replace(sc.policies[k], standard_id=new))))
+    if sc.sink:
+        zones = tuple(sc.sink.zones(sc))
+        for zid in zones:
+            yield (f"sink.allowed_zones={zones + (zid,)!r}", lambda zid=zid: replace(
+                sc, sink=replace(sc.sink, allowed_zones=zones + (zid,))))
+
+
 def _assert_mutants_validate_or_assemble(base):
-    """The promise of validate: every single-field mutant of base is either
-    reported by validate or assembled."""
+    """The promise of validate: every single-field mutant of base, and every
+    id mutant, is either reported by validate or assembled."""
     from sinkplan.formulation import assemble
 
     broken, checked = [], 0
-    for label, build in _mutants(base):
+    for label, build in chain(_mutants(base), _id_mutants(base)):
         sc = build()
         checked += 1
         if validate(sc):
@@ -351,6 +398,34 @@ def test_two_policies_of_one_kind_and_standard_are_reported():
 ], ids=["standard_id-on-cap", "fractions-on-cap", "rates-on-standard"])
 def test_a_policy_field_its_kind_does_not_use_is_reported(policy, field):
     assert [v.field for v in validate(_with_policies(policy))] == [field]
+
+
+def _two_zones(**kw):
+    zones = [sh.one_zone([10.0] * 4, zid=z) for z in ("A", "B")]
+    return sh.scenario(zones, [sh.gas(zone="A"), sh.vre(zone="B", qualifies_for={"rps 1"})],
+                       **kw)
+
+
+def _ev(zone="A"):
+    return M.DeferrableLoad("ev", zone, np.ones(4), 0.5, 1)
+
+
+@pytest.mark.parametrize("sc, found", [
+    (_two_zones(lines=[M.TransmissionLine("L 1", "A", "B")]), ("line[L 1]", "id")),
+    (_two_zones(deferrable_loads=[_ev(), _ev("B")]), ("deferrable[ev]", "id")),
+    (_two_zones(sink=sh.sink_spec(zones=["A", "B", "A"])), ("sink", "allowed_zones")),
+    (_two_zones(policies=[M.PolicySpec(M.STANDARD_SYSTEM, fractions={"B": 0.2},
+                                       standard_id="rps 1")]), ("policy[0]", "standard_id")),
+], ids=["line-id-with-space", "deferrable-id-twice", "sink-zone-twice",
+        "standard-id-with-space"])
+def test_ids_that_would_break_lp_names_are_reported(sc, found):
+    """An id with whitespace, or named twice, would give LP names that the
+    builder refuses; assemble names the field instead."""
+    from sinkplan.formulation import FormulationError, assemble
+
+    assert [(v.entity, v.field) for v in validate(sc)] == [found]
+    with pytest.raises(FormulationError, match=re.escape(".".join(found))):
+        assemble(sc)
 
 
 def test_stored_energy_beyond_float_range_is_reported():

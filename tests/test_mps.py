@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scen_helpers as sh
@@ -386,9 +386,9 @@ def line_path(monkeypatch):
     refused = []
     column_lines = mps._Reader._column_lines
 
-    def spy(reader, lines, lineno):
+    def spy(reader, text, lineno):
         refused.append(lineno)
-        return column_lines(reader, lines, lineno)
+        return column_lines(reader, text, lineno)
 
     monkeypatch.setattr(mps._Reader, "_column_lines", spy)
     return refused
@@ -447,6 +447,7 @@ class TestLoaderPath:
                          "'MARKER'", "R00000011", "a_longer_name", "*", "",
                          "* NAMEMAP x y", "* NAMEMAP R0000001 z"])), max_size=3))
     @settings(max_examples=60, deadline=None)
+    @example(seed=0, edits=[(444, "token", "'MARKER'")])  # a column named 'MARKER'
     def test_loader_and_line_path_read_alike(self, seed, edits):
         """A written file with a few lines edited reads to the same LP, or
         fails with the same message, with and without the loader."""
@@ -633,20 +634,28 @@ class TestSolutionExchange:
         with pytest.raises(MPSError, match=r"t\.sol: line 4: malformed COL"):
             read_external_solution(lp, path)
 
-    def test_malformed_value_named_with_line(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "STATUS optimal OBJ 4.5\nCOL x 3.0\nCOL y abc\nROW cover 1.5\nROW cap zz\n",
+        # a form feed separates fields, as in MPS files, and ends no line
+        "STATUS optimal OBJ 4.5\nCOL x\x0c3.0\nCOL y abc\nROW cover 1.5\n",
+    ], ids=["newlines", "form-feed"])
+    def test_malformed_value_named_with_line(self, tmp_path, text):
         path = tmp_path / "t.sol"
-        path.write_text("STATUS optimal OBJ 4.5\nCOL x 3.0\nCOL y abc\n"
-                        "ROW cover 1.5\nROW cap zz\n")
+        path.write_text(text)
         with pytest.raises(MPSError, match=re.escape(
                 "t.sol: line 3: malformed numeric field 'abc'")):
             read_external_solution(trivial_lp(), path)
 
-    def test_repeated_record_named_with_line(self, tmp_path):
+    @pytest.mark.parametrize("text, expected", [
+        ("STATUS optimal OBJ 4.5\nCOL x 1.0\nROW x 1.0\nCOL x 1.0\nCOL y abc\n",
+         "t.sol: line 4: COL 'x' repeats line 2"),
+        ("STATUS infeasible OBJ 1\nSTATUS optimal OBJ 4.5\nCOL x 3.0\nCOL y 0.0\n"
+         "ROW cover 1.5\nROW cap 0.0\n", "t.sol: line 2: STATUS repeats line 1"),
+    ], ids=["COL", "STATUS"])
+    def test_repeated_record_named_with_line(self, tmp_path, text, expected):
         path = tmp_path / "t.sol"
-        path.write_text("STATUS optimal OBJ 4.5\nCOL x 1.0\nROW x 1.0\n"
-                        "COL x 1.0\nCOL y abc\n")
-        with pytest.raises(MPSError, match=re.escape(
-                "t.sol: line 4: COL 'x' repeats line 2")):
+        path.write_text(text)
+        with pytest.raises(MPSError, match=re.escape(expected)):
             read_external_solution(trivial_lp(), path)
 
 
