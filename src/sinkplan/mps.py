@@ -12,9 +12,17 @@ representation, so parse(write(lp)) reproduces every float bit for bit.
 
 Both directions work a section at a time and keep no list, tuple or dict
 per line, which the cyclic garbage collector would walk again and again.
-Each also holds a large object only while it is needed.  The writer formats
-each distinct value of a piece once and frees its sort arrays and padded
-names before the final join, which holds the text twice.
+Each also holds a large object only while it is needed.  The writer makes
+ROWS and COLUMNS lines, _CHUNK at a time, as fixed-width byte records (items
+of a numpy "S" array) whose unused bytes are NUL: a COLUMNS record is the
+column field, the row field and the text of the value, each gathered whole
+from a table, where each distinct value of a piece is formatted once.
+Dropping every NUL from a piece's bytes leaves its lines, as short names
+and float reprs are ASCII and hold no NUL.  Short names are such records
+too, generated by digit arithmetic, for the writer and `mangle_names`
+alike.  NAMEMAP, RHS and BOUNDS lines are formatted one at a time, since an
+original name may hold any character but whitespace, NUL included.  The
+final join holds the text twice: the pieces and the result.
 
 The reader finds a piece's data, comment and section lines with array
 operations on its characters.  Each run of data lines (a block) goes to
@@ -22,13 +30,15 @@ np.loadtxt, numpy's C text reader: ROWS blocks as (type, name), COLUMNS
 blocks as (column, row, value), and at the end each piece's comments, when
 every one is a `* NAMEMAP short original` line, as (short, original).  Rows
 and columns are found with np.searchsorted in sorted arrays of their names,
-and a COLUMNS block looks each distinct column up once.  A name field is
-one character wider than the longest name it has held, and a block with a
-name that fills it is read again with the field widened.  One per-line
-reader, `_tokens`, reads what the loader refuses (two pairs on a line,
-integer markers, numbers such as `1_5` that float reads and numpy does not,
-unknown rows, NUL characters, other comments), RHS, BOUNDS and solution
-files, and stops at the earliest faulty line.  The reader keeps each
+and a COLUMNS block looks each distinct column up once; NAMEMAP names are
+looked up once in one array of the row and the column names.  A name field
+is one character wider than the longest name it has held, and a block with
+a name that fills it is read again with the field widened; the field of
+the original names in NAMEMAP comments is sized from their longest line
+first.  One per-line reader, `_tokens`, reads what the loader refuses (two
+pairs on a line, integer markers, numbers such as `1_5` that float reads
+and numpy does not, unknown rows, NUL characters, other comments), RHS,
+BOUNDS and solution files, and stops at the earliest faulty line.  The reader keeps each
 COLUMNS block as int64 (column << 31 | row) keys, float values and int32
 line offsets, frees its name indices before the matrix is built with one
 stable sort, and makes the original names last.  On the 8,760-hour
@@ -38,13 +48,15 @@ written and the text).
 
 Solution exchange: one `STATUS <status> OBJ <value>` line, then `COL <name>
 <value>` and `ROW <name> <dual>` lines, split as MPS lines are and keyed by
-mangled names.  `read_external_solution` certifies every file it reads.
+mangled names.  `read_external_solution` refuses a file that misses a name
+of the LP or names one the LP does not have, and certifies every file it
+reads.
 """
 
 import io
 import re
 from collections import defaultdict
-from itertools import chain, compress, count
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
@@ -70,40 +82,104 @@ class MPSError(LPError):
 
 def mangle_names(names, prefix):
     """Deterministic <=8 char MPS names; keeps safe short names as-is."""
-    out = list(map(f"{prefix}%07d".__mod__, range(1, len(names) + 1)))
+    return _strings(_short_names(names, prefix)[0])
+
+
+def _short_names(names, prefix):
+    """The MPS names of `names` as records, and the positions of the names
+    kept: a safe name of at most 8 characters that is no keyword is kept as
+    it is, any other is replaced by {prefix}%07d of its position from 1."""
+    out = _generated(prefix, 1, len(names) + 1)
     fits = np.fromiter(map(len, names), np.intp, len(names)) <= 8
     kept = [i for i in np.flatnonzero(fits).tolist()
             if _SAFE_NAME.fullmatch(names[i]) and names[i] not in _RESERVED]
-    for i in kept:
-        out[i] = names[i]
-    # generated names are distinct, so only a kept one can collide
-    if kept and len(set(out)) < len(out):
+    safe = [names[i] for i in kept]
+    out[kept] = safe
+    # only a kept name can collide: with another, or with the generated name
+    # of a position whose name is not kept
+    numbered = {int(s[1:]) - 1 for s in safe
+                if len(s) == 8 and s[0] == prefix and s[1:].isdigit()}
+    if len(set(safe)) < len(safe) or any(
+            0 <= i < len(names) for i in numbered.difference(kept)):
         seen = {}
-        for orig, short in zip(names, out):
+        for orig, short in zip(names, _strings(out)):
             if short in seen:
                 raise MPSError(f"name collision after mangling: {orig!r} and "
                                f"{seen[short]!r} both map to {short!r}")
             seen[short] = orig
+    return out, kept
+
+
+def _generated(prefix, start, stop):
+    """{prefix}%07d of each number from start to stop - 1, as records 8
+    bytes wide, or wider where stop - 1 has more digits."""
+    k = np.arange(start, stop)
+    width = max(8, len(str(stop - 1)) + 1)
+    out = np.zeros((len(k), width), np.uint8)
+    out[:, 0] = ord(prefix)
+    for at in range(7, 0, -1):
+        k, out[:, at] = np.divmod(k, 10)
+    out[:, 1:8] += ord("0")
+    out = out.view(f"S{width}")[:, 0]
+    # %07d writes every digit of 10,000,000 and above
+    big = [f"{prefix}{i}" for i in range(max(start, 10 ** 7), stop)]
+    out[len(out) - len(big):] = big
     return out
+
+
+# A record is a fixed-width bytes item of a numpy "S" array; what a line
+# leaves of it is NUL, which `_text` drops.  Names and float reprs are ASCII
+# and hold no NUL.
+
+def _fields(*fields):
+    """Records made of fields side by side, each a record array or bytes
+    that every record holds."""
+    n = next(len(f) for f in fields if isinstance(f, np.ndarray))
+    out = np.empty(n, [(str(i), getattr(f, "dtype", f"S{len(f)}"))
+                       for i, f in enumerate(fields)])
+    for i, f in enumerate(fields):
+        out[str(i)] = f
+    return out.view(f"S{out.itemsize}")
+
+
+def _spaced(names):
+    """Name records with the NULs of their first 8 bytes made spaces."""
+    out = names.copy()
+    head = out.view(np.uint8).reshape(len(out), out.itemsize)[:, :8]
+    head[head == 0] = ord(" ")
+    return out
+
+
+def _text(records):
+    """The records' bytes without their NULs, as one str."""
+    raw = records.view(np.uint8)
+    return str(raw[raw != 0], "ascii")
+
+
+def _strings(records):
+    """Each record without its NULs, as a list of str."""
+    return _text(_fields(records, b"\n")).split("\n")[:-1]
 
 
 def write_mps(lp):
     """Serialize a LinearProgram to MPS text."""
-    rows, cols = mangle_names(lp.row_names, "R"), mangle_names(lp.col_names, "C")
-    out = ["".join([f"{_MAP}{s} {o}\n" for short, names in
-                    ((rows, lp.row_names), (cols, lp.col_names))
-                    for s, o in zip(short, names) if s != o]),
-           f"NAME          {lp.name}\nROWS\n N   {_OBJ_NAME}\n",
-           "".join([f" {_SENSE_TO_TYPE[s]}   {r}\n" for s, r in zip(lp.senses, rows)]),
-           "COLUMNS\n"]
+    rows, kept_rows = _short_names(lp.row_names, "R")
+    cols, kept_cols = _short_names(lp.col_names, "C")
+    out = [_namemap(rows, kept_rows, lp.row_names), _namemap(cols, kept_cols, lp.col_names),
+           f"NAME          {lp.name}\nROWS\n N   {_OBJ_NAME}\n"]
+    types = "".join(map(_SENSE_TO_TYPE.__getitem__, lp.senses)).encode()
+    lines = _fields(b" ", np.frombuffer(types, "S1"), b"   ", rows, b"\n")
+    out += [_text(lines[a:a + _CHUNK]) for a in range(0, len(lines), _CHUNK)]
+    out.append("COLUMNS\n")
     # a name field and the two spaces after it, a column's after the line's
-    # leading space; row -1 is the objective
-    rpad = [f"{s:<8}  " for s in rows] + [f"{_OBJ_NAME:<8}  "]
-    cpad = [f" {s:<8}  " for s in cols]
+    # leading space; the objective is the row after the last
+    rpad = _fields(_spaced(np.append(rows, np.array(_OBJ_NAME, rows.dtype))), b"  ")
+    cpad = _fields(b" ", _spaced(cols), b"  ")
+    del lines, rows, cols
     out += _entries(lp, rpad, cpad)
     nz = np.flatnonzero(lp.rhs != 0.0)
-    out.append("RHS\n" + "".join([f" RHS       {rpad[i]}{v!r}\n" for i, v in
-                                  zip(nz.tolist(), lp.rhs[nz].tolist())]))
+    out.append("RHS\n" + "".join(map(" RHS       {}{!r}\n".format,
+                                     _strings(rpad[nz]), lp.rhs[nz].tolist())))
 
     lo, up = lp.lower, lp.upper
     free = (lo == 0.0) & (up == INF)
@@ -118,11 +194,25 @@ def write_mps(lp):
     order = np.argsort(j, kind="stable")
     j, kind = j[order], kind[order]
     out.append("RANGES\nBOUNDS\n" + "".join([
-        f" {_BOUND_TYPES[k]}  BND       {cols[c]}\n" if k in (1, 2) else
-        f" {_BOUND_TYPES[k]}  BND      {cpad[c]}{v!r}\n" for k, c, v in
-        zip(kind.tolist(), j.tolist(), np.where(kind == 4, up[j], lo[j]).tolist())]))
+        f" {_BOUND_TYPES[k]}  BND      {c.rstrip()}\n" if k in (1, 2) else
+        f" {_BOUND_TYPES[k]}  BND      {c}{v!r}\n" for k, c, v in
+        zip(kind.tolist(), _strings(cpad[j]), np.where(kind == 4, up[j], lo[j]).tolist())]))
     out.append("ENDATA\n")
-    del rows, cols, rpad, cpad  # freed before the join holds the text twice
+    del rpad, cpad  # freed before the join holds the text twice
+    return "".join(out)
+
+
+def _namemap(short, kept, names):
+    """The NAMEMAP comments of the names that `short` replaces."""
+    mangled = np.ones(len(names), bool)
+    mangled[kept] = False
+    # the text between two original names, split at a \x01 after each short
+    # name: '* NAMEMAP <short> ' first, '\n* NAMEMAP <short> ' then, and a
+    # last newline
+    heads = _text(_fields(_MAP.encode(), short[mangled], b" \x01\n")).split("\x01")
+    out = [None] * (2 * len(heads) - 1)
+    out[0::2] = heads
+    out[1::2] = compress(names, mangled.tolist())
     return "".join(out)
 
 
@@ -139,10 +229,8 @@ def _entries(lp, rpad, cpad):
         # each distinct value of the piece formatted once, told apart by its
         # bits: a float comparison takes -0.0 for 0.0
         bits, v = np.unique(val[k].view(np.int64), return_inverse=True)
-        text = [f"{x!r}\n" for x in bits.view(float).tolist()]
-        out.append("".join(chain.from_iterable(zip(
-            map(cpad.__getitem__, col[k].tolist()), map(rpad.__getitem__, row[k].tolist()),
-            map(text.__getitem__, v.tolist())))))
+        text = np.array([f"{x!r}\n" for x in bits.view(float).tolist()], "S")
+        out.append(_text(_fields(cpad[col[k]], rpad[row[k]], text[v])))
     return out
 
 
@@ -215,24 +303,49 @@ def _put_last(out, index, values):
 
 def _sorted(index):
     """The names of a {name: index} dict in sorted order, as an array one
-    character wider than the longest name, and their indices.  The array
-    holds str objects where a name ends in NUL, which a U array drops."""
+    character wider than the longest name, and their indices followed by a
+    -2, which `_find`'s -1 for a key not there picks.  The array holds str
+    objects where a name ends in NUL, which a U array drops."""
     names = np.array(list(index), f"U{max(map(len, index), default=0) + 1}")
     if np.char.str_len(names).sum() < sum(map(len, index)):
         names = np.array(list(index), object)
     order = np.argsort(names, kind="stable")
-    return names[order], np.fromiter(index.values(), np.int64, len(index))[order]
+    values = np.fromiter(index.values(), np.int64, len(index))
+    return names[order], np.append(values[order], -2)
 
 
-def _find(names, index, keys):
-    """The index of each key among sorted names, or -2 for a key not there."""
+def _merged(pairs):
+    """The names of the two `_sorted` results that the list `pairs` holds,
+    rows' then columns', as one sorted array, each name once, and the row
+    and the column index of each name (-2 for none), each followed by a -2
+    as `_sorted`'s are.  The list is emptied, so that the inputs are freed
+    as soon as they are merged."""
+    (r, i), (c, j) = pairs.pop(0), pairs.pop(0)
+    names = np.concatenate([r, c])
+    i = np.concatenate([i[:-1], np.full(len(c), -2)])
+    j = np.concatenate([np.full(len(r), -2), j[:-1]])
+    del r, c
+    order = np.argsort(names, kind="stable")  # merges two sorted runs
+    names, i, j = names[order], i[order], j[order]
+    del order
+    # a name of a row and a column comes twice, the row first: kept once
+    again = np.flatnonzero(names[1:] == names[:-1]) + 1
+    if again.size:
+        j[again - 1] = j[again]
+        names, i, j = (np.delete(a, again) for a in (names, i, j))
+    return names, np.append(i, -2), np.append(j, -2)
+
+
+def _find(names, keys):
+    """The position of each key among sorted names, or -1 for a key not
+    there."""
     if not len(names):
-        return np.full(len(keys), -2, np.int64)
+        return np.full(len(keys), -1)
     # keys are cut to the names' width, so the names are never cast to
     # theirs; a key that was cut is no name and matches none
     at = np.searchsorted(names, keys.astype(names.dtype))
     at = np.minimum(at, len(names) - 1)
-    return np.where(names[at] == keys, index[at], -2)
+    return np.where(names[at] == keys, at, -1)
 
 
 class _Reader:
@@ -388,7 +501,7 @@ class _Reader:
         # integer marker, which the loader would take for a column name
         got = None if "'MARKER'" in text else self.load(
             text, [("column", None), ("row", rows.dtype), ("value", float)])
-        i = None if got is None else _find(rows, index, got["row"])
+        i = None if got is None else index[_find(rows, got["row"])]
         if i is None or (i == -2).any():
             return self._column_lines(text, lineno)
         # each column an index at its first line, looked up once per name
@@ -511,32 +624,39 @@ class _Reader:
             key, v = key[keep], v[keep]
         return key, v
 
-    def targets(self, note, rows, cols):
+    def targets(self, note, names, rows, cols):
         """The rows and the columns (negative for none) that the NAMEMAP
-        comments of a note name, given each as (sorted names, indices), and
-        their original names joined by newlines."""
+        comments of a note name, given all names sorted and the row and the
+        column of each, and their original names joined by newlines."""
         # each line '* NAMEMAP ', the short and the original name, one
         # character apart: the loader then reads what line[1:].split(None, 2)
         # finds
         if note.startswith(_MAP) and note.count("\n" + _MAP) == note.count("\n"):
+            # an original name is at least 12 characters shorter than its
+            # line, so a field that wide reads every one the first time
+            wide = max(map(len, note.split("\n"))) - 11
+            if wide * (note.count("\n") + 1) <= 4 * len(note):
+                self.width["original"] = max(self.width["original"], wide)
             got = self.load(note, [("short", None), ("original", None)], (2, 3))
             if got is not None:
-                names, short = "\n".join(got["original"].tolist()), got["short"]
-                if len(note) == len(names) + np.char.str_len(short).sum() + 11 * len(got):
-                    return _find(*rows, short), _find(*cols, short), names
+                originals, short = "\n".join(got["original"].tolist()), got["short"]
+                if len(note) == len(originals) + np.char.str_len(short).sum() + 11 * len(got):
+                    at = _find(names, short)
+                    return rows[at], cols[at], originals
         pairs = [toks[1:] for toks in (line[1:].split(None, 2) for line in note.split("\n"))
                  if len(toks) == 3 and toks[0] == "NAMEMAP"]
         # str objects: a U array would drop a name's trailing NULs
-        short = np.array([name for name, _ in pairs], object)
-        return _find(*rows, short), _find(*cols, short), "\n".join(o for _, o in pairs)
+        at = _find(names, np.array([name for name, _ in pairs], object))
+        return rows[at], cols[at], "\n".join(o for _, o in pairs)
 
     def finish(self, saw_endata):
         rows, cols = self.row_names, list(self.col_index)
         # NAMEMAP names are looked up and the name indices freed before the
         # matrix is built; the original names are made last, and where two
         # comments map one name the later wins
-        found = self.row_order or _sorted(self.row_index), _sorted(self.col_index)
+        found = [self.row_order or _sorted(self.row_index), _sorted(self.col_index)]
         self.row_index = self.col_index = self.row_order = None
+        found = _merged(found)
         mapped = []
         while self.notes:  # each note freed once read
             note = self.notes.pop(0)
@@ -641,6 +761,11 @@ def read_external_solution(lp, path):
         if missing:
             raise MPSError(f"{path}: solution file missing {what}: "
                            + ", ".join(missing[:10]))
+        known = set(short)
+        unknown = [n for n in got if n not in known]
+        if unknown:
+            raise MPSError(f"{path}: solution file names unknown {what}: "
+                           + ", ".join(unknown[:10]))
 
     primal = np.array([cols[n] for n in col_short])
     duals = np.array([rows[n] for n in row_short])

@@ -1,7 +1,7 @@
 """MPS round trips, error diagnostics, and the solution exchange format.
 
-golden/mps_digests.json holds the sha256 of `write_mps` for `awkward_lp()`
-and for `random_lp(0..19)`; running this file as a script prints them.
+golden/mps_digests.json holds the sha256 of `write_mps` for each LP of
+`golden_lps()`; running this file as a script prints them.
 """
 
 import hashlib
@@ -87,11 +87,67 @@ def random_lp(seed):
     return lp
 
 
-def mps_digests():
-    lps = {"awkward": awkward_lp()}
+def names_lp():
+    """Names at the edges of the mangling rule: every kept length from 1 to
+    8, the writer's own keywords, generated forms and non-ASCII or NUL
+    characters, with a column that has no matrix entry."""
+    b = LinearProgramBuilder("names")
+    cols = ["x", "xy", "x.z", "x_1.", "Abcde", "abcdef", "abc.def", "ABCDEFGH",
+            "OBJ", "RHS", "BND", "MARKER", "C0000013", "R0000001",
+            "C0000002", "größe_der_anlage_im_jahr", "flöße", "nul\x00inside_a_name",
+            "abcdefghi", "1abc", "unused"]
+    n = len(cols)
+    b.add_cols(cols, np.linspace(-2.0, 2.0, n), np.zeros(n), np.full(n, np.inf))
+    rows = ["r", "ro", "r.w", "r_w_", "rowfi", "rowsix", "rowseve", "roweight",
+            "OBJ", "RHS", "BND", "MARKER", "R0000013", "C0000001",
+            "Ωmega_row_with_a_long_name", "zé", "row\x00nul"]
+    for i, name in enumerate(rows):
+        b.add_row(name, (LE, GE, "=")[i % 3], float(i) - 3.5,
+                  [(i, 1.0 + i), ((i + 5) % (n - 1), -0.5)])
+    return b.build()
+
+
+def values_lp():
+    """Values whose shortest repr is unusual, in every section."""
+    b = LinearProgramBuilder("values")
+    b.add_col("a", obj=-0.0, lower=-0.0, upper=1e300)
+    b.add_col("b", obj=5e-324, lower=-1.2345678901234567e-300, upper=5e-324)
+    b.add_col("c", obj=1e300, lower=-1e300, upper=-0.0)
+    b.add_col("d", obj=-1.2345678901234567e-300, lower=5e-324, upper=5e-324)
+    b.add_row("r1", LE, 5e-324, [(0, -0.0 - 1e300), (1, 5e-324), (2, 1e300)])
+    b.add_row("r2", GE, -1.2345678901234567e-300,
+              [(0, -1.2345678901234567e-300), (3, -5e-324)])
+    b.add_row("r3", "=", 1e300, [(1, -1e300), (2, 0.1), (3, 7.0)])
+    lp = b.build()
+    # the builder drops zero coefficients; MPS writes a -0.0 entry as it is
+    lp.values[-1] = -0.0
+    return lp
+
+
+def no_rows_lp():
+    b = LinearProgramBuilder("norows")
+    b.add_cols(["x", "long_column_name"], [1.0, -0.0], [0.0, -1.0], [np.inf, 2.0])
+    return b.build()
+
+
+def no_cols_lp():
+    """One row and no columns, which the builder refuses but MPS writes."""
+    b = LinearProgramBuilder("nocols")
+    lp = b.build()
+    return replace(lp, row_names=["alone", "a_long_row_name"], senses=[LE, GE],
+                   rhs=np.array([1.0, -0.0]))
+
+
+def golden_lps():
+    lps = {"awkward": awkward_lp(), "names": names_lp(), "values": values_lp(),
+           "no_rows": no_rows_lp(), "no_cols": no_cols_lp()}
     lps.update((f"random_{seed}", random_lp(seed)) for seed in range(20))
+    return lps
+
+
+def mps_digests():
     return {name: hashlib.sha256(write_mps(lp).encode()).hexdigest()
-            for name, lp in lps.items()}
+            for name, lp in golden_lps().items()}
 
 
 class TestGolden:
@@ -247,8 +303,25 @@ class TestMangling:
         assert out == ["okay", "C0000002"]
 
     def test_collision_detected(self):
-        with pytest.raises(MPSError):
+        with pytest.raises(MPSError, match=re.escape(
+                "'much_too_long_for_mps' and 'C0000002' both map to 'C0000002'")):
             mangle_names(["C0000002", "much_too_long_for_mps"], "C")
+
+    def test_generated_form_kept_at_its_own_index(self):
+        names = ["much_too_long_for_mps", "C0000002", "R0000001", "C0000009"]
+        assert mangle_names(names, "C") == ["C0000001", "C0000002", "R0000001", "C0000009"]
+
+    def test_repeated_kept_name_collides(self):
+        with pytest.raises(MPSError, match="'ab' and 'ab' both map to 'ab'"):
+            mangle_names(["ab", "much_too_long_for_mps", "ab"], "R")
+
+    def test_generated_names_past_seven_digits(self):
+        # %07d writes all eight digits of 10,000,000; such a name overflows
+        # the 8-character field of a COLUMNS line as any long token does
+        names = mps._generated("C", 9_999_999, 10_000_001)
+        assert mps._strings(names) == ["C9999999", "C10000000"]
+        assert mps._strings(mps._fields(b" ", mps._spaced(names), b"  ")) == [
+            " C9999999  ", " C10000000  "]
 
     def test_reserved_names_replaced(self):
         assert mangle_names(["OBJ"], "R") == ["R0000001"]
@@ -348,12 +421,14 @@ class TestSmallPieces:
 
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_same_bytes_and_lp(self, monkeypatch, chunk):
-        lps = [awkward_lp(), trivial_lp()] + [random_lp(s) for s in range(5)]
-        texts = [write_mps(lp) for lp in lps]
+        lps = {"trivial": trivial_lp(), **golden_lps()}
+        texts = {name: write_mps(lp) for name, lp in lps.items()}
         monkeypatch.setattr(mps, "_CHUNK", chunk)
-        for lp, text in zip(lps, texts):
-            assert write_mps(lp) == text
-            assert lp_equal(parse_mps(text), lp)
+        for name, lp in lps.items():
+            assert write_mps(lp) == texts[name]
+            # a -0.0 entry reads as none, and a row without entries is refused
+            if name not in ("values", "no_cols"):
+                assert lp_equal(parse_mps(texts[name]), lp)
 
     def test_first_error_across_pieces(self, monkeypatch):
         monkeypatch.setattr(mps, "_CHUNK", 1)
@@ -600,6 +675,17 @@ class TestSolutionExchange:
         path = tmp_path / "t.sol"
         path.write_text("\n".join(lines))
         with pytest.raises(MPSError, match="y"):
+            read_external_solution(lp, path)
+
+    @pytest.mark.parametrize("extra, expected", [
+        ("COL zz 99\nROW nosuch 7\n", "t.sol: solution file names unknown columns: zz"),
+        ("ROW nosuch 7\nROW r2 7\n", "t.sol: solution file names unknown rows: nosuch, r2"),
+    ], ids=["columns", "rows"])
+    def test_unknown_name_is_named(self, tmp_path, extra, expected):
+        lp = trivial_lp()
+        path = tmp_path / "t.sol"
+        path.write_text(write_solution_text(lp, solve(lp)) + extra)
+        with pytest.raises(MPSError, match=re.escape(expected)):
             read_external_solution(lp, path)
 
     def test_scaled_duals_fail_certification(self, tmp_path):
