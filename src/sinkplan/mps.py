@@ -38,13 +38,13 @@ the original names in NAMEMAP comments is sized from their longest line
 first.  One per-line reader, `_tokens`, reads what the loader refuses (two
 pairs on a line, integer markers, numbers such as `1_5` that float reads
 and numpy does not, unknown rows, NUL characters, other comments), RHS,
-BOUNDS and solution files, and stops at the earliest faulty line.  The reader keeps each
-COLUMNS block as int64 (column << 31 | row) keys, float values and int32
-line offsets, frees its name indices before the matrix is built with one
-stable sort, and makes the original names last.  On the 8,760-hour
-northern LP (a 103 MB file) a write and read-back peaks at 569-578 MB RSS;
-~380 MB of it is held before the parse starts (the interpreter, the LP
-written and the text).
+BOUNDS and solution files, and stops at the earliest faulty line.  The
+reader keeps each COLUMNS block as int64 (column << 31 | row) keys, float
+values and int32 line offsets, frees its name indices before the matrix is
+built with one stable sort, and makes the original names last.  On the
+8,760-hour northern LP (a 103 MB file) a write and read-back peaks at
+560-598 MB RSS; ~380 MB of it is held before the parse starts (the
+interpreter, the LP written and the text).
 
 Solution exchange: one `STATUS <status> OBJ <value>` line, then `COL <name>
 <value>` and `ROW <name> <dual>` lines, split as MPS lines are and keyed by
@@ -130,7 +130,6 @@ def _generated(prefix, start, stop):
 # A record is a fixed-width bytes item of a numpy "S" array; what a line
 # leaves of it is NUL, which `_text` drops.  Names and float reprs are ASCII
 # and hold no NUL.
-
 def _fields(*fields):
     """Records made of fields side by side, each a record array or bytes
     that every record holds."""
