@@ -30,21 +30,19 @@ np.loadtxt, numpy's C text reader: ROWS blocks as (type, name), COLUMNS
 blocks as (column, row, value), and at the end each piece's comments, when
 every one is a `* NAMEMAP short original` line, as (short, original).  Rows
 and columns are found with np.searchsorted in sorted arrays of their names,
-and a COLUMNS block looks each distinct column up once; NAMEMAP names are
-looked up once in one array of the row and the column names.  A name field
-is one character wider than the longest name it has held, and a block with
-a name that fills it is read again with the field widened; the field of
-the original names in NAMEMAP comments is sized from their longest line
-first.  One per-line reader, `_tokens`, reads what the loader refuses (two
-pairs on a line, integer markers, numbers such as `1_5` that float reads
-and numpy does not, unknown rows, NUL characters, other comments), RHS,
-BOUNDS and solution files, and stops at the earliest faulty line.  The
-reader keeps each COLUMNS block as int64 (column << 31 | row) keys, float
-values and int32 line offsets, frees its name indices before the matrix is
-built with one stable sort, and makes the original names last.  On the
-8,760-hour northern LP (a 103 MB file) a write and read-back peaks at
-560-598 MB RSS; ~380 MB of it is held before the parse starts (the
-interpreter, the LP written and the text).
+and a COLUMNS block looks a column up once per run of its lines.  A name
+field is one character wider than the longest name it has held, and a
+block with a name that fills it is read again with the field widened.  One
+per-line reader, `_tokens`, reads what the loader refuses (two pairs on a
+line, integer markers, numbers such as `1_5` that float reads and numpy
+does not, unknown rows, NUL characters, other comments), RHS, BOUNDS and
+solution files, and stops at the earliest faulty line.  The reader keeps
+each COLUMNS block as int64 (column << 31 | row) keys, float values and
+int32 line offsets, frees its name indices before the matrix is built with
+one stable sort, and makes the original names last.  On the 8,760-hour
+northern LP (a 103 MB file) a write and read-back peaks at 560-598 MB RSS;
+~380 MB of it is held before the parse starts (the interpreter, the LP
+written and the text).
 
 Solution exchange: one `STATUS <status> OBJ <value>` line, then `COL <name>
 <value>` and `ROW <name> <dual>` lines, split as MPS lines are and keyed by
@@ -302,49 +300,24 @@ def _put_last(out, index, values):
 
 def _sorted(index):
     """The names of a {name: index} dict in sorted order, as an array one
-    character wider than the longest name, and their indices followed by a
-    -2, which `_find`'s -1 for a key not there picks.  The array holds str
-    objects where a name ends in NUL, which a U array drops."""
+    character wider than the longest name, and their indices.  The array
+    holds str objects where a name ends in NUL, which a U array drops."""
     names = np.array(list(index), f"U{max(map(len, index), default=0) + 1}")
     if np.char.str_len(names).sum() < sum(map(len, index)):
         names = np.array(list(index), object)
     order = np.argsort(names, kind="stable")
-    values = np.fromiter(index.values(), np.int64, len(index))
-    return names[order], np.append(values[order], -2)
+    return names[order], np.fromiter(index.values(), np.int64, len(index))[order]
 
 
-def _merged(pairs):
-    """The names of the two `_sorted` results that the list `pairs` holds,
-    rows' then columns', as one sorted array, each name once, and the row
-    and the column index of each name (-2 for none), each followed by a -2
-    as `_sorted`'s are.  The list is emptied, so that the inputs are freed
-    as soon as they are merged."""
-    (r, i), (c, j) = pairs.pop(0), pairs.pop(0)
-    names = np.concatenate([r, c])
-    i = np.concatenate([i[:-1], np.full(len(c), -2)])
-    j = np.concatenate([np.full(len(r), -2), j[:-1]])
-    del r, c
-    order = np.argsort(names, kind="stable")  # merges two sorted runs
-    names, i, j = names[order], i[order], j[order]
-    del order
-    # a name of a row and a column comes twice, the row first: kept once
-    again = np.flatnonzero(names[1:] == names[:-1]) + 1
-    if again.size:
-        j[again - 1] = j[again]
-        names, i, j = (np.delete(a, again) for a in (names, i, j))
-    return names, np.append(i, -2), np.append(j, -2)
-
-
-def _find(names, keys):
-    """The position of each key among sorted names, or -1 for a key not
-    there."""
+def _find(names, index, keys):
+    """The index of each key among sorted names, or -2 for a key not there."""
     if not len(names):
-        return np.full(len(keys), -1)
+        return np.full(len(keys), -2, np.int64)
     # keys are cut to the names' width, so the names are never cast to
     # theirs; a key that was cut is no name and matches none
     at = np.searchsorted(names, keys.astype(names.dtype))
     at = np.minimum(at, len(names) - 1)
-    return np.where(names[at] == keys, at, -1)
+    return np.where(names[at] == keys, index[at], -2)
 
 
 class _Reader:
@@ -383,7 +356,7 @@ class _Reader:
                     self.block(lines, lineno + a)
                 elif k == _NOTE:
                     notes.append(lines)
-                elif k == _HEAD and self.header(lines.split(), lineno + a):
+                elif k == _HEAD and self.header(lines, lineno + a):
                     self.notes.append("\n".join(notes))
                     return self.finish(saw_endata=True)
             self.notes.append("\n".join(notes))
@@ -395,11 +368,12 @@ class _Reader:
         self.matrix(list(self.col_index))
         raise MPSError(f"line {lineno}: {msg}")
 
-    def header(self, toks, lineno):
+    def header(self, line, lineno):
         """Take in a section line; True at ENDATA."""
+        toks = line.split()
         head = toks[0].upper()
         if head == "NAME":
-            self.name = toks[1] if len(toks) > 1 else "lp"
+            self.name = line[len(toks[0]):].strip() or "lp"
         elif head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
             self.section = head
         elif head == "OBJSENSE":
@@ -500,18 +474,15 @@ class _Reader:
         # integer marker, which the loader would take for a column name
         got = None if "'MARKER'" in text else self.load(
             text, [("column", None), ("row", rows.dtype), ("value", float)])
-        i = None if got is None else index[_find(rows, got["row"])]
+        i = None if got is None else _find(rows, index, got["row"])
         if i is None or (i == -2).any():
             return self._column_lines(text, lineno)
-        # each column an index at its first line, looked up once per name
+        # each run of a column's lines looks its index up at its first line
         col = got["column"]
         head = np.flatnonzero(np.concatenate([[True], col[1:] != col[:-1]]))
-        cols, first, inv = np.unique(col[head], return_index=True, return_inverse=True)
-        first = np.argsort(first)
-        j = np.empty(len(cols), np.int64)
-        j[first] = np.fromiter(map(self.col_index.__getitem__, cols[first].tolist()),
-                               np.int64, len(cols))
-        j = np.repeat(j[inv], np.diff(np.append(head, len(col))))
+        j = np.fromiter(map(self.col_index.__getitem__, col[head].tolist()),
+                        np.int64, len(head))
+        j = np.repeat(j, np.diff(np.append(head, len(col))))
         self.entries(lineno, np.arange(len(col)), j, i, got["value"])
 
     def _column_lines(self, text, lineno):
@@ -623,39 +594,32 @@ class _Reader:
             key, v = key[keep], v[keep]
         return key, v
 
-    def targets(self, note, names, rows, cols):
+    def targets(self, note, rows, cols):
         """The rows and the columns (negative for none) that the NAMEMAP
-        comments of a note name, given all names sorted and the row and the
-        column of each, and their original names joined by newlines."""
+        comments of a note name, given each as (sorted names, indices), and
+        their original names joined by newlines."""
         # each line '* NAMEMAP ', the short and the original name, one
         # character apart: the loader then reads what line[1:].split(None, 2)
         # finds
         if note.startswith(_MAP) and note.count("\n" + _MAP) == note.count("\n"):
-            # an original name is at least 12 characters shorter than its
-            # line, so a field that wide reads every one the first time
-            wide = max(map(len, note.split("\n"))) - 11
-            if wide * (note.count("\n") + 1) <= 4 * len(note):
-                self.width["original"] = max(self.width["original"], wide)
             got = self.load(note, [("short", None), ("original", None)], (2, 3))
             if got is not None:
                 originals, short = "\n".join(got["original"].tolist()), got["short"]
                 if len(note) == len(originals) + np.char.str_len(short).sum() + 11 * len(got):
-                    at = _find(names, short)
-                    return rows[at], cols[at], originals
+                    return _find(*rows, short), _find(*cols, short), originals
         pairs = [toks[1:] for toks in (line[1:].split(None, 2) for line in note.split("\n"))
                  if len(toks) == 3 and toks[0] == "NAMEMAP"]
         # str objects: a U array would drop a name's trailing NULs
-        at = _find(names, np.array([name for name, _ in pairs], object))
-        return rows[at], cols[at], "\n".join(o for _, o in pairs)
+        short = np.array([name for name, _ in pairs], object)
+        return _find(*rows, short), _find(*cols, short), "\n".join(o for _, o in pairs)
 
     def finish(self, saw_endata):
         rows, cols = self.row_names, list(self.col_index)
         # NAMEMAP names are looked up and the name indices freed before the
         # matrix is built; the original names are made last, and where two
         # comments map one name the later wins
-        found = [self.row_order or _sorted(self.row_index), _sorted(self.col_index)]
+        found = self.row_order or _sorted(self.row_index), _sorted(self.col_index)
         self.row_index = self.col_index = self.row_order = None
-        found = _merged(found)
         mapped = []
         while self.notes:  # each note freed once read
             note = self.notes.pop(0)

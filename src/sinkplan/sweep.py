@@ -178,13 +178,15 @@ def emit(result, out_dir, config_digest=""):
         rec["capex_usd_per_kw"] = capex
         rec["base_price_usd_per_mwh"] = base_price
         rec["error"] = error
+        # free text: a comma would split its field and a newline its row
+        for k in ("scenario", "error"):
+            rec[k] = rec[k].replace(",", ";").replace("\n", " ")
         return ",".join(str(rec[k]) for k in header)
 
     lines.append(fmt("reference", "", "", ref_row, ""))
     for c in result.cells:
         row = c.report.to_row() if c.report else {"status": c.status}
-        lines.append(fmt(c.cell_id, repr(c.capex), repr(c.base_price), row,
-                         c.error.replace(",", ";").replace("\n", " ")))
+        lines.append(fmt(c.cell_id, repr(c.capex), repr(c.base_price), row, c.error))
     (out / "results.csv").write_text("\n".join(lines) + "\n")
 
     pd_dir = out / "price_duration"

@@ -204,6 +204,11 @@ class TestRoundTrip:
         lp2 = parse_mps(text)
         assert lp2.lower[0] == -np.inf and lp2.upper[0] == np.inf
 
+    @pytest.mark.parametrize("name, read", [
+        ("my tiny", "my tiny"), ("a\tb  c", "a\tb  c"), ("", "lp")])
+    def test_lp_name_with_spaces_round_trips(self, name, read):
+        assert parse_mps(write_mps(replace(trivial_lp(), name=name))).name == read
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_random_lp_round_trip(self, seed):

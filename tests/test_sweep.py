@@ -280,6 +280,19 @@ class TestEmit:
             twin = tmp_path / "b" / "price_duration" / f.name
             assert f.read_text() == twin.read_text()
 
+    def test_scenario_name_with_comma_keeps_every_row_in_shape(self, swept,
+                                                               tmp_path):
+        named = lambda r: replace(r, scenario_name="a,b\nc")  # noqa: E731
+        odd = replace(swept, scenario_name="a,b\nc", reference=named(swept.reference),
+                      cells=[replace(c, report=named(c.report)) for c in swept.cells])
+        lines = emit(odd, tmp_path).read_text().splitlines()
+        width = len(lines[0].split(","))
+        assert len(lines) == 1 + 1 + 4
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == width
+            assert fields[3] == "a;b c"
+
     def test_mps_only_writes_without_solving(self, small_scenario,
                                              small_grid, tmp_path,
                                              monkeypatch):
