@@ -24,7 +24,7 @@ diagnostics.
 
 import csv
 import hashlib
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from . import model as M
 from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, FinanceSpec
 from .model import validate
-from .sweep import SweepGrid
+from .sweep import SweepGrid, cell_id
 
 # {file: {column: (field, kind, default)}}.  A column whose default is None
 # is required: it must be in the header and have a value in every row.
@@ -429,8 +429,9 @@ def _finance(man, filename, prefix=""):
 
 def load_grid(path):
     """Read a sweep grid file (key = value text).  Every cell's sink capex
-    and financing pass the rules `validate` applies to a scenario's sink, so
-    a bad value is reported here, before anything is solved."""
+    and financing pass the rules `validate` applies to a scenario's sink,
+    its demand curve is built and its `cell_id` label is its own, so a bad
+    value is reported here, before anything is solved."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep grid file not found: {path}")
@@ -444,12 +445,29 @@ def load_grid(path):
                           ["capex_usd_per_kw", *_FINANCE_KEYS]))
         raise ConfigError(
             f"{path.name}: key {key_of[bad[0].field]!r}: {bad[0].rule}")
-    curve = DemandCurveSpec(**{
-        key: _manifest_num(man, key, getattr(DEFAULT_CURVE, key), path.name)
-        for key in _CURVE_KEYS})
-    return SweepGrid(
-        capex_values=capex_values,
-        base_prices=_num_list(man, "base_price_usd_per_mwh", path.name),
-        finance=finance,
-        curve=curve,
-    )
+    numbers = {key: _manifest_num(man, key, getattr(DEFAULT_CURVE, key), path.name)
+               for key in _CURVE_KEYS}
+    try:
+        curve = DemandCurveSpec(**numbers)
+    except ValueError as exc:
+        raise ConfigError(f"{path.name}: {exc}") from None
+    base_prices = _num_list(man, "base_price_usd_per_mwh", path.name)
+    for base in base_prices:  # each cell's curve spec, made before any solve
+        try:
+            replace(curve, base_price=base)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path.name}: key 'base_price_usd_per_mwh': {exc}") from None
+    grid = SweepGrid(capex_values, base_prices, finance, curve)
+    # two cells of one label would share a results.csv row name and a
+    # price-duration file
+    seen = {}
+    for cell in grid.cells():
+        other = seen.setdefault(cell_id(*cell), cell)
+        if other != cell:
+            k, key = ((0, "capex_usd_per_kw") if other[0] != cell[0]
+                      else (1, "base_price_usd_per_mwh"))
+            raise ConfigError(
+                f"{path.name}: key {key!r}: {other[k]!r} and {cell[k]!r} "
+                f"share the cell label {cell_id(*cell)!r}")
+    return grid

@@ -8,7 +8,11 @@ adjacent segments.
 """
 
 from dataclasses import dataclass
-from math import inf
+from math import inf, isfinite
+
+# The most segments a demand curve may have; the bundled grids build at most
+# ~45, and an unbounded count would exhaust memory building the curve.
+MAX_CURVE_SEGMENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,9 +54,16 @@ class DemandCurveSpec:
             raise ValueError("segment_fraction must be in (0, anchor fraction]")
         if not self.anchor_price > 0:
             raise ValueError("anchor_price must be positive")
-
-
-DEFAULT_CURVE = DemandCurveSpec()
+        if not isfinite(self.base_price):
+            raise ValueError("base_price must be finite")
+        # n_anchor segments at and above the base, then at most base / step
+        # below it; n_anchor is checked first, as an infinite one has no step
+        count = self.anchor_quantity_fraction / self.segment_fraction
+        if count <= MAX_CURVE_SEGMENTS:
+            count += max(0.0, self.base_price / demand_curve_step(self))
+        if not count <= MAX_CURVE_SEGMENTS:
+            raise ValueError(f"the demand curve would have {count:.4g} segments, "
+                             f"more than {MAX_CURVE_SEGMENTS}")
 
 
 def output_value(price, tech):
@@ -108,6 +119,9 @@ def demand_curve_step(spec):
     """
     n_anchor = round(spec.anchor_quantity_fraction / spec.segment_fraction)
     return spec.anchor_price / abs(spec.elasticity) / n_anchor
+
+
+DEFAULT_CURVE = DemandCurveSpec()
 
 
 @dataclass(frozen=True)

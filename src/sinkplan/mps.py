@@ -25,18 +25,18 @@ original name may hold any character but whitespace, NUL included.  The
 final join holds the text twice: the pieces and the result.
 
 The reader finds a piece's data, comment and section lines with array
-operations on its characters.  Each run of data lines (a block) goes to
-np.loadtxt, numpy's C text reader: ROWS blocks as (type, name), COLUMNS
-blocks as (column, row, value), and at the end each piece's comments, when
-every one is a `* NAMEMAP short original` line, as (short, original).  Rows
-and columns are found with np.searchsorted in sorted arrays of their names,
-and a COLUMNS block looks a column up once per run of its lines.  A name
-field is one character wider than the longest name it has held, and a
-block with a name that fills it is read again with the field widened.  One
-per-line reader, `_tokens`, reads what the loader refuses (two pairs on a
-line, integer markers, numbers such as `1_5` that float reads and numpy
-does not, unknown rows, NUL characters, other comments), RHS, BOUNDS and
-solution files, and stops at the earliest faulty line.  The reader keeps
+operations on its characters.  Each run of COLUMNS lines (a block) goes to
+np.loadtxt, numpy's C text reader, as (column, row, value), and at the end
+each piece's comments, when every one is a `* NAMEMAP short original` line,
+as (short, original).  Rows and columns are found with np.searchsorted in
+sorted arrays of their names, and a COLUMNS block looks a column up once
+per run of its lines.  A name field is one character wider than the longest
+name it has held, and a block with a name that fills it is read again with
+the field widened.  One per-line reader, `_tokens`, reads ROWS, RHS, BOUNDS
+and solution files and what the loader refuses (two pairs on a line,
+integer markers, numbers such as `1_5` that float reads and numpy does not,
+unknown rows, NUL characters, other comments), and stops at the earliest
+faulty line; a line's tokens are dropped once it is read.  The reader keeps
 each COLUMNS block as int64 (column << 31 | row) keys, float values and
 int32 line offsets, frees its name indices before the matrix is built with
 one stable sort, and makes the original names last.  On the 8,760-hour
@@ -247,9 +247,6 @@ def parse_mps(text):
 _SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 _ASCII_SPACE = _SPACE[:256].tobytes()
 _DATA, _NOTE, _BLANK, _HEAD = range(4)
-# ROWS types in either case, sorted, and the sense of each (None for N)
-_ROW_TYPES = np.array(sorted("NnEeGgLl"))
-_ROW_SENSES = np.array([_TYPE_TO_SENSE.get(t.upper()) for t in _ROW_TYPES], object)
 
 
 def _lines(piece):
@@ -421,33 +418,6 @@ class _Reader:
 
     def _rows(self, text, lineno):
         self.row_order = None
-        got = self.load(text, [("type", "U2"), ("name", None)])
-        if got is None or not self.take_rows(got["type"], got["name"].tolist()):
-            self._row_lines(text, lineno)
-
-    def take_rows(self, types, names):
-        """Declare the rows of a block the loader read; False, declaring
-        none, if a type is unknown, a name repeats one declared before or in
-        the block, or a second objective (N) row is declared."""
-        code = np.minimum(np.searchsorted(_ROW_TYPES, types), len(_ROW_TYPES) - 1)
-        obj = np.isin(types, ("N", "n"))
-        if ((_ROW_TYPES[code] != types).any()
-                or np.count_nonzero(obj) > (self.obj_row is None)):
-            return False
-        index = np.cumsum(~obj) + (len(self.row_names) - 1)
-        index[obj] = -1
-        new = dict(zip(names, index.tolist()))
-        if len(new) < len(names) or not self.row_index.keys().isdisjoint(new):
-            return False
-        self.row_index.update(new)
-        if obj.any():
-            self.obj_row = names[int(np.argmax(obj))]
-            names = list(compress(names, (~obj).tolist()))
-        self.row_names += names
-        self.senses += _ROW_SENSES[code[~obj]].tolist()
-        return True
-
-    def _row_lines(self, text, lineno):
         for t, toks in _tokens(text, lineno):
             if len(toks) != 2:
                 self.fail(t, "ROWS entries need a type and a name")

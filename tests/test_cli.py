@@ -1,6 +1,11 @@
 """End-to-end command-line behavior against the bundled tiny system."""
 
+import os
+import resource
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +193,22 @@ class TestEconCommands:
         first = rows[1].split(",")
         assert float(first[2]) == pytest.approx(109.375)
 
+    def test_curve_refuses_an_unbounded_base_price(self):
+        """A curve that would grow without bound is refused before it is
+        built.  Run apart, under a memory and a time limit, so that a build
+        that does start fails the test instead of exhausting memory."""
+        limit = 1 << 30
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).parents[1]),
+                          os.environ.get("PYTHONPATH", "")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "sinkplan.cli", "curve", "--annual-load", "1000",
+             "--base-price", "inf"], env=env, capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(
+                resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: base_price must be finite\n")
+
 
 class TestSweepCommand:
     def test_sweep_writes_results(self, capsys, tiny_config, tmp_path,
@@ -213,6 +234,24 @@ class TestSweepCommand:
         assert code == 1
         assert "grid.txt: key 'capex_usd_per_kw'" in err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("line, rule", [
+        ("base_price_usd_per_mwh = 50, inf", "base_price must be finite"),
+        ("base_price_usd_per_mwh = 50, 1e6", "the demand curve would have 3.2e+05 "
+         "segments, more than 10000"),
+    ], ids=["inf", "1e6"])
+    def test_unbuildable_curve_fails_before_solving(self, capsys, tiny_config,
+                                                    tmp_path, monkeypatch, line, rule):
+        """Each cell's demand curve spec is made when the grid is read; the
+        sweep is stubbed out, so no curve is built past that check."""
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"capex_usd_per_kw = 200\n{line}\n")
+        monkeypatch.setattr(cli, "run_sweep",
+                            lambda *a, **kw: pytest.fail("a cell was solved"))
+        code, _, err = run(capsys, "sweep", str(tiny_config),
+                           "--grid", str(grid), "--out", str(tmp_path / "o"))
+        assert (code, err) == (
+            1, f"error: grid.txt: key 'base_price_usd_per_mwh': {rule}\n")
 
     def test_mps_flag_writes_every_cell(self, capsys, tiny_config, tmp_path):
         """--mps-only writes each cell's LP and solves nothing."""

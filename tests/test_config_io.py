@@ -296,6 +296,20 @@ class TestGridFile:
         with pytest.raises(ConfigError, match="duplicates"):
             load_grid(p)
 
+    @pytest.mark.parametrize("lines, key, values", [
+        (["capex_usd_per_kw = 1000000, 1000001", "base_price_usd_per_mwh = 50"],
+         "capex_usd_per_kw", "1000000.0 and 1000001.0 share the cell label 'cx1e+06_bp50'"),
+        (["capex_usd_per_kw = 200, 800", "base_price_usd_per_mwh = 20, 50, 50.0000001"],
+         "base_price_usd_per_mwh", "50.0 and 50.0000001 share the cell label 'cx200_bp50'"),
+    ], ids=["capex", "base_price"])
+    def test_values_sharing_a_cell_label_rejected(self, tmp_path, lines, key, values):
+        """Two cells of one label would share a results.csv row name and a
+        price-duration file."""
+        p = tmp_path / "grid.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"grid.txt: key {key!r}: {values}")):
+            load_grid(p)
+
     @pytest.mark.parametrize("lines, key, rule", [
         (["capex_usd_per_kw = -5, 200", "wacc = 1e40"], "capex_usd_per_kw",
          "must be in [0, 1e+30], got -5.0"),

@@ -1,13 +1,16 @@
 """Value/price conversion, annuitization, and demand-curve construction."""
 
+import re
 from dataclasses import replace
 from decimal import Decimal, getcontext
+from math import inf, nan
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinkplan.econ import (
+    MAX_CURVE_SEGMENTS,
     DemandCurveSpec,
     FinanceSpec,
     TechSpec,
@@ -186,3 +189,40 @@ class TestDemandCurve:
             DemandCurveSpec(segment_fraction=0.5, anchor_quantity_fraction=0.2)
         with pytest.raises(ValueError):
             build_demand_curve(DemandCurveSpec(), 0.0)
+
+    # none of these specs is handed to build_demand_curve, which would build
+    # segments until memory runs out if the spec let one through
+    @pytest.mark.parametrize("spec, rule", [
+        (dict(base_price=inf), "base_price must be finite"),
+        (dict(base_price=nan), "base_price must be finite"),
+        (dict(base_price=1e300), "3.2e+299 segments, more than 10000"),
+        (dict(base_price=1e6), "3.2e+05 segments"),
+        (dict(anchor_price=1e-6), "8e+08 segments"),
+        (dict(elasticity=-1e9), "2e+10 segments"),
+        (dict(segment_fraction=1e-9), "2e+08 segments"),
+        (dict(anchor_quantity_fraction=inf), "inf segments"),
+    ], ids=["inf", "nan", "1e300", "1e6", "anchor_price", "elasticity",
+            "segment_fraction", "anchor_fraction"])
+    def test_unbounded_curve_refused(self, spec, rule):
+        with pytest.raises(ValueError, match=re.escape(rule)):
+            DemandCurveSpec(**spec)
+
+    def test_segment_bound_is_exact_at_the_default_step(self):
+        # 20 segments at and above the base, then base / 3.125 at most below
+        top = (MAX_CURVE_SEGMENTS - 20) * 3.125
+        assert len(build_demand_curve(DemandCurveSpec(base_price=top), self.LOAD)) \
+            == MAX_CURVE_SEGMENTS - 1
+        with pytest.raises(ValueError, match="more than 10000"):
+            DemandCurveSpec(base_price=top + 3.125)
+
+    @given(anchor=st.floats(1e-3, 1e4), fraction=st.floats(0.01, 1.0),
+           share=st.floats(1e-4, 1.0), elasticity=st.floats(-100.0, -0.01),
+           base=st.floats(-1e3, 1e6))
+    @settings(max_examples=40, deadline=None)
+    def test_accepted_curve_is_bounded(self, anchor, fraction, share, elasticity,
+                                       base):
+        try:
+            spec = DemandCurveSpec(anchor, fraction, elasticity, fraction * share, base)
+        except ValueError:
+            return
+        assert len(build_demand_curve(spec, self.LOAD)) <= MAX_CURVE_SEGMENTS

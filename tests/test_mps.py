@@ -603,6 +603,19 @@ class TestLoaderPath:
             parse_at(monkeypatch, text, chunk)
 
     @CHUNKS
+    @pytest.mark.parametrize("rows, fault", [
+        (" L  r1\n X  r2\n", "line 5: unknown row type 'X'"),
+        (" L  r1\n L\n", "line 5: ROWS entries need a type and a name"),
+        (" L  r1\n L  r2  r3\n", "line 5: ROWS entries need a type and a name"),
+        (" L  r1\n*\n G  r2\n E  r1\n", "line 7: duplicate row name 'r1'"),
+        (" L  r1\n*\n n  OBJ2\n", "line 6: second objective row 'OBJ2'"),
+    ], ids=["type", "one-token", "three-tokens", "later-duplicate", "later-objective"])
+    def test_rows_faults_named_with_line(self, monkeypatch, chunk, rows, fault):
+        text = f"NAME t\nROWS\n N  OBJ\n{rows}COLUMNS\n x  r1  1.0\nENDATA\n"
+        with pytest.raises(MPSError, match=f"^{re.escape(fault)}$"):
+            parse_at(monkeypatch, text, chunk)
+
+    @CHUNKS
     def test_numbers_read_as_float_reads_them(self, monkeypatch, chunk):
         tokens = ["1_5", "+1.5", "-Infinity", "nan", "4.9e-324", "-0.0", "1e999"]
         for some in [tokens[:1], tokens[1:], tokens]:
