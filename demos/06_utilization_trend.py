@@ -21,7 +21,7 @@ print(f"  avg price {ref.average_price:.2f} $/MWh, "
 
 print(f"\n{'capex $/kW':>11} {'sink MW':>9} {'CF':>6} {'corr(net load)':>15}")
 for capex in grid.capex_values:
-    # warm-started from the reference's basis, as run_sweep does
+    # each cell warm-started from the reference's basis
     solved = solve_scenario(cell_scenario(scenario, grid, capex,
                                           grid.base_prices[0]),
                             start=ref.basis)

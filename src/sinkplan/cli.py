@@ -132,6 +132,33 @@ def cmd_certify(args):
     return 0 if rep.within() else 1
 
 
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _negative_values_joined(argv):
+    """argv with each `--option -1e-3` pair written `--option=-1e-3`.
+
+    argparse reads only `-N` and `-N.N` as negative numbers, so it takes a
+    value such as `-1e-3` or `-inf` for an option of its own and leaves the
+    option before it without its argument; in the `=` form the value is
+    always the option's.  Nothing after a `--` is joined.
+    """
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and "--" not in out
+                and arg.startswith("-") and _is_number(arg)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(prog="sinkplan", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -190,7 +217,8 @@ def main(argv=None):
     sp.add_argument("sol")
     sp.set_defaults(func=cmd_certify)
 
-    args = p.parse_args(argv)
+    args = p.parse_args(_negative_values_joined(
+        sys.argv[1:] if argv is None else argv))
     if args.func is cmd_solve and args.mps_only and not args.mps_out:
         solve_p.error("--mps-only needs --mps-out DIR")
     try:

@@ -60,7 +60,11 @@ class DemandCurveSpec:
         # below it; n_anchor is checked first, as an infinite one has no step
         count = self.anchor_quantity_fraction / self.segment_fraction
         if count <= MAX_CURVE_SEGMENTS:
-            count += max(0.0, self.base_price / demand_curve_step(self))
+            step = demand_curve_step(self)
+            if not 0 < step < inf:   # overflowed or underflowed
+                raise ValueError(f"the demand curve's price step is {step:g}, "
+                                 f"not positive and finite")
+            count += max(0.0, self.base_price / step)
         if not count <= MAX_CURVE_SEGMENTS:
             raise ValueError(f"the demand curve would have {count:.4g} segments, "
                              f"more than {MAX_CURVE_SEGMENTS}")

@@ -3,23 +3,33 @@
 Each (capex, base price) cell derives the sink annuity, builds the stepwise
 demand curve for that base price, assembles and solves the full LP, and
 reports metrics against the no-sink reference.  A cell is the reference plus
-the sink's columns and its `<=` rows, so every cell is warm-started from the
-reference's optimal basis, mapped by column and row name: the sink columns
-start nonbasic at zero and the new rows' logicals basic, which is feasible, so
-phase 1 is skipped.  Cells are independent: each starts from the same
-reference basis, never from another cell, and one failed cell is recorded
-and the rest of the sweep continues.  A worker process that dies breaks its
-pool, so every cell not yet finished is then recorded as an error and the
-finished ones are kept.  Results are in grid order, so the output is
+the sink's columns and its `<=` rows, so the reference's optimal basis, mapped
+by column and row name, is a start for any cell: the sink columns start
+nonbasic at zero and the new rows' logicals basic, which is feasible, so
+phase 1 is skipped.
+
+Within one base price the cells differ only in the sink capacity's cost, so
+a cell's optimum is a feasible start for its neighbours too.  The cells of
+each base price are sorted by capex, highest first, and taken in pairs: the
+first cell of a pair starts from the reference's basis, the second from the
+first's optimal basis (or the reference's, when the first did not end
+optimal), and a last unpaired cell from the reference's.  The higher-capex
+cell builds the smaller sink, so its optimum lies between the reference and
+its lower-capex partner.  The pairing depends on the grid alone, so every
+cell starts from the same basis at any parallelism.  One failed cell is
+recorded and the rest of the sweep continues.  A worker process that dies
+breaks its pool, so every cell not yet finished is then recorded as an error
+and the finished ones are kept.  Results are in grid order, so the output is
 identical at any parallelism.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from traceback import format_exception
 
 from . import __version__
 from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, \
@@ -56,7 +66,8 @@ class CellResult:
     report: MetricsReport = None
     error: str = ""
     iterations: int = 0          # the cell's simplex iterations
-    warm_start: bool = False     # whether it started from the reference basis
+    warm_start: bool = False     # whether it started from a given basis
+    traceback: str = ""          # of the exception that failed the cell
 
     @property
     def cell_id(self):
@@ -87,8 +98,8 @@ def cell_scenario(scenario, grid, capex, base_price):
 
 def run_reference(scenario):
     """Solve the scenario with the sink removed: the report every cell's
-    deltas are taken against, carrying the optimal basis every cell starts
-    from."""
+    deltas are taken against, carrying the optimal basis the first cell of
+    each pair starts from."""
     solved = solve_scenario(scenario.without_sink())
     if solved.status != "optimal":
         raise RuntimeError(
@@ -98,47 +109,86 @@ def run_reference(scenario):
     return rep
 
 
+def _error_cell(capex, base_price, exc):
+    return CellResult(capex, base_price, "error",
+                      error=f"{type(exc).__name__}: {exc}",
+                      traceback="".join(format_exception(exc)))
+
+
 def _solve_cell(args):
-    scenario, grid, capex, base_price, ref = args
+    """The cell solved from `start`, a basis by name (None: a cold start),
+    and its optimal basis by name for the next cell of its pair (None when
+    it did not end optimal)."""
+    scenario, grid, capex, base_price, ref, start = args
     try:
         cell = cell_scenario(scenario, grid, capex, base_price)
-        solved = solve_scenario(cell, start=ref.basis)
+        solved = solve_scenario(cell, start=start)
         counts = dict(iterations=solved.solution.iterations,
                       warm_start=solved.solution.warm_start)
         if solved.status != "optimal":
             return CellResult(capex, base_price, solved.status,
-                              error=f"solver status {solved.status}", **counts)
-        return CellResult(capex, base_price, "optimal",
-                          report=report(solved, reference=ref), **counts)
+                              error=f"solver status {solved.status}",
+                              **counts), None
+        return (CellResult(capex, base_price, "optimal",
+                           report=report(solved, reference=ref), **counts),
+                solved.basis_by_name())
     except Exception as exc:  # cell isolation: a bad corner must not kill the batch
-        return CellResult(capex, base_price, "error",
-                          error=f"{type(exc).__name__}: {exc}")
+        return _error_cell(capex, base_price, exc), None
 
 
-def _cell_outcome(future, task):
-    """The cell's result, or an error cell if the pool broke before it
-    finished."""
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        _, _, capex, base_price, _ = task
-        return CellResult(capex, base_price, "error",
-                          error=f"{type(exc).__name__}: {exc}")
+def _pairs(cells):
+    """{first: second} grid indices of the cell pairs, in grid order of the
+    first cells: each base price's cells sorted by capex, highest first, and
+    taken two at a time; a last unpaired cell's second is None."""
+    by_price = {}
+    for i, (_, base_price) in enumerate(cells):
+        by_price.setdefault(base_price, []).append(i)
+    pairs = {}
+    for idx in by_price.values():
+        idx.sort(key=lambda i: -cells[i][0])
+        pairs.update(zip(idx[::2], idx[1::2] + [None]))
+    return dict(sorted(pairs.items()))
 
 
 def run_sweep(scenario, grid, parallelism=1, reference=None):
     """Solve every grid cell (optionally in parallel) against the reference:
     the given `run_reference` report, or a fresh one when none is given.
-    Each cell records its iteration count and whether it started from the
-    reference's basis."""
+    The first cell of each pair (see the module docstring) starts from the
+    reference's basis and the second from the first's optimum.  Each cell
+    records its iteration count and whether it started from a basis."""
     ref = reference or run_reference(scenario)
-    tasks = [(scenario, grid, cx, bp, ref) for cx, bp in grid.cells()]
+    grid_cells = grid.cells()
+    pairs = _pairs(grid_cells)
+    cells = [None] * len(grid_cells)
+
+    def task(i, basis=None):
+        """Cell i's task, started from basis or else the reference's."""
+        return (scenario, grid, *grid_cells[i], ref,
+                ref.basis if basis is None else basis)
+
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(_solve_cell, t) for t in tasks]
-            cells = [_cell_outcome(f, t) for f, t in zip(futures, tasks)]
+            running = {pool.submit(_solve_cell, task(i)): i for i in pairs}
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    i = running.pop(future)
+                    try:
+                        cells[i], basis = future.result()
+                    except BrokenProcessPool as exc:  # a worker died
+                        cells[i], basis = _error_cell(*grid_cells[i], exc), None
+                    j = pairs.get(i)   # None for a second or unpaired cell
+                    if j is None:
+                        continue
+                    try:
+                        running[pool.submit(_solve_cell, task(j, basis))] = j
+                    except BrokenProcessPool as exc:  # the pool is already broken
+                        cells[j] = _error_cell(*grid_cells[j], exc)
     else:
-        cells = [_solve_cell(t) for t in tasks]
+        for i, j in pairs.items():
+            cells[i], basis = _solve_cell(task(i))
+            if j is not None:
+                cells[j], _ = _solve_cell(task(j, basis))
     return SweepResult(scenario.name, grid, ref, cells)
 
 

@@ -193,6 +193,19 @@ class TestEconCommands:
         first = rows[1].split(",")
         assert float(first[2]) == pytest.approx(109.375)
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-2E+0", "-.5e1"])
+    def test_negative_option_value_in_exponent_form(self, capsys, value):
+        """argparse alone takes `-1e-3` for an option and fails the
+        `--elasticity` before it; the `=` form always parsed."""
+        args = ["curve", "--annual-load", "1000", "--base-price", "50"]
+        code, out, err = run(capsys, *args, "--elasticity", value)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *args, f"--elasticity={value}")[1]
+
+    def test_value_after_double_dash_stays_positional(self, capsys):
+        code, _, err = run(capsys, "validate", "--", "-1e3")
+        assert code == 1 and "-1e3" in err
+
     def test_curve_refuses_an_unbounded_base_price(self):
         """A curve that would grow without bound is refused before it is
         built.  Run apart, under a memory and a time limit, so that a build

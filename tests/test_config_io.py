@@ -329,6 +329,21 @@ class TestGridFile:
                 f"grid.txt: key {key!r}: {rule}")):
             load_grid(p)
 
+    @pytest.mark.parametrize("lines, step", [
+        (["elasticity = -1e-320"], "inf"),
+        (["anchor_price = 1e300", "elasticity = -1e-10"], "inf"),
+        (["anchor_price = 5e-324", "elasticity = -1e10"], "0"),
+    ], ids=["tiny-elasticity", "huge-anchor_price", "tiny-anchor_price"])
+    def test_curve_step_out_of_range_rejected(self, tmp_path, lines, step):
+        """An infinite step gave every cell an infinite segment value, which
+        failed each cell only after the reference was solved."""
+        p = tmp_path / "grid.txt"
+        p.write_text("\n".join(["capex_usd_per_kw = 200",
+                                "base_price_usd_per_mwh = 50", *lines]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"grid.txt: the demand curve's price step is {step}, ")):
+            load_grid(p)
+
     def test_standalone_grid(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("capex_usd_per_kw = 200, 1400\n"

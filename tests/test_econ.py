@@ -201,8 +201,12 @@ class TestDemandCurve:
         (dict(elasticity=-1e9), "2e+10 segments"),
         (dict(segment_fraction=1e-9), "2e+08 segments"),
         (dict(anchor_quantity_fraction=inf), "inf segments"),
+        (dict(elasticity=-1e-320), "price step is inf, not positive"),
+        (dict(anchor_price=1e300, elasticity=-1e-10), "price step is inf"),
+        (dict(anchor_price=5e-324, elasticity=-1e10), "price step is 0"),
     ], ids=["inf", "nan", "1e300", "1e6", "anchor_price", "elasticity",
-            "segment_fraction", "anchor_fraction"])
+            "segment_fraction", "anchor_fraction", "step-tiny-elasticity",
+            "step-huge-anchor_price", "step-tiny-anchor_price"])
     def test_unbounded_curve_refused(self, spec, rule):
         with pytest.raises(ValueError, match=re.escape(rule)):
             DemandCurveSpec(**spec)

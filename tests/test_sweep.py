@@ -27,9 +27,10 @@ _SOLVE_CELL = sweep_mod._solve_cell
 
 
 def _cell_that_kills_its_worker(args):
-    """Sweep cell whose worker process dies at cx800_bp60, the last cell,
-    after giving the other worker time to finish the cells before it."""
-    _, _, capex, base_price, _ = args
+    """Sweep cell whose worker process dies at cx800_bp60, the first cell of
+    the bp60 pair, after giving the other worker time to finish the bp30
+    pair."""
+    _, _, capex, base_price, _, _ = args
     if (capex, base_price) == (800.0, 60.0):
         time.sleep(3.0)
         os._exit(1)
@@ -102,17 +103,24 @@ class TestRunSweep:
     def test_cells_start_from_the_reference_basis(self, small_scenario,
                                                   small_grid, swept,
                                                   monkeypatch):
-        starts = []
+        # capex 800 leads each base price's pair and starts from the
+        # reference; capex 200 starts from 800's optimum
+        starts, bases = {}, {}
 
         def recording(scenario, *a, start=None, **kw):
-            starts.append(start)
-            return solve_scenario(scenario, *a, start=start, **kw)
+            solved = solve_scenario(scenario, *a, start=start, **kw)
+            cell = scenario.name.split(":")[1]
+            starts[cell], bases[cell] = start, solved.basis_by_name()
+            return solved
 
         monkeypatch.setattr(sweep_mod, "solve_scenario", recording)
         result = run_sweep(small_scenario, small_grid, parallelism=1,
                            reference=swept.reference)
         assert len(starts) == 4
-        assert all(st is swept.reference.basis for st in starts)
+        for bp in ("30", "60"):
+            assert starts[f"cx800_bp{bp}"] is swept.reference.basis
+            assert starts[f"cx200_bp{bp}"] is not swept.reference.basis
+            assert starts[f"cx200_bp{bp}"] == bases[f"cx800_bp{bp}"]
         for a, b in zip(swept.cells, result.cells):
             assert a.report.to_row() == b.report.to_row()
 
@@ -121,7 +129,54 @@ class TestRunSweep:
         assert all(c.warm_start and c.iterations > 0 for c in swept.cells)
         cold = run_sweep(small_scenario, small_grid, parallelism=1,
                          reference=replace(swept.reference, basis=None))
-        assert all(not c.warm_start and c.iterations > 0 for c in cold.cells)
+        assert all(c.iterations > 0 for c in cold.cells)
+        # first cells (capex 800) are cold; second cells (capex 200) start
+        # from their first cell's optimum
+        assert [c.warm_start for c in cold.cells] == [True, True, False, False]
+
+    @pytest.mark.parametrize("capex, prices, pairs", [
+        ((200.0, 800.0, 1400.0), (50.0,), [(0, None), (2, 1)]),
+        ((200.0, 800.0), (30.0, 60.0), [(2, 0), (3, 1)]),
+        ((800.0, 200.0, 1400.0), (50.0,), [(1, None), (2, 0)]),
+        ((500.0,), (30.0, 60.0), [(0, None), (1, None)]),
+    ], ids=["3x1", "2x2", "unsorted-capex", "single-capex"])
+    def test_pairs_within_a_base_price_highest_capex_first(self, capex,
+                                                           prices, pairs):
+        got = sweep_mod._pairs(SweepGrid(capex, prices).cells())
+        assert list(got.items()) == pairs
+
+    @pytest.mark.parametrize("outcome", ["error", "iteration_limit"])
+    def test_second_cell_of_a_failed_first_starts_from_the_reference(
+            self, small_scenario, small_grid, swept, monkeypatch, outcome):
+        real = sweep_mod.solve_scenario
+        starts = {}
+
+        def first_fails(scenario, *a, start=None, **kw):
+            cell = scenario.name.split(":")[1]
+            starts[cell] = start
+            solved = real(scenario, *a, start=start, **kw)
+            if cell != "cx800_bp30":
+                return solved
+            if outcome == "error":
+                raise RuntimeError("synthetic failure")
+            return replace(solved, solution=replace(solved.solution,
+                                                    status=outcome))
+
+        monkeypatch.setattr(sweep_mod, "solve_scenario", first_fails)
+        result = run_sweep(small_scenario, small_grid, parallelism=1,
+                           reference=swept.reference)
+        got = {c.cell_id: c for c in result.cells}
+        want = {c.cell_id: c for c in swept.cells}
+        assert got["cx800_bp30"].status == outcome
+        assert starts["cx200_bp30"] is swept.reference.basis
+        assert starts["cx200_bp60"] is not swept.reference.basis
+        # from another start the same optimum, to rounding
+        second = got["cx200_bp30"]
+        assert second.status == "optimal" and second.warm_start
+        assert second.report.objective == pytest.approx(
+            want["cx200_bp30"].report.objective, rel=1e-9)
+        for cell in ("cx200_bp60", "cx800_bp60"):
+            assert got[cell].report.to_row() == want[cell].report.to_row()
 
     def test_cells_derive_curve_from_base_price(self, small_scenario,
                                                 small_grid):
@@ -144,6 +199,8 @@ class TestRunSweep:
         bad = [c for c in result.cells if c.status != "optimal"]
         assert len(bad) == 1
         assert bad[0].error == "RuntimeError: synthetic failure"
+        assert "in flaky" in bad[0].traceback
+        assert bad[0].traceback.endswith("RuntimeError: synthetic failure\n")
         assert bad[0].iterations == 0 and not bad[0].warm_start
         assert sum(c.status == "optimal" for c in result.cells) == 3
 
@@ -156,12 +213,17 @@ class TestRunSweep:
                            reference=swept.reference)
         assert [c.cell_id for c in result.cells] == [
             c.cell_id for c in swept.cells]
-        dead = result.cells[-1]
-        assert dead.status == "error"
-        assert dead.error.startswith("BrokenProcessPool")
-        for c, ref in zip(result.cells[:-1], swept.cells):
-            assert c.status == "optimal"
-            assert c.report.to_row() == ref.report.to_row()
+        # the bp30 pair finished; cx800_bp60 died with its worker, and its
+        # second cell, cx200_bp60, could no longer be submitted
+        dead = {"cx200_bp60", "cx800_bp60"}
+        for c, ref in zip(result.cells, swept.cells):
+            if c.cell_id in dead:
+                assert c.status == "error"
+                assert c.error.startswith("BrokenProcessPool")
+                assert "BrokenProcessPool" in c.traceback
+            else:
+                assert c.status == "optimal"
+                assert c.report.to_row() == ref.report.to_row()
 
 
 WARM_CASES = ["small", "tiny"] + [f"random{seed}" for seed in range(6)]
