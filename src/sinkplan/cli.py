@@ -11,8 +11,6 @@
 
 `solve` assembles once and reports the --sol-in FILE solution, or else its
 own; an optimal solution is certified either way.
-
-SINKPLAN_THREADS sets the default worker count for sweep.
 """
 
 import argparse
@@ -28,7 +26,7 @@ from .mps import parse_mps, read_external_solution, write_mps, \
     write_solution_text
 from .runner import Solved, certified
 from .simplex import solve
-from .sweep import default_parallelism, emit, run_sweep, write_cell_mps
+from .sweep import emit, run_sweep, write_cell_mps
 
 
 def _print_report(rep):
@@ -87,8 +85,7 @@ def cmd_sweep(args):
         paths = write_cell_mps(scenario, grid, out)
         print(f"wrote {len(paths)} MPS files under {out / 'mps'}")
         return 0
-    threads = args.threads if args.threads else default_parallelism()
-    result = run_sweep(scenario, grid, parallelism=threads)
+    result = run_sweep(scenario, grid, parallelism=args.threads)
     path = emit(result, out, config_digest=digest)
     failed = [c for c in result.cells if c.status != "optimal"]
     print(f"wrote {path} ({len(result.cells)} cells, {len(failed)} failed)")
@@ -179,10 +176,11 @@ def main(argv=None):
     sp.add_argument("--sol-out", default=None, metavar="FILE")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("sweep", help="run a capex x base-price sweep")
+    sweep_p = sp = sub.add_parser("sweep",
+                                  help="run a capex x base-price sweep")
     sp.add_argument("config")
     sp.add_argument("--grid", default=None, metavar="FILE")
-    sp.add_argument("--threads", type=int, default=0)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None, metavar="DIR")
     sp.add_argument("--mps-only", action="store_true",
                     help="write per-cell MPS files and skip solving")
@@ -221,6 +219,8 @@ def main(argv=None):
         sys.argv[1:] if argv is None else argv))
     if args.func is cmd_solve and args.mps_only and not args.mps_out:
         solve_p.error("--mps-only needs --mps-out DIR")
+    if args.func is cmd_sweep and args.threads < 1:
+        sweep_p.error("--threads must be at least 1")
     try:
         return args.func(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:

@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, FinanceSpec
+from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, \
+    FinanceSpec, demand_curve_step
 from .model import validate
 from .sweep import SweepGrid, cell_id
 
@@ -454,10 +455,17 @@ def load_grid(path):
     base_prices = _num_list(man, "base_price_usd_per_mwh", path.name)
     for base in base_prices:  # each cell's curve spec, made before any solve
         try:
-            replace(curve, base_price=base)
+            spec = replace(curve, base_price=base)
         except ValueError as exc:
             raise ConfigError(
                 f"{path.name}: key 'base_price_usd_per_mwh': {exc}") from None
+        # the top segment's value, which `validate` bounds by model.BIG
+        n_anchor = round(spec.anchor_quantity_fraction / spec.segment_fraction)
+        top = base + (n_anchor - 1) * demand_curve_step(spec)
+        if not top <= M.BIG:
+            raise ConfigError(
+                f"{path.name}: key 'base_price_usd_per_mwh': the demand curve "
+                f"of {base!r} has a top segment value of {top:g}, above {M.BIG:g}")
     grid = SweepGrid(capex_values, base_prices, finance, curve)
     # two cells of one label would share a results.csv row name and a
     # price-duration file

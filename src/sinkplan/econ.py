@@ -100,10 +100,9 @@ def crf(wacc, life):
     return wacc * f / (f - 1.0)
 
 
-def crf_ratio(wacc, life, ref_wacc=DEFAULT_FINANCE.wacc,
-              ref_life=DEFAULT_FINANCE.life):
+def crf_ratio(wacc, life):
     """Ratio of capital recovery factors against the reference financing."""
-    return crf(wacc, life) / crf(ref_wacc, ref_life)
+    return crf(wacc, life) / crf(DEFAULT_FINANCE.wacc, DEFAULT_FINANCE.life)
 
 
 def annualized_capex(capex_per_kw, fin):

@@ -87,7 +87,7 @@ def _short_names(names, prefix):
     """The MPS names of `names` as records, and the positions of the names
     kept: a safe name of at most 8 characters that is no keyword is kept as
     it is, any other is replaced by {prefix}%07d of its position from 1."""
-    out = _generated(prefix, 1, len(names) + 1)
+    out = _generated(prefix, len(names))
     fits = np.fromiter(map(len, names), np.intp, len(names)) <= 8
     kept = [i for i in np.flatnonzero(fits).tolist()
             if _SAFE_NAME.fullmatch(names[i]) and names[i] not in _RESERVED]
@@ -108,11 +108,11 @@ def _short_names(names, prefix):
     return out, kept
 
 
-def _generated(prefix, start, stop):
-    """{prefix}%07d of each number from start to stop - 1, as records 8
-    bytes wide, or wider where stop - 1 has more digits."""
-    k = np.arange(start, stop)
-    width = max(8, len(str(stop - 1)) + 1)
+def _generated(prefix, n):
+    """{prefix}%07d of each number from 1 to n, as records 8 bytes wide, or
+    wider where n has more digits."""
+    k = np.arange(1, n + 1)
+    width = max(8, len(str(n)) + 1)
     out = np.zeros((len(k), width), np.uint8)
     out[:, 0] = ord(prefix)
     for at in range(7, 0, -1):
@@ -120,7 +120,7 @@ def _generated(prefix, start, stop):
     out[:, 1:8] += ord("0")
     out = out.view(f"S{width}")[:, 0]
     # %07d writes every digit of 10,000,000 and above
-    big = [f"{prefix}{i}" for i in range(max(start, 10 ** 7), stop)]
+    big = [f"{prefix}{i}" for i in range(10 ** 7, n + 1)]
     out[len(out) - len(big):] = big
     return out
 

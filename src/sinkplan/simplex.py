@@ -336,23 +336,22 @@ def solve(lp, start=None):
         ws.take(None)
     if not ws.warm_start:
         ws.refactorize()
-    max_iter = _max_iter(ws)
 
     if np.any(_infeasibility(ws)):
-        outcome = _iterate(ws, True, max_iter)
+        outcome = _iterate(ws, True)
         ws.phase1_iterations = ws.iterations
         if outcome == "iteration_limit":
-            return _finish(lp, ws, ITERATION_LIMIT, feasible=False)
+            return _finish(lp, ws, ITERATION_LIMIT)
         if np.any(_infeasibility(ws)):
             # infeasibility is proven only by a phase-1 optimum
             status = INFEASIBLE if outcome == "optimal" else ITERATION_LIMIT
-            return _finish(lp, ws, status, feasible=False)
-    outcome = _iterate(ws, False, max_iter)
+            return _finish(lp, ws, status)
+    outcome = _iterate(ws, False)
     if outcome == "unbounded":
-        return _finish(lp, ws, UNBOUNDED, feasible=True)
+        return _finish(lp, ws, UNBOUNDED)
     if outcome == "iteration_limit":
-        return _finish(lp, ws, ITERATION_LIMIT, feasible=True)
-    solution = _finish(lp, ws, OPTIMAL, feasible=True)
+        return _finish(lp, ws, ITERATION_LIMIT)
+    solution = _finish(lp, ws, OPTIMAL)
     # an "optimal" that pricing on a fresh factorization never confirmed
     # must certify to be reported as optimal
     if outcome == "unverified" and not certify(lp, solution).within():
@@ -389,7 +388,8 @@ def _check_finite(lp):
     check_bounds(lp.col_names, lp.lower, lp.upper)
 
 
-def _iterate(ws, phase1, max_iter):
+def _iterate(ws, phase1):
+    max_iter = _max_iter(ws)
     ws.phase1 = phase1
     ws.cost = ws.obj
     _reprice(ws)
@@ -404,13 +404,13 @@ def _iterate(ws, phase1, max_iter):
             ws.refactorize()
             _reprice(ws)
 
-        q = _price(ws, ws.d, ws.bland, _OPT_TOL)
+        q = _price(ws)
         if q < 0:
             # claimed optimal: verify on a fresh factorization
             if ws.n_etas or verify_rounds == 0:
                 ws.refactorize()
                 _reprice(ws)
-                q = _price(ws, ws.d, ws.bland, _OPT_TOL)
+                q = _price(ws)
                 verify_rounds += 1
                 if q < 0:
                     return "optimal"
@@ -507,20 +507,20 @@ def _update_pricing(ws, q, jl, alpha, pivot):
         ws.weights.fill(1.0)
 
 
-def _price(ws, d, bland, tol):
+def _price(ws):
     """Entering column index, or -1 when dual-feasible: the largest
     d_j^2 / w_j over the Devex weights, or the lowest index under Bland.
-    Only the columns whose violation passes tol are scored."""
-    st = ws.status
+    Only the columns whose violation passes `_OPT_TOL` are scored."""
+    d, st = ws.d, ws.status
     viol = _PRICE_SIGN.take(st)         # take: indexing by int8 is slower
     viol *= d
     free = ws.free[st[ws.free] == FREE_ZERO]
     viol[free] = np.abs(d[free])
     viol[ws.fixed] = 0.0
-    cand = np.flatnonzero(viol > tol)
+    cand = np.flatnonzero(viol > _OPT_TOL)
     if not len(cand):
         return -1
-    if bland:
+    if ws.bland:
         return int(cand[0])
     score = np.square(viol[cand])
     score /= ws.weights[cand]
@@ -563,7 +563,7 @@ def _ratio_test(ws, q, w, direction):
     return float(ratios[leave]), int(rows[leave]), leave_to
 
 
-def _finish(lp, ws, status, feasible):
+def _finish(lp, ws, status):
     n = ws.n_struct
     if ws.iterations != ws.factored_at:     # bound flips count: they move x
         ws.refactorize()
@@ -571,7 +571,7 @@ def _finish(lp, ws, status, feasible):
     x = ws.x[:n].copy()
     objective = float(lp.obj @ x)
 
-    if feasible:
+    if not ws.phase1:   # a solve ends in phase 1 only without a feasible basis
         y_scaled = _btran(ws, ws.obj[ws.basis])
         duals = y_scaled / ws.scales
         reduced = lp.obj - (lp.matrix().T @ duals)

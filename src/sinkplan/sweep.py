@@ -23,7 +23,6 @@ and the finished ones are kept.  Results are in grid order, so the output is
 identical at any parallelism.
 """
 
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -261,12 +260,3 @@ def emit(result, out_dir, config_digest=""):
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
     return out / "results.csv"
 
-
-def default_parallelism():
-    """Worker count from SINKPLAN_THREADS, defaulting to 1."""
-    raw = os.environ.get("SINKPLAN_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -234,6 +234,13 @@ class TestSweepCommand:
         assert code == 0
         assert (tmp_path / "o" / "results.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_refused(self, capsys, tiny_config, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(tiny_config), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+
     def test_bad_grid_value_fails_before_solving(self, capsys, tiny_config,
                                                  tmp_path, monkeypatch):
         grid = tmp_path / "grid.txt"
@@ -277,9 +284,3 @@ class TestSweepCommand:
                            "cx800_bp50.mps", "cx800_bp80.mps"]
         assert not (tmp_path / "results.csv").exists()
 
-    def test_threads_env_default(self, monkeypatch):
-        from sinkplan.sweep import default_parallelism
-        monkeypatch.setenv("SINKPLAN_THREADS", "7")
-        assert default_parallelism() == 7
-        monkeypatch.setenv("SINKPLAN_THREADS", "junk")
-        assert default_parallelism() == 1

@@ -344,6 +344,18 @@ class TestGridFile:
                 f"grid.txt: the demand curve's price step is {step}, ")):
             load_grid(p)
 
+    def test_curve_top_value_above_big_rejected(self, tmp_path):
+        """A finite step can still put the top segment value above
+        model.BIG; such a grid loaded, and every cell then failed `validate`
+        after the reference was solved."""
+        p = tmp_path / "grid.txt"
+        p.write_text("capex_usd_per_kw = 200\nbase_price_usd_per_mwh = 50\n"
+                     "anchor_price = 1e300\nelasticity = -1e-7\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "grid.txt: key 'base_price_usd_per_mwh': the demand curve of "
+                "50.0 has a top segment value of 9.5e+306, above 1e+30")):
+            load_grid(p)
+
     def test_standalone_grid(self, tmp_path):
         p = tmp_path / "grid.txt"
         p.write_text("capex_usd_per_kw = 200, 1400\n"

@@ -236,6 +236,14 @@ class TestParserLayout:
                 "ENDATA\n")
         assert lp_equal(parse_mps(text), two_row_lp())
 
+    @pytest.mark.parametrize("zero", ["0", "-0.0"])
+    def test_zero_entries_are_dropped(self, zero):
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\n G  r2\nCOLUMNS\n"
+                f" x  OBJ  1.5\n x  r1  1.0\n x  r2  3.0\n y  r1  2.0\n y  r2  {zero}\n"
+                "RHS\n RHS  r1  3.0\n RHS  r2  4.0\nBOUNDS\n UP BND x 4.0\n"
+                "ENDATA\n")
+        assert lp_equal(parse_mps(text), two_row_lp())
+
     def test_column_entries_need_not_be_contiguous(self):
         text = ("NAME t\nROWS\n N  OBJ\n L  r1\n G  r2\nCOLUMNS\n"
                 " x  r1  1.0\n y  r1  2.0\n x  r2  3.0\n x  OBJ  1.5\n"
@@ -320,10 +328,15 @@ class TestMangling:
         with pytest.raises(MPSError, match="'ab' and 'ab' both map to 'ab'"):
             mangle_names(["ab", "much_too_long_for_mps", "ab"], "R")
 
-    def test_generated_names_past_seven_digits(self):
+    def test_generated_names_past_seven_digits(self, monkeypatch):
         # %07d writes all eight digits of 10,000,000; such a name overflows
-        # the 8-character field of a COLUMNS line as any long token does
-        names = mps._generated("C", 9_999_999, 10_000_001)
+        # the 8-character field of a COLUMNS line as any long token does.
+        # Only the last two of the ten million numbers are made: all of them
+        # would take ~300 MB.
+        arange = np.arange
+        monkeypatch.setattr(np, "arange", lambda start, stop: arange(stop - 2, stop))
+        names = mps._generated("C", 10_000_000)
+        monkeypatch.undo()
         assert mps._strings(names) == ["C9999999", "C10000000"]
         assert mps._strings(mps._fields(b" ", mps._spaced(names), b"  ")) == [
             " C9999999  ", " C10000000  "]
@@ -333,6 +346,11 @@ class TestMangling:
 
 
 class TestParserErrors:
+    def test_missing_objective_row(self):
+        text = "NAME t\nROWS\n L  r1\nCOLUMNS\n x  r1  1.0\nRHS\nENDATA\n"
+        with pytest.raises(MPSError, match=r"^no objective \(N\) row declared$"):
+            parse_mps(text)
+
     def test_missing_endata(self):
         text = write_mps(trivial_lp()).replace("ENDATA\n", "")
         with pytest.raises(MPSError, match="ENDATA"):
@@ -593,6 +611,19 @@ class TestLoaderPath:
             + "RHS\nENDATA\n")
         assert parse_at(monkeypatch, text, chunk).col_names == names
         assert not line_path
+
+    def test_one_very_long_name_is_read_line_by_line(self, line_path):
+        # a field as wide as that name would hold more than four times the
+        # block's characters, so the loader gives the block up
+        names = [f"c{k}" for k in range(50)] + ["n" * 300]
+        text = ("NAME t\nROWS\n N  OBJ\n L  r1\nCOLUMNS\n"
+                + "".join(f" {c}  r1  {k + 1}.0\n" for k, c in enumerate(names))
+                + "RHS\nENDATA\n")
+        b = LinearProgramBuilder("t")
+        b.add_cols(names, np.zeros(51), np.zeros(51), np.full(51, np.inf))
+        b.add_row("r1", LE, 0.0, [(k, k + 1.0) for k in range(51)])
+        assert lp_equal(parse_mps(text), b.build())
+        assert line_path
 
     @CHUNKS
     @pytest.mark.parametrize("token", ["r1x", "r1xyz"])

@@ -90,6 +90,17 @@ class TestStatuses:
         s = solve(lp)
         assert s.status == "iteration_limit"
 
+    def test_iteration_limit_in_phase2(self, monkeypatch):
+        # the slack basis is feasible, so the one pivot allowed is phase 2's,
+        # and the duals are those of the basis it leaves
+        monkeypatch.setattr(simplex_mod, "_max_iter", lambda ws: 1)
+        lp = build([(f"x{j}", dict(obj=-1.0)) for j in range(3)],
+                   [(f"r{j}", LE, 1.0, [(j, 1.0)]) for j in range(3)])
+        s = solve(lp)
+        assert (s.status, s.iterations, s.phase1_iterations) == (
+            "iteration_limit", 1, 0)
+        assert s.duals.tolist() == [-1.0, 0.0, 0.0]
+
     def test_nan_rejected_before_solving(self):
         lp = build([("x", dict(obj=1.0))], [("r", GE, 3.0, [(0, 1.0)])])
         lp.rhs[0] = float("nan")
@@ -335,16 +346,16 @@ def _claiming_price(real):
     reduced cost, so the claim is never confirmed."""
     calls = []
 
-    def price(ws, d, bland, tol):
+    def price(ws):
         calls.append(None)
         if len(calls) % 2:
             return -1
-        q = real(ws, d, bland, tol)
+        q = real(ws)
         if q >= 0:
             return q
         n = ws.n_struct
         tied = np.flatnonzero((ws.status[:n] != BASIC)
-                              & (np.abs(d[:n]) <= tol))
+                              & (np.abs(ws.d[:n]) <= simplex_mod._OPT_TOL))
         return int(tied[0]) if len(tied) else -1
 
     price.calls = calls

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scen_helpers as sh
+import sinkplan.simplex as simplex_mod
 import sinkplan.sweep as sweep_mod
 from sinkplan.econ import DemandCurveSpec, FinanceSpec
 from sinkplan.lp import certify
@@ -81,6 +82,13 @@ class TestRunSweep:
         cap = sum(solved.solution.primal[j]
                   for j in solved.vmap.sink_cap.values())
         assert cap <= 1e-6
+
+    def test_reference_that_is_not_optimal_raises(self, small_scenario,
+                                                  monkeypatch):
+        monkeypatch.setattr(simplex_mod, "_max_iter", lambda ws: 1)
+        with pytest.raises(RuntimeError, match="^reference solve for small "
+                                               "ended iteration_limit$"):
+            run_reference(small_scenario)
 
     def test_reference_deltas_vs_itself_zero(self, small_scenario):
         ref = run_reference(small_scenario)
@@ -332,6 +340,17 @@ class TestEmit:
         assert len(list(pd_dir.glob("*.csv"))) == 4
         manifest = (tmp_path / "out" / "manifest.txt").read_text()
         assert "config_hash = abc123" in manifest
+
+    def test_failed_cell_writes_no_price_duration(self, swept, tmp_path):
+        failed = replace(swept.cells[0], status="error", report=None,
+                         error="RuntimeError: synthetic failure")
+        emit(replace(swept, cells=[failed, *swept.cells[1:]]), tmp_path)
+        written = sorted((tmp_path / "price_duration").glob("*.csv"))
+        assert [p.stem for p in written] == sorted(
+            c.cell_id for c in swept.cells[1:])
+        rows = (tmp_path / "results.csv").read_text().splitlines()
+        assert rows[2].startswith(f"{failed.cell_id},")
+        assert rows[2].endswith(",RuntimeError: synthetic failure")
 
     def test_rerun_identical_except_manifest(self, swept, small_scenario,
                                              tmp_path):
