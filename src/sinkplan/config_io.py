@@ -24,16 +24,15 @@ diagnostics.
 
 import csv
 import hashlib
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from . import model as M
-from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, \
-    FinanceSpec, demand_curve_step
+from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, FinanceSpec
 from .model import validate
-from .sweep import SweepGrid, cell_id
+from .sweep import SweepGrid
 
 # {file: {column: (field, kind, default)}}.  A column whose default is None
 # is required: it must be in the header and have a value in every row.
@@ -291,6 +290,15 @@ def config_hash(config_dir):
     return h.hexdigest()
 
 
+def _refuse(violations):
+    """Raise a ConfigError listing the violations, if there are any."""
+    if violations:
+        listing = "\n  ".join(str(v) for v in violations[:12])
+        raise ConfigError(
+            f"configuration fails validation ({len(violations)} violations):\n"
+            f"  {listing}")
+
+
 def load_config(config_dir):
     """Read a configuration directory into a validated Scenario and the sweep
     grid defined there (None when the directory has no sweep table)."""
@@ -305,6 +313,7 @@ def load_config(config_dir):
     W = _manifest_num(man, "sub_periods", 1, integer=True)
     H = _manifest_num(man, "hours_per_sub_period", integer=True)
     time = M.TimeStructure(W, H, _manifest_num(man, "hour_weight", 1.0))
+    _refuse(M.time_violations(time))  # before a table is sized by the horizon
     T = W * H
 
     loads = _read_hourly(cdir / "load.csv", T, 0.0)
@@ -393,12 +402,7 @@ def load_config(config_dir):
         segments=segments,
         storage_sizing_mode=man.get("storage_sizing_mode", M.FIXED_RATIO),
     )
-    violations = validate(scenario)
-    if violations:
-        listing = "\n  ".join(str(v) for v in violations[:12])
-        raise ConfigError(
-            f"configuration fails validation ({len(violations)} violations):\n"
-            f"  {listing}")
+    _refuse(validate(scenario))
 
     grid = None
     sweep_path = cdir / "sweep.txt"
@@ -429,23 +433,14 @@ def _finance(man, filename, prefix=""):
 
 
 def load_grid(path):
-    """Read a sweep grid file (key = value text).  Every cell's sink capex
-    and financing pass the rules `validate` applies to a scenario's sink,
-    its demand curve is built and its `cell_id` label is its own, so a bad
-    value is reported here, before anything is solved."""
+    """Read a sweep grid file (key = value text) into a `SweepGrid`, whose
+    refusal of a value is reported with the value's key."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"sweep grid file not found: {path}")
     man = _parse_manifest(path, GRID_KEYS)
     finance = _finance(man, path.name)
     capex_values = _num_list(man, "capex_usd_per_kw", path.name)
-    bad = [b for capex in capex_values for b in
-           M.sink_cost_violations(M.DemandSinkSpec(capex, finance))]
-    if bad:
-        key_of = dict(zip(["capex", *(f.name for f in fields(FinanceSpec))],
-                          ["capex_usd_per_kw", *_FINANCE_KEYS]))
-        raise ConfigError(
-            f"{path.name}: key {key_of[bad[0].field]!r}: {bad[0].rule}")
     numbers = {key: _manifest_num(man, key, getattr(DEFAULT_CURVE, key), path.name)
                for key in _CURVE_KEYS}
     try:
@@ -453,29 +448,10 @@ def load_grid(path):
     except ValueError as exc:
         raise ConfigError(f"{path.name}: {exc}") from None
     base_prices = _num_list(man, "base_price_usd_per_mwh", path.name)
-    for base in base_prices:  # each cell's curve spec, made before any solve
-        try:
-            spec = replace(curve, base_price=base)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path.name}: key 'base_price_usd_per_mwh': {exc}") from None
-        # the top segment's value, which `validate` bounds by model.BIG
-        n_anchor = round(spec.anchor_quantity_fraction / spec.segment_fraction)
-        top = base + (n_anchor - 1) * demand_curve_step(spec)
-        if not top <= M.BIG:
-            raise ConfigError(
-                f"{path.name}: key 'base_price_usd_per_mwh': the demand curve "
-                f"of {base!r} has a top segment value of {top:g}, above {M.BIG:g}")
-    grid = SweepGrid(capex_values, base_prices, finance, curve)
-    # two cells of one label would share a results.csv row name and a
-    # price-duration file
-    seen = {}
-    for cell in grid.cells():
-        other = seen.setdefault(cell_id(*cell), cell)
-        if other != cell:
-            k, key = ((0, "capex_usd_per_kw") if other[0] != cell[0]
-                      else (1, "base_price_usd_per_mwh"))
-            raise ConfigError(
-                f"{path.name}: key {key!r}: {other[k]!r} and {cell[k]!r} "
-                f"share the cell label {cell_id(*cell)!r}")
-    return grid
+    try:
+        return SweepGrid(capex_values, base_prices, finance, curve)
+    except ValueError as exc:  # GRID_KEYS opens with these fields' keys
+        bad = exc.args[0]
+        key = dict(zip(["capex", "base_price", "wacc", "life", "fom_fraction"],
+                       GRID_KEYS))[bad.field]
+        raise ConfigError(f"{path.name}: key {key!r}: {bad.rule}") from None

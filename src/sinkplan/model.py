@@ -274,15 +274,8 @@ def _unused(kind):
 def validate(scenario):
     """All violations, as data.  Empty means `assemble` formulates the
     scenario: the LP builders check no input themselves."""
-    v = []
-    t = scenario.time
-    _check(v, "time", t, ("sub_periods",), (lambda x: 1 <= x, "must be >= 1"))
-    _check(v, "time", t, ("hours_per_sub_period",),
-           (lambda x: 2 <= x, "must be >= 2"))
-    _check(v, "time", t, ("n_hours",), (lambda x: x <= MAX_MODELED_HOURS,
-                                        f"must be <= {MAX_MODELED_HOURS}"))
-    _check(v, "time", t, ("hour_weight",), POSITIVE)
-    n = t.n_hours
+    v = time_violations(scenario.time)
+    n = scenario.time.n_hours
 
     zone_ids = set()
     for z in scenario.zones:
@@ -456,10 +449,24 @@ def validate(scenario):
     return v
 
 
+def time_violations(time):
+    """The violations of a time structure: what `validate` checks of
+    `scenario.time`, and what `load_config` checks before it sizes the
+    hourly tables by the horizon."""
+    v = []
+    _check(v, "time", time, ("sub_periods",), (lambda x: 1 <= x, "must be >= 1"))
+    _check(v, "time", time, ("hours_per_sub_period",),
+           (lambda x: 2 <= x, "must be >= 2"))
+    _check(v, "time", time, ("n_hours",), (lambda x: x <= MAX_MODELED_HOURS,
+                                           f"must be <= {MAX_MODELED_HOURS}"))
+    _check(v, "time", time, ("hour_weight",), POSITIVE)
+    return v
+
+
 def sink_cost_violations(sink):
     """The violations of a sink spec's capital cost and financing: what
-    `validate` checks of `scenario.sink` apart from its zones, and what
-    `load_grid` checks of every cell of a sweep grid."""
+    `validate` checks of `scenario.sink` apart from its zones, and what a
+    `sweep.SweepGrid` checks of every cell when it is made."""
     v = []
     _check(v, "sink", sink, ("capex",), NONNEG)
     _check(v, "sink", sink.finance, ("wacc", "fom_fraction"), NONNEG)

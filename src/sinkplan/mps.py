@@ -235,8 +235,9 @@ def parse_mps(text):
     """Parse MPS text back into a LinearProgram.
 
     Each run of data lines is read as one block, which raises at its earliest
-    faulty line.  Repeated matrix entries are looked for over all blocks at
-    once before any later fault is raised, so errors name the earliest line.
+    faulty line.  Repeated matrix and objective entries are looked for over
+    all blocks at once before any later fault is raised, so errors name the
+    earliest line.
     Lines end at a newline, a carriage return or the two together."""
     return _Reader().read(text)
 
@@ -329,8 +330,8 @@ class _Reader:
         self.width = defaultdict(lambda: 9)
         # row or column index -> value; the last line to set one wins
         self.lower, self.upper, self.rhs = {}, {}, {}
-        # per COLUMNS block: objective (columns, values), matrix entry keys
-        # (column << 31 | row) and values, and (first line, line offsets)
+        # per COLUMNS block: objective (columns, values, lines), matrix entry
+        # keys (column << 31 | row) and values, and (first line, line offsets)
         self.obj, self.keys, self.values, self.lines = [], [], [], []
 
     def read(self, text):
@@ -492,7 +493,7 @@ class _Reader:
         """Take in COLUMNS entries (j, i, v) from lines lineno + at, where
         row i -1 is the objective."""
         obj, ok = i == -1, i >= 0
-        self.obj.append((j[obj], v[obj]))
+        self.obj.append((j[obj], v[obj], lineno + at[obj]))
         self.keys.append(j[ok] << 31 | i[ok])
         self.values.append(v[ok])
         self.lines.append((lineno, at[ok].astype(np.int32)))
@@ -540,20 +541,31 @@ class _Reader:
     def matrix(self, cols):
         """The sorted keys and values of the nonzero matrix entries so far,
         freeing their blocks; raises at the first line repeating an earlier
-        entry, naming it by `self.row_names` and `cols`.  Sorted keys run
-        column by column, each in row order."""
+        entry of the matrix or the objective, naming it by `self.row_names`
+        and `cols`.  Sorted keys run column by column, each in row order."""
         key = np.concatenate(self.keys or [np.zeros(0, np.int64)])
         self.keys.clear()
         order = np.argsort(key, kind="stable")
         key = key[order]
         again = np.flatnonzero(key[1:] == key[:-1]) + 1
+        repeats = []  # (line, row name, column) of the first repeat of each
         if again.size:
             k = again[np.argmin(order[again])]
             at = np.concatenate([first + at for first, at in self.lines])
-            raise MPSError(
-                f"line {at[order[k]]}: duplicate entry for row "
-                f"{self.row_names[key[k] & _ROW]!r}, column "
-                f"{cols[key[k] >> 31]!r}")
+            repeats.append((at[order[k]], self.row_names[key[k] & _ROW], key[k] >> 31))
+        # the objective's entries are in line order, so the first that is not
+        # its column's first is on the earliest line repeating one
+        j = np.concatenate([j for j, _, _ in self.obj] or [np.zeros(0, np.int64)])
+        later = np.ones(len(j), bool)
+        later[np.unique(j, return_index=True)[1]] = False
+        if later.any():
+            k = _first(later)
+            at = np.concatenate([at for _, _, at in self.obj])
+            repeats.append((at[k], self.obj_row, j[k]))
+        if repeats:
+            line, row, col = min(repeats)
+            raise MPSError(f"line {line}: duplicate entry for row {row!r}, "
+                           f"column {cols[col]!r}")
         self.lines.clear()
         v = np.concatenate(self.values or [np.zeros(0)])
         self.values.clear()
@@ -613,8 +625,8 @@ class _Reader:
             _put_last(rows, i, names)
             _put_last(cols, j, names)
         obj = np.zeros(n)
-        for index, values in self.obj:
-            _put_last(obj, index, values)
+        for j, values, _ in self.obj:
+            obj[j] = values
         j = key >> 31
         key &= _ROW
         return LinearProgram(

@@ -32,18 +32,21 @@ from traceback import format_exception
 
 from . import __version__
 from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, \
-    FinanceSpec, build_demand_curve
+    FinanceSpec, build_demand_curve, demand_curve_step
 from .formulation import assemble
 from .metrics import MetricsReport, report
-from .model import DemandSinkSpec, annual_load
+from .model import BIG, DemandSinkSpec, Violation, annual_load, \
+    sink_cost_violations
 from .mps import write_mps
 from .runner import solve_scenario
 
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """A capex x base-price grid; `load_grid` checks its axes and sink
-    costs."""
+    """A capex x base-price grid that checks itself when made, raising
+    ValueError with the `model.Violation` of the first rule it breaks: a
+    capex fails `model.sink_cost_violations`, a base price's demand curve
+    cannot be built or tops `model.BIG`, or two cells share a `cell_id`."""
     capex_values: tuple      # $/kW of input capacity
     base_prices: tuple       # $/MWh-input starting value per scenario
     finance: FinanceSpec = DEFAULT_FINANCE
@@ -52,6 +55,31 @@ class SweepGrid:
     def __post_init__(self):
         object.__setattr__(self, "capex_values", tuple(self.capex_values))
         object.__setattr__(self, "base_prices", tuple(self.base_prices))
+        for capex in self.capex_values:
+            for bad in sink_cost_violations(DemandSinkSpec(capex, self.finance)):
+                raise ValueError(bad)
+        for base in self.base_prices:
+            try:
+                spec = replace(self.curve, base_price=base)
+            except ValueError as exc:
+                raise ValueError(Violation("grid", "base_price", str(exc))) from None
+            # the top segment's value, which `validate` bounds by BIG
+            n_anchor = round(spec.anchor_quantity_fraction / spec.segment_fraction)
+            top = base + (n_anchor - 1) * demand_curve_step(spec)
+            if not top <= BIG:
+                raise ValueError(Violation("grid", "base_price", (
+                    f"the demand curve of {base!r} has a top segment value of "
+                    f"{top:g}, above {BIG:g}")))
+        # two cells of one label would share a results.csv row name and a
+        # price-duration file
+        seen, cells, n = {}, self.cells(), len(self.base_prices)
+        for k, cell in enumerate(cells):
+            first = seen.setdefault(cell_id(*cell), k)
+            if first != k:  # a: the axis that repeats; in one row, base prices
+                a = int(first // n == k // n)
+                raise ValueError(Violation("grid", ("capex", "base_price")[a], (
+                    f"{cells[first][a]!r} and {cell[a]!r} share the cell label "
+                    f"{cell_id(*cell)!r}")))
 
     def cells(self):
         return [(cx, bp) for cx in self.capex_values for bp in self.base_prices]
@@ -166,7 +194,8 @@ def run_sweep(scenario, grid, parallelism=1, reference=None):
                 ref.basis if basis is None else basis)
 
     if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # at most one task of each pair is in flight, so more workers idle
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(pairs))) as pool:
             running = {pool.submit(_solve_cell, task(i)): i for i in pairs}
             while running:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)

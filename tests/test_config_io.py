@@ -153,6 +153,28 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match="min_stable"):
             load_config(broken)
 
+    @pytest.mark.parametrize("keys, rule", [
+        ({"hours_per_sub_period": "-3"},
+         "time.hours_per_sub_period: must be >= 2, got -3"),
+        ({"sub_periods": "1000000000000000",
+          "hours_per_sub_period": "1000000000000000"},
+         "time.n_hours: must be <= 8784, got " + str(10**30)),
+    ], ids=["negative", "beyond-numpy"])
+    def test_horizon_checked_before_hourly_tables_are_sized(
+            self, tmp_path, tiny_config, keys, rule):
+        """The hourly tables are sized by the horizon, so a bad one ended in
+        numpy's error, or an allocation of the whole horizon, instead."""
+        def mutate(text):
+            for key, value in keys.items():
+                text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text,
+                              flags=re.M)
+            return text
+
+        broken = self.make_broken(tmp_path, tiny_config, "scenario.txt", mutate)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"configuration fails validation (1 violations):\n  {rule}")):
+            load_config(broken)
+
     def test_unknown_directory(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope")

@@ -517,6 +517,22 @@ class TestLoaderPath:
             assert line_path
 
     @CHUNKS
+    @pytest.mark.parametrize("body, line, loader", [
+        (" X  OBJ  1.0  R1  1.0\n X  OBJ  5.0\n", 7, False),
+        (" X  OBJ  1.0\n X  R1  1.0\n X  OBJ  5.0\n X  R1  2.0\n", 8, True),
+    ], ids=["line-path", "loader"])
+    def test_repeated_objective_entry_refused(self, monkeypatch, line_path,
+                                              chunk, body, line, loader):
+        """As a repeated matrix entry is, instead of the later value
+        replacing the earlier one; it is named even where a matrix entry
+        repeats on a later line."""
+        text = f"NAME t\nROWS\n N  OBJ\n L  R1\nCOLUMNS\n{body}RHS\nENDATA\n"
+        with pytest.raises(MPSError, match=re.escape(
+                f"line {line}: duplicate entry for row 'OBJ', column 'X'")):
+            parse_at(monkeypatch, text, chunk)
+        assert bool(line_path) != loader
+
+    @CHUNKS
     def test_three_and_five_tokens_in_one_block(self, monkeypatch, line_path, chunk):
         text = ("NAME t\nROWS\n N  OBJ\n L  r1\n G  r2\nCOLUMNS\n"
                 " x  OBJ  1.5\n x  r1  1.0  r2  3.0\n y  r1  2.0\n"

@@ -2,6 +2,7 @@
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,25 @@ class TestRunSweep:
                 assert a.report.to_row() == b.report.to_row()
                 assert np.array_equal(a.report.price_duration_curve,
                                       b.report.price_duration_curve)
+
+    def test_pool_has_no_more_workers_than_pairs(self, small_scenario,
+                                                 small_grid, swept,
+                                                 monkeypatch):
+        """At most one cell of each pair is in flight, and the pool forks
+        all its workers at the first submit, so a worker beyond the pairs
+        would only idle."""
+        asked = []
+
+        def pool(max_workers):
+            asked.append(max_workers)
+            return ProcessPoolExecutor(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", pool)
+        result = run_sweep(small_scenario, small_grid, parallelism=4,
+                           reference=swept.reference)
+        assert asked == [2]
+        assert [c.report.to_row() for c in result.cells] == [
+            c.report.to_row() for c in swept.cells]
 
     def test_cells_start_from_the_reference_basis(self, small_scenario,
                                                   small_grid, swept,
@@ -258,6 +278,40 @@ def _identical(a, b):
             and sa.warm_start == sb.warm_start
             and all(np.array_equal(getattr(sa, f), getattr(sb, f))
                     for f in ("primal", "duals", "reduced_costs")))
+
+
+class TestGridRules:
+    """A grid made in code checks the rules `load_grid` reports with a
+    key, and its refusal carries the broken rule's `model.Violation`."""
+
+    @pytest.mark.parametrize("kwargs, field, rule", [
+        (dict(capex_values=(-5.0, 200.0)), "capex",
+         "must be in [0, 1e+30], got -5.0"),
+        (dict(curve=DemandCurveSpec(anchor_price=1e300, elasticity=-1e-7)),
+         "base_price", "the demand curve of 50.0 has a top segment value of "
+         "9.5e+306, above 1e+30"),
+        (dict(base_prices=(50.0, float("inf"))), "base_price",
+         "base_price must be finite"),
+        (dict(capex_values=(1000000.0, 1000001.0)), "capex",
+         "1000000.0 and 1000001.0 share the cell label 'cx1e+06_bp50'"),
+        (dict(capex_values=(200.0, 200.0)), "capex",
+         "200.0 and 200.0 share the cell label 'cx200_bp50'"),
+    ], ids=["negative-capex", "curve-top-above-big", "infinite-base-price",
+            "capex-sharing-a-label", "repeated-capex"])
+    def test_grid_made_in_code_refuses(self, kwargs, field, rule):
+        with pytest.raises(ValueError) as exc:
+            SweepGrid(**{"capex_values": (200.0,), "base_prices": (50.0,),
+                         **kwargs})
+        bad = exc.value.args[0]
+        assert (bad.field, bad.rule) == (field, rule)
+
+    def test_replaced_axis_is_checked(self, tiny_grid):
+        with pytest.raises(ValueError) as exc:
+            replace(tiny_grid, base_prices=(50.0, 50.0000001))
+        bad = exc.value.args[0]
+        assert (bad.field, bad.rule) == (
+            "base_price",
+            "50.0 and 50.0000001 share the cell label 'cx200_bp50'")
 
 
 class TestWarmStart:
