@@ -196,6 +196,9 @@ def _read_table(path, required=True):
         for column in index:
             if column not in schema:
                 _fail(path.name, reader.line_num, column, "unknown column")
+        if len(index) < len(header):    # a later column would win
+            column = next(c for i, c in enumerate(header) if index[c] != i)
+            _fail(path.name, reader.line_num, column, "repeats an earlier column")
         absent = {field: default for c, (field, _, default) in schema.items()
                   if c not in index}
         cells = []
@@ -412,16 +415,10 @@ def load_config(config_dir):
 
 
 def _num_list(man, key, filename):
-    """A grid axis: a non-empty list of numbers without repeats."""
+    """A grid axis: the comma-separated numbers of a key."""
     if key not in man:
         raise ConfigError(f"{filename}: missing key {key!r}")
-    vals = tuple(_key_number(filename, key, v)
-                 for v in man[key].split(",") if v.strip())
-    if not vals:
-        raise ConfigError(f"{filename}: key {key!r} is empty")
-    if len(set(vals)) != len(vals):
-        raise ConfigError(f"{filename}: key {key!r} has duplicates")
-    return vals
+    return [_key_number(filename, key, v) for v in man[key].split(",") if v.strip()]
 
 
 def _finance(man, filename, prefix=""):

@@ -94,6 +94,7 @@ _REFACTOR_EVERY = 60    # eta-file length before refactorization
 _BLAND_AFTER = 300      # degenerate steps before the Bland fallback
 _SMALL_PIVOT = 1e-6     # below this, reduced costs are recomputed, not updated
 _DEVEX_RESET = 1e6      # a Devex weight above this resets all weights to 1
+_UNVERIFIED = "unverified"  # `_iterate`: an optimum no fresh pricing confirmed
 
 # By status (AT_LOWER, AT_UPPER, FREE_ZERO, BASIC), the factor that turns a
 # reduced cost d into its violation: -d at a lower bound, d at an upper one.
@@ -340,21 +341,14 @@ def solve(lp, start=None):
     if np.any(_infeasibility(ws)):
         outcome = _iterate(ws, True)
         ws.phase1_iterations = ws.iterations
-        if outcome == "iteration_limit":
-            return _finish(lp, ws, ITERATION_LIMIT)
-        if np.any(_infeasibility(ws)):
+        if outcome == ITERATION_LIMIT or np.any(_infeasibility(ws)):
             # infeasibility is proven only by a phase-1 optimum
-            status = INFEASIBLE if outcome == "optimal" else ITERATION_LIMIT
+            status = INFEASIBLE if outcome == OPTIMAL else ITERATION_LIMIT
             return _finish(lp, ws, status)
     outcome = _iterate(ws, False)
-    if outcome == "unbounded":
-        return _finish(lp, ws, UNBOUNDED)
-    if outcome == "iteration_limit":
-        return _finish(lp, ws, ITERATION_LIMIT)
-    solution = _finish(lp, ws, OPTIMAL)
-    # an "optimal" that pricing on a fresh factorization never confirmed
-    # must certify to be reported as optimal
-    if outcome == "unverified" and not certify(lp, solution).within():
+    solution = _finish(lp, ws, OPTIMAL if outcome == _UNVERIFIED else outcome)
+    # an unverified optimum must certify to be reported as optimal
+    if outcome == _UNVERIFIED and not certify(lp, solution).within():
         solution.status = ITERATION_LIMIT
     return solution
 
@@ -399,7 +393,7 @@ def _iterate(ws, phase1):
     verify_rounds = 0
     while True:
         if ws.iterations >= max_iter:
-            return "iteration_limit"
+            return ITERATION_LIMIT
         if ws.n_etas >= _REFACTOR_EVERY:
             ws.refactorize()
             _reprice(ws)
@@ -413,17 +407,14 @@ def _iterate(ws, phase1):
                 q = _price(ws)
                 verify_rounds += 1
                 if q < 0:
-                    return "optimal"
+                    return OPTIMAL
                 if verify_rounds > 5:
-                    return "unverified"
+                    return _UNVERIFIED
             else:
-                return "optimal"
+                return OPTIMAL
 
-        direction = 1.0
-        if ws.status[q] == AT_UPPER:
-            direction = -1.0
-        elif ws.status[q] == FREE_ZERO and ws.d[q] > 0:
-            direction = -1.0
+        # `_price` offers a column only in the direction that lowers the cost
+        direction = -1.0 if ws.d[q] > 0 else 1.0
 
         col = np.zeros(ws.m)
         lo, hi = ws.A.indptr[q], ws.A.indptr[q + 1]
@@ -432,7 +423,7 @@ def _iterate(ws, phase1):
 
         step, leave_row, leave_to = _ratio_test(ws, q, w, direction)
         if step == INF:
-            return "unbounded"
+            return UNBOUNDED
 
         ws.iterations += 1
         if step <= 1e-12:

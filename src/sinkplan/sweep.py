@@ -32,7 +32,7 @@ from traceback import format_exception
 
 from . import __version__
 from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, \
-    FinanceSpec, build_demand_curve, demand_curve_step
+    FinanceSpec, build_demand_curve
 from .formulation import assemble
 from .metrics import MetricsReport, report
 from .model import BIG, DemandSinkSpec, Violation, annual_load, \
@@ -44,17 +44,23 @@ from .runner import solve_scenario
 @dataclass(frozen=True)
 class SweepGrid:
     """A capex x base-price grid that checks itself when made, raising
-    ValueError with the `model.Violation` of the first rule it breaks: a
-    capex fails `model.sink_cost_violations`, a base price's demand curve
-    cannot be built or tops `model.BIG`, or two cells share a `cell_id`."""
+    ValueError with the `model.Violation` of the first rule it breaks: an
+    axis is empty, a capex fails `model.sink_cost_violations`, a base
+    price's demand curve cannot be built or tops `model.BIG`, or two cells
+    share a `cell_id`.  Each axis is held as a tuple of floats."""
     capex_values: tuple      # $/kW of input capacity
     base_prices: tuple       # $/MWh-input starting value per scenario
     finance: FinanceSpec = DEFAULT_FINANCE
     curve: DemandCurveSpec = DEFAULT_CURVE
 
     def __post_init__(self):
-        object.__setattr__(self, "capex_values", tuple(self.capex_values))
-        object.__setattr__(self, "base_prices", tuple(self.base_prices))
+        for name, field in (("capex_values", "capex"),
+                            ("base_prices", "base_price")):
+            axis = tuple(float(v) for v in getattr(self, name))
+            if not axis:
+                raise ValueError(Violation("grid", field,
+                                           "must have at least one value"))
+            object.__setattr__(self, name, axis)
         for capex in self.capex_values:
             for bad in sink_cost_violations(DemandSinkSpec(capex, self.finance)):
                 raise ValueError(bad)
@@ -63,13 +69,13 @@ class SweepGrid:
                 spec = replace(self.curve, base_price=base)
             except ValueError as exc:
                 raise ValueError(Violation("grid", "base_price", str(exc))) from None
-            # the top segment's value, which `validate` bounds by BIG
-            n_anchor = round(spec.anchor_quantity_fraction / spec.segment_fraction)
-            top = base + (n_anchor - 1) * demand_curve_step(spec)
-            if not top <= BIG:
+            # the top segment's value, which `validate` bounds by BIG; segment
+            # values do not depend on the annual load
+            segments = build_demand_curve(spec, 1.0)
+            if segments and not segments[0].value <= BIG:
                 raise ValueError(Violation("grid", "base_price", (
                     f"the demand curve of {base!r} has a top segment value of "
-                    f"{top:g}, above {BIG:g}")))
+                    f"{segments[0].value:g}, above {BIG:g}")))
         # two cells of one label would share a results.csv row name and a
         # price-duration file
         seen, cells, n = {}, self.cells(), len(self.base_prices)
@@ -273,7 +279,8 @@ def emit(result, out_dir, config_digest=""):
         if c.report is None:
             continue
         body = ["rank,price_usd_per_mwh"]
-        body += [f"{k + 1},{p!r}" for k, p in enumerate(c.report.price_duration_curve)]
+        curve = c.report.price_duration_curve.tolist()   # floats: plain reprs
+        body += [f"{k + 1},{p!r}" for k, p in enumerate(curve)]
         (pd_dir / f"{c.cell_id}.csv").write_text("\n".join(body) + "\n")
 
     manifest = [

@@ -129,6 +129,17 @@ class TestDiagnostics:
                 "load.csv line 2: 4 cells, but the header has 3")):
             load_config(broken)
 
+    def test_repeated_header_column_is_an_error(self, tmp_path, tiny_config):
+        """Instead of the later column's zeros silently becoming the load."""
+        def mutate(text):
+            head, *rows = text.splitlines()
+            return "\n".join([head + ",load_mw", *(r + ",0" for r in rows)]) + "\n"
+
+        broken = self.make_broken(tmp_path, tiny_config, "load.csv", mutate)
+        with pytest.raises(ConfigError, match=re.escape(
+                "load.csv line 1, column 'load_mw': repeats an earlier column")):
+            load_config(broken)
+
     @pytest.mark.parametrize("filename", ["load.csv", "cap_factors.csv",
                                           "deferrable_profiles.csv"])
     def test_repeated_hour_is_an_error(self, tmp_path, tiny_config, filename):
@@ -315,7 +326,18 @@ class TestGridFile:
         p = tmp_path / "grid.txt"
         p.write_text("capex_usd_per_kw = 200, 200\n"
                      "base_price_usd_per_mwh = 50\n")
-        with pytest.raises(ConfigError, match="duplicates"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "grid.txt: key 'capex_usd_per_kw': 200.0 and 200.0 share the "
+                "cell label 'cx200_bp50'")):
+            load_grid(p)
+
+    @pytest.mark.parametrize("key", ["capex_usd_per_kw", "base_price_usd_per_mwh"])
+    def test_empty_axis_rejected(self, tmp_path, key):
+        p = tmp_path / "grid.txt"
+        axes = {"capex_usd_per_kw": "200", "base_price_usd_per_mwh": "50", key: " , "}
+        p.write_text("".join(f"{k} = {v}\n" for k, v in axes.items()))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"grid.txt: key {key!r}: must have at least one value")):
             load_grid(p)
 
     @pytest.mark.parametrize("lines, key, values", [

@@ -296,8 +296,11 @@ class TestGridRules:
          "1000000.0 and 1000001.0 share the cell label 'cx1e+06_bp50'"),
         (dict(capex_values=(200.0, 200.0)), "capex",
          "200.0 and 200.0 share the cell label 'cx200_bp50'"),
+        (dict(capex_values=()), "capex", "must have at least one value"),
+        (dict(base_prices=()), "base_price", "must have at least one value"),
     ], ids=["negative-capex", "curve-top-above-big", "infinite-base-price",
-            "capex-sharing-a-label", "repeated-capex"])
+            "capex-sharing-a-label", "repeated-capex", "empty-capex",
+            "empty-base-prices"])
     def test_grid_made_in_code_refuses(self, kwargs, field, rule):
         with pytest.raises(ValueError) as exc:
             SweepGrid(**{"capex_values": (200.0,), "base_prices": (50.0,),
@@ -312,6 +315,12 @@ class TestGridRules:
         assert (bad.field, bad.rule) == (
             "base_price",
             "50.0 and 50.0000001 share the cell label 'cx200_bp50'")
+
+    def test_axes_hold_floats(self):
+        grid = SweepGrid(np.array([200.0, 800.0]), (np.float64(50.0), 80))
+        assert grid.capex_values == (200.0, 800.0)
+        assert grid.base_prices == (50.0, 80.0)
+        assert all(type(v) is float for v in grid.capex_values + grid.base_prices)
 
 
 class TestWarmStart:
@@ -394,6 +403,42 @@ class TestEmit:
         assert len(list(pd_dir.glob("*.csv"))) == 4
         manifest = (tmp_path / "out" / "manifest.txt").read_text()
         assert "config_hash = abc123" in manifest
+
+    def test_every_number_written_reads_back(self, swept, tmp_path):
+        """Each number parses with `float`, and the price-duration files
+        hold the report's curve bit for bit."""
+        text_columns = {"cell", "scenario", "status", "error"}
+        header, *rows = [line.split(",") for line in
+                         emit(swept, tmp_path).read_text().splitlines()]
+        for row in rows:
+            for column, field in zip(header, row):
+                if column not in text_columns and field:
+                    float(field)
+        manifest = dict(line.split(" = ") for line in
+                        (tmp_path / "manifest.txt").read_text().splitlines())
+        for key in ("capex_usd_per_kw", "base_price_usd_per_mwh", "cells"):
+            for v in manifest[key].split(","):
+                float(v)
+        for c in swept.cells:
+            lines = (tmp_path / "price_duration" / f"{c.cell_id}.csv"
+                     ).read_text().splitlines()
+            assert [int(line.split(",")[0]) for line in lines[1:]] == \
+                list(range(1, len(lines)))
+            got = np.array([float(line.split(",")[1]) for line in lines[1:]])
+            assert got.tobytes() == c.report.price_duration_curve.tobytes()
+
+    def test_grid_of_numpy_values_writes_floats(self, swept, tmp_path):
+        grid = SweepGrid(np.array([200.0, 800.0]), (np.float64(30.0), 60))
+        cells = [replace(c, capex=cx, base_price=bp)
+                 for c, (cx, bp) in zip(swept.cells, grid.cells())]
+        rows = emit(replace(swept, grid=grid, cells=cells),
+                    tmp_path).read_text().splitlines()
+        assert [r.split(",")[:3] for r in rows[2:]] == [
+            ["cx200_bp30", "200.0", "30.0"], ["cx200_bp60", "200.0", "60.0"],
+            ["cx800_bp30", "800.0", "30.0"], ["cx800_bp60", "800.0", "60.0"]]
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "capex_usd_per_kw = 200.0,800.0" in manifest
+        assert "base_price_usd_per_mwh = 30.0,60.0" in manifest
 
     def test_failed_cell_writes_no_price_duration(self, swept, tmp_path):
         failed = replace(swept.cells[0], status="error", report=None,
