@@ -17,10 +17,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config_io import ConfigError, config_hash, load_config, load_grid
+from .config_io import ConfigError, config_hash, load_config, load_grid, \
+    load_scenario
 from .econ import DEFAULT_CURVE, DemandCurveSpec, TechSpec, \
     build_demand_curve, output_value, product_price
 from .formulation import assemble
+from .lp import OPTIMAL
 from .metrics import report
 from .mps import parse_mps, read_external_solution, write_mps, \
     write_solution_text
@@ -59,7 +61,7 @@ def cmd_solve(args):
                         *read_external_solution(lp, args.sol_in))
     else:
         solved = certified(scenario, lp, vmap, solve(lp))
-    if solved.status != "optimal":
+    if solved.status != OPTIMAL:
         print(f"status = {solved.status}")
         return 1
     rep = report(solved)
@@ -72,9 +74,10 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    scenario, grid = load_config(args.config)
-    if args.grid:
-        grid = load_grid(args.grid)
+    if args.grid:   # the config's own sweep.txt is neither read nor checked
+        scenario, grid = load_scenario(args.config), load_grid(args.grid)
+    else:
+        scenario, grid = load_config(args.config)
     if grid is None:
         print("no sweep grid: add sweep.txt to the config or pass --grid",
               file=sys.stderr)
@@ -87,7 +90,7 @@ def cmd_sweep(args):
         return 0
     result = run_sweep(scenario, grid, parallelism=args.threads)
     path = emit(result, out, config_digest=digest)
-    failed = [c for c in result.cells if c.status != "optimal"]
+    failed = [c for c in result.cells if c.status != OPTIMAL]
     print(f"wrote {path} ({len(result.cells)} cells, {len(failed)} failed)")
     return 0 if not failed else 1
 

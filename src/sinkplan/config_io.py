@@ -3,7 +3,7 @@
 A configuration is a directory of small tabular files with unit-bearing
 headers (see docs/formats.md for the frozen schemas):
 
-    scenario.txt   key = value manifest (time structure, sink, curve template)
+    scenario.txt   key = value manifest (time structure, sink)
     resources.csv  one resource cluster per row, Tables-style columns
     load.csv       hourly zonal load (hour is 1-based)
     nse.csv        curtailable-demand segments per zone
@@ -12,7 +12,8 @@ headers (see docs/formats.md for the frozen schemas):
     policies.csv   optional emission caps / energy standards
     deferrable.csv + deferrable_profiles.csv   optional shiftable loads
     segments.csv   optional explicit market segments
-    sweep.txt      optional sweep grid (capex and base-price lists)
+    sweep.txt      optional sweep grid (capex and base-price lists, financing
+                   and the demand curve)
 
 Every CSV table is declared once in `SCHEMAS`; one reader and one number
 parser serve every file.  Unit conversions happen here, not in the
@@ -303,8 +304,16 @@ def _refuse(violations):
 
 
 def load_config(config_dir):
-    """Read a configuration directory into a validated Scenario and the sweep
-    grid defined there (None when the directory has no sweep table)."""
+    """The directory's validated Scenario, read by `load_scenario`, and the
+    sweep grid of its sweep.txt (None when it has none)."""
+    sweep_path = Path(config_dir) / "sweep.txt"
+    scenario = load_scenario(config_dir)
+    return scenario, load_grid(sweep_path) if sweep_path.exists() else None
+
+
+def load_scenario(config_dir):
+    """Read a configuration directory, apart from its sweep.txt, into a
+    validated Scenario."""
     cdir = Path(config_dir)
     if not cdir.is_dir():
         raise ConfigError(f"config directory not found: {cdir}")
@@ -406,12 +415,7 @@ def load_config(config_dir):
         storage_sizing_mode=man.get("storage_sizing_mode", M.FIXED_RATIO),
     )
     _refuse(validate(scenario))
-
-    grid = None
-    sweep_path = cdir / "sweep.txt"
-    if sweep_path.exists():
-        grid = load_grid(sweep_path)
-    return scenario, grid
+    return scenario
 
 
 def _num_list(man, key, filename):

@@ -78,8 +78,6 @@ def output_value(price, tech):
 def product_price(value, tech):
     """Product price recovering a given per-MWh-input value; inverts
     output_value exactly."""
-    if not tech.efficiency > 0:
-        raise ValueError("efficiency must be positive")
     return (value + tech.vom) / tech.efficiency + tech.transport_storage
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lp import OPTIMAL
 from .model import VRE, peak_load
 
 GROUPS = ("solar", "wind", "firm", "battery")
@@ -74,7 +75,7 @@ class MetricsReport:
 
 
 def _require_optimal(solved):
-    if solved.status != "optimal":
+    if solved.status != OPTIMAL:
         raise ValueError(f"metrics need an optimal solution, got {solved.status}")
     if len(solved.solution.duals) != solved.lp.n_rows:
         raise ValueError("solution lacks duals")

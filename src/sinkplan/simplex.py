@@ -401,17 +401,14 @@ def _iterate(ws, phase1):
         q = _price(ws)
         if q < 0:
             # claimed optimal: verify on a fresh factorization
-            if ws.n_etas or verify_rounds == 0:
-                ws.refactorize()
-                _reprice(ws)
-                q = _price(ws)
-                verify_rounds += 1
-                if q < 0:
-                    return OPTIMAL
-                if verify_rounds > 5:
-                    return _UNVERIFIED
-            else:
+            ws.refactorize()
+            _reprice(ws)
+            q = _price(ws)
+            verify_rounds += 1
+            if q < 0:
                 return OPTIMAL
+            if verify_rounds > 5:
+                return _UNVERIFIED
 
         # `_price` offers a column only in the direction that lowers the cost
         direction = -1.0 if ws.d[q] > 0 else 1.0

@@ -9,18 +9,17 @@ nonbasic at zero and the new rows' logicals basic, which is feasible, so
 phase 1 is skipped.
 
 Within one base price the cells differ only in the sink capacity's cost, so
-a cell's optimum is a feasible start for its neighbours too.  The cells of
-each base price are sorted by capex, highest first, and taken in pairs: the
-first cell of a pair starts from the reference's basis, the second from the
-first's optimal basis (or the reference's, when the first did not end
-optimal), and a last unpaired cell from the reference's.  The higher-capex
-cell builds the smaller sink, so its optimum lies between the reference and
-its lower-capex partner.  The pairing depends on the grid alone, so every
-cell starts from the same basis at any parallelism.  One failed cell is
-recorded and the rest of the sweep continues.  A worker process that dies
-breaks its pool, so every cell not yet finished is then recorded as an error
-and the finished ones are kept.  Results are in grid order, so the output is
-identical at any parallelism.
+a cell's optimum is a feasible start for its neighbours too.  The pairs come
+from the grid's axes: each base price's capex values, highest first, cut two
+at a time.  A pair's first cell starts from the reference's basis, and its
+second from the first's optimum (from the reference's basis too, when the
+first did not end optimal).  The higher-capex cell builds the smaller sink,
+so its optimum lies between the reference and its lower-capex partner.  The
+pairs depend on the grid alone, so every cell starts from the same basis at
+any parallelism.  One failed cell is recorded and the rest of the sweep
+continues.  A worker process that dies breaks its pool, so every cell not
+yet finished is then recorded as an error and the finished ones are kept.
+Results are in grid order, so the output is identical at any parallelism.
 """
 
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -34,6 +33,7 @@ from . import __version__
 from .econ import DEFAULT_CURVE, DEFAULT_FINANCE, DemandCurveSpec, \
     FinanceSpec, build_demand_curve
 from .formulation import assemble
+from .lp import OPTIMAL
 from .metrics import MetricsReport, report
 from .model import BIG, DemandSinkSpec, Violation, annual_load, \
     sink_cost_violations
@@ -134,7 +134,7 @@ def run_reference(scenario):
     deltas are taken against, carrying the optimal basis the first cell of
     each pair starts from."""
     solved = solve_scenario(scenario.without_sink())
-    if solved.status != "optimal":
+    if solved.status != OPTIMAL:
         raise RuntimeError(
             f"reference solve for {scenario.name} ended {solved.status}")
     rep = report(solved)
@@ -158,72 +158,67 @@ def _solve_cell(args):
         solved = solve_scenario(cell, start=start)
         counts = dict(iterations=solved.solution.iterations,
                       warm_start=solved.solution.warm_start)
-        if solved.status != "optimal":
+        if solved.status != OPTIMAL:
             return CellResult(capex, base_price, solved.status,
                               error=f"solver status {solved.status}",
                               **counts), None
-        return (CellResult(capex, base_price, "optimal",
+        return (CellResult(capex, base_price, OPTIMAL,
                            report=report(solved, reference=ref), **counts),
                 solved.basis_by_name())
     except Exception as exc:  # cell isolation: a bad corner must not kill the batch
         return _error_cell(capex, base_price, exc), None
 
 
-def _pairs(cells):
-    """{first: second} grid indices of the cell pairs, in grid order of the
-    first cells: each base price's cells sorted by capex, highest first, and
-    taken two at a time; a last unpaired cell's second is None."""
-    by_price = {}
-    for i, (_, base_price) in enumerate(cells):
-        by_price.setdefault(base_price, []).append(i)
-    pairs = {}
-    for idx in by_price.values():
-        idx.sort(key=lambda i: -cells[i][0])
-        pairs.update(zip(idx[::2], idx[1::2] + [None]))
-    return dict(sorted(pairs.items()))
+def _pairs(grid):
+    """The cells of each base price, highest capex first, cut two at a time
+    into lists of (capex, base price) cells; a last cell may stand alone."""
+    capex = sorted(grid.capex_values, reverse=True)
+    return [[(cx, bp) for cx in capex[k:k + 2]]
+            for bp in grid.base_prices for k in range(0, len(capex), 2)]
 
 
 def run_sweep(scenario, grid, parallelism=1, reference=None):
     """Solve every grid cell (optionally in parallel) against the reference:
     the given `run_reference` report, or a fresh one when none is given.
-    The first cell of each pair (see the module docstring) starts from the
-    reference's basis and the second from the first's optimum.  Each cell
-    records its iteration count and whether it started from a basis."""
+    Each cell of a pair (see the module docstring) starts from the previous
+    cell's optimum, or from the reference's basis when there is none.  Each
+    cell records its iteration count and whether it started from a basis."""
     ref = reference or run_reference(scenario)
-    grid_cells = grid.cells()
-    pairs = _pairs(grid_cells)
-    cells = [None] * len(grid_cells)
+    pairs = _pairs(grid)
+    finished = {}   # by cell_id: 0.0 and -0.0 are one key but two cells
 
-    def task(i, basis=None):
-        """Cell i's task, started from basis or else the reference's."""
-        return (scenario, grid, *grid_cells[i], ref,
+    def task(cell, basis=None):
+        return (scenario, grid, *cell, ref,
                 ref.basis if basis is None else basis)
 
     if parallelism > 1:
         # at most one task of each pair is in flight, so more workers idle
         with ProcessPoolExecutor(max_workers=min(parallelism, len(pairs))) as pool:
-            running = {pool.submit(_solve_cell, task(i)): i for i in pairs}
+            # a future's pair: its own cell, then the cells not yet submitted
+            running = {pool.submit(_solve_cell, task(p[0])): p for p in pairs}
             while running:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
-                    i = running.pop(future)
+                    cell, *rest = running.pop(future)
                     try:
-                        cells[i], basis = future.result()
+                        result, basis = future.result()
                     except BrokenProcessPool as exc:  # a worker died
-                        cells[i], basis = _error_cell(*grid_cells[i], exc), None
-                    j = pairs.get(i)   # None for a second or unpaired cell
-                    if j is None:
-                        continue
+                        result, basis = _error_cell(*cell, exc), None
+                    finished[cell_id(*cell)] = result
                     try:
-                        running[pool.submit(_solve_cell, task(j, basis))] = j
+                        if rest:
+                            running[pool.submit(_solve_cell,
+                                                task(rest[0], basis))] = rest
                     except BrokenProcessPool as exc:  # the pool is already broken
-                        cells[j] = _error_cell(*grid_cells[j], exc)
+                        finished.update((cell_id(*c), _error_cell(*c, exc))
+                                        for c in rest)
     else:
-        for i, j in pairs.items():
-            cells[i], basis = _solve_cell(task(i))
-            if j is not None:
-                cells[j], _ = _solve_cell(task(j, basis))
-    return SweepResult(scenario.name, grid, ref, cells)
+        for pair in pairs:
+            basis = None
+            for cell in pair:
+                finished[cell_id(*cell)], basis = _solve_cell(task(cell, basis))
+    return SweepResult(scenario.name, grid, ref,
+                       [finished[cell_id(*c)] for c in grid.cells()])
 
 
 def write_cell_mps(scenario, grid, out_dir):
@@ -240,11 +235,6 @@ def write_cell_mps(scenario, grid, out_dir):
     return paths
 
 
-def _result_header(sample_row):
-    return ["cell", "capex_usd_per_kw", "base_price_usd_per_mwh",
-            *sample_row.keys(), "error"]
-
-
 def emit(result, out_dir, config_digest=""):
     """Write results.csv, per-cell price-duration curves and the run
     manifest; `write_cell_mps` writes the cells' MPS files."""
@@ -252,7 +242,8 @@ def emit(result, out_dir, config_digest=""):
     out.mkdir(parents=True, exist_ok=True)
 
     ref_row = result.reference.to_row()
-    header = _result_header(ref_row)
+    header = ["cell", "capex_usd_per_kw", "base_price_usd_per_mwh",
+              *ref_row.keys(), "error"]
     lines = [",".join(header)]
 
     def fmt(cell_name, capex, base_price, row, error):

@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL lines.
 """
 
+import hashlib
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -277,9 +279,18 @@ def test_criterion_8_sweep_determinism(tiny_scenario, tiny_grid, tmp_path):
         twin = tmp_path / "parallel" / "price_duration" / f.name
         same_curves = same_curves and f.read_text() == twin.read_text()
     elapsed = time.time() - t0
-    ok = same_results and same_curves and elapsed < 120.0
+    # the bytes themselves, pinned: results.csv and every price-duration file
+    serial_dir = tmp_path / "serial"
+    written = ["results.csv"] + sorted(
+        f"price_duration/{f.name}"
+        for f in (serial_dir / "price_duration").glob("*.csv"))
+    digests = {name: hashlib.sha256((serial_dir / name).read_bytes()).hexdigest()
+               for name in written}
+    pinned = digests == json.loads((GOLDEN / "sweep_digests.json").read_text())
+    ok = same_results and same_curves and pinned and elapsed < 120.0
     _verdict(8, "sweep determinism", ok,
-             f"2x3 grid, identical at parallelism 1 and 8, {elapsed:.0f}s")
+             f"2x3 grid, identical at parallelism 1 and 8 and to "
+             f"golden/sweep_digests.json: {pinned}, {elapsed:.0f}s")
 
 
 def test_criterion_9_crf_anchor():

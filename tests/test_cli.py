@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sinkplan import cli, mps, runner
+from sinkplan import cli, mps, runner, simplex
 from sinkplan.cli import main
 from sinkplan.formulation import assemble
 from sinkplan.lp import certify
@@ -109,6 +109,12 @@ class TestSolve:
         assert code == 0
         assert "average_price = " in out
         assert len(calls) == 1
+
+    def test_run_without_an_optimum_prints_its_status(self, capsys,
+                                                      tiny_config, monkeypatch):
+        monkeypatch.setattr(simplex, "_max_iter", lambda ws: 0)
+        code, out, _ = run(capsys, "solve", str(tiny_config))
+        assert (code, out) == (1, "status = iteration_limit\n")
 
     def test_garbage_solution_file_rejected(self, capsys, tiny_config,
                                             tmp_path):
@@ -233,6 +239,36 @@ class TestSweepCommand:
                            "--grid", str(grid), "--out", str(tmp_path / "o"))
         assert code == 0
         assert (tmp_path / "o" / "results.csv").exists()
+
+    def test_grid_flag_reads_no_sweep_txt(self, capsys, tiny_config, tmp_path):
+        """--grid replaces the config's sweep.txt, so a fault there is not
+        the run's fault."""
+        config = tmp_path / "tiny"
+        shutil.copytree(tiny_config, config)
+        sweep_txt = config / "sweep.txt"
+        sweep_txt.write_text(sweep_txt.read_text().replace(
+            "capex_usd_per_kw = 200, 800", "capex_usd_per_kw = -5"))
+        code, _, err = run(capsys, "sweep", str(config), "--mps-only",
+                           "--out", str(tmp_path / "own"))
+        assert (code, err) == (1, "error: sweep.txt: key 'capex_usd_per_kw': "
+                                  "must be in [0, 1e+30], got -5.0\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text("capex_usd_per_kw = 200\n"
+                        "base_price_usd_per_mwh = 50\n")
+        code, out, _ = run(capsys, "sweep", str(config), "--grid", str(grid),
+                           "--mps-only", "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert [p.name for p in (tmp_path / "o" / "mps").iterdir()] == [
+            "cx200_bp50.mps"]
+
+    def test_config_without_a_grid_is_refused(self, capsys, tiny_config,
+                                              tmp_path):
+        config = tmp_path / "tiny"
+        shutil.copytree(tiny_config, config)
+        (config / "sweep.txt").unlink()
+        code, _, err = run(capsys, "sweep", str(config))
+        assert (code, err) == (
+            2, "no sweep grid: add sweep.txt to the config or pass --grid\n")
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_refused(self, capsys, tiny_config, threads):

@@ -281,6 +281,60 @@ class TestDiagnostics:
                 f"{where}: repeats line {first}")):
             load_config(broken)
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path, tiny_config,
+                                                 tiny_scenario):
+        dst = tmp_path / "spaced"
+        shutil.copytree(tiny_config, dst)
+        for name, old, new in (
+                ("scenario.txt", "sub_periods", "\n# one day\nsub_periods"),
+                ("load.csv", "\n2,Z1", "\n\n2,Z1")):
+            path = dst / name
+            assert old in path.read_text()
+            path.write_text(path.read_text().replace(old, new, 1))
+        scenario, _ = load_config(dst)
+        assert scenario.time == tiny_scenario.time
+        assert (scenario.zones[0].load.tolist()
+                == tiny_scenario.zones[0].load.tolist())
+
+    @pytest.mark.parametrize("filename, old, new, message", [
+        ("scenario.txt", "sub_periods = 1", "sub_periods 1",
+         "scenario.txt line 2: expected 'key = value'"),
+        ("scenario.txt", "hours_per_sub_period = 24\n", "",
+         "scenario.txt: missing key 'hours_per_sub_period'"),
+        ("load.csv", "1,Z1,458.579", "1,Z1,",
+         "load.csv line 2, column 'load_mw': value required"),
+        ("resources.csv", ",1.0,,battery", ",hourly,,battery",
+         "resources.csv line 3, column 'cap_factor': not a number: 'hourly'"),
+        ("deferrable.csv", "ev,Z1,0.9,5", "ev,Z1,0.9,5\nev2,Z1,0.5,3",
+         "deferrable.csv line 3, column 'id': no profile rows for 'ev2'"),
+    ], ids=["line-without-equals", "missing-key", "required-cell-blank",
+            "cap-factor-word", "deferrable-without-profile"])
+    def test_refusal_names_its_place(self, tmp_path, tiny_config, filename,
+                                     old, new, message):
+        def mutate(text):
+            assert old in text
+            return text.replace(old, new, 1)
+
+        broken = self.make_broken(tmp_path, tiny_config, filename, mutate)
+        with pytest.raises(ConfigError) as exc:
+            load_config(broken)
+        assert str(exc.value) == message
+
+    def test_missing_scenario_txt_is_reported(self, tmp_path, tiny_config):
+        dst = tmp_path / "broken"
+        shutil.copytree(tiny_config, dst)
+        (dst / "scenario.txt").unlink()
+        with pytest.raises(ConfigError) as exc:
+            load_config(dst)
+        assert str(exc.value) == "missing required file scenario.txt"
+
+    def test_unknown_policy_kind_is_an_error(self, tmp_path, tiny_config):
+        broken = self.with_policies(tmp_path, tiny_config, "carbon_tax,,Z1,0.5")
+        with pytest.raises(ConfigError) as exc:
+            load_config(broken)
+        assert str(exc.value) == ("policies.csv line 2, column 'kind': "
+                                  "unknown policy kind 'carbon_tax'")
+
     def with_policies(self, tmp_path, tiny_config, *rows):
         dst = tmp_path / "broken"
         shutil.copytree(tiny_config, dst)
@@ -399,6 +453,19 @@ class TestGridFile:
                 "grid.txt: key 'base_price_usd_per_mwh': the demand curve of "
                 "50.0 has a top segment value of 9.5e+306, above 1e+30")):
             load_grid(p)
+
+    def test_missing_axis_key_rejected(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        p.write_text("capex_usd_per_kw = 200\n")
+        with pytest.raises(ConfigError) as exc:
+            load_grid(p)
+        assert str(exc.value) == "grid.txt: missing key 'base_price_usd_per_mwh'"
+
+    def test_missing_file_rejected(self, tmp_path):
+        p = tmp_path / "grid.txt"
+        with pytest.raises(ConfigError) as exc:
+            load_grid(p)
+        assert str(exc.value) == f"sweep grid file not found: {p}"
 
     def test_standalone_grid(self, tmp_path):
         p = tmp_path / "grid.txt"

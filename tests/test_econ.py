@@ -71,6 +71,19 @@ class TestConversions:
         assert back == pytest.approx(price, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TechSpec(efficiency=1.0, vom=-1.0),
+     "vom and transport_storage must be nonnegative"),
+    (lambda: DemandCurveSpec(anchor_price=0.0), "anchor_price must be positive"),
+    (lambda: annualized_capex(-1.0, FinanceSpec(0.071, 20.0)),
+     "capex must be nonnegative and finite"),
+], ids=["negative-vom", "anchor-price-zero", "negative-capex"])
+def test_refusal_message(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 class TestCrf:
     def test_zero_rate(self):
         assert crf(0.0, 10) == pytest.approx(0.1)

@@ -121,6 +121,27 @@ class TestAddRows:
         b.add_rows(**self.GOOD)
         assert _counts(b) == (2, 4, 5)
 
+    @pytest.mark.parametrize("add, message", [
+        (lambda b: b.add_cols(["u", "v"], [1.0], [0.0, 0.0], [INF, INF]),
+         "column block arrays do not match its names"),
+        (lambda b: b.add_rows(["a", "b"], [LE], [1.0, 2.0], [0], [0], [1.0]),
+         "row block arrays do not match its names"),
+        (lambda b: b.add_row("a", "<", 1.0, [(0, 1.0)]),
+         "bad sense '<' for row 'a'"),
+        (lambda b: b.add_rows(["a"], [LE], [1.0], [0, 1], [0, 1], [1.0, 1.0]),
+         "row block triplet outside the block"),
+        (lambda b: b.add_col(""), "column name '' must be non-empty and "
+         "whitespace-free"),
+        (lambda b: b.add_row("a b", LE, 1.0, [(0, 1.0)]),
+         "row name 'a b' must be non-empty and whitespace-free"),
+    ], ids=["column-arrays", "row-arrays", "sense", "triplet-outside",
+            "empty-column-name", "row-name-with-space"])
+    def test_refusal_message(self, add, message):
+        b = self.builder()
+        with pytest.raises(LPError) as exc:
+            add(b)
+        assert str(exc.value) == message
+
     def test_block_sums_duplicates_like_add_row(self):
         rows = [[(1, 1.0), (0, 0.1), (0, 0.2), (0, 0.3)],
                 [(1, 1.0), (0, 4.0), (1, -1.0)],
@@ -225,6 +246,14 @@ class TestCertify:
         rep = certify(lp, solve(lp))
         assert rep.within(1e-6)
         assert rep.max_row_residual == 0.0
+
+    def test_vectors_of_the_wrong_length_refused(self):
+        lp = merit_lp()
+        wrong = SimpleNamespace(primal=np.zeros(lp.n_cols + 1),
+                                duals=np.zeros(lp.n_rows))
+        with pytest.raises(LPError) as exc:
+            certify(lp, wrong)
+        assert str(exc.value) == "solution vectors do not match LP dimensions"
 
     def test_zero_row_lp(self):
         b = LinearProgramBuilder()

@@ -428,6 +428,54 @@ def test_ids_that_would_break_lp_names_are_reported(sc, found):
         assemble(sc)
 
 
+def _one_zone(zone=None, clusters=(), **kw):
+    return sh.scenario(zone or sh.one_zone([100.0] * 4), [sh.gas(), *clusters],
+                       **kw)
+
+
+@pytest.mark.parametrize("sc, found", [
+    (_one_zone(M.Zone("Z1", np.full(4, 100.0))),
+     ["zone[Z1].nse_segments: at least one curtailable-demand segment "
+      "required"]),
+    (_one_zone(clusters=[M.ResourceCluster("n1", "Z1", "nuclear")]),
+     ["cluster[n1].kind: unknown kind 'nuclear'"]),
+    (_one_zone(clusters=[sh.gas("g2", zone="Z9")]),
+     ["cluster[g2].zone: unknown zone 'Z9'"]),
+    (_one_zone(clusters=[sh.vre(cap_factor=[0.5] * 3)]),
+     ["cluster[solar].cap_factor: series length 3 != 4 modeled hours"]),
+    (_one_zone(lines=[M.TransmissionLine("L1", "Z1", "Z1")]),
+     ["line[L1].to_zone: endpoints must be distinct"]),
+    (_one_zone(lines=[M.TransmissionLine("L1", "Z1", "Z9")]),
+     ["line[L1].to_zone: unknown zone 'Z9'"]),
+    (_one_zone(policies=[M.PolicySpec("carbon_tax", rates={"Z1": 0.5})]),
+     ["policy[0].kind: unknown kind 'carbon_tax'"]),
+    (_one_zone(policies=[M.PolicySpec(M.CO2_CAP_SYSTEM)]),
+     ["policy[0].rates: at least one zone required"]),
+    (_with_policies(M.PolicySpec(M.STANDARD_SYSTEM, fractions={"Z1": 0.2})),
+     ["policy[0].standard_id: required for standards",
+      "policy[0].fractions: zones ['Z1'] need qualifying energy, but no "
+      "resource there qualifies"]),
+    (_one_zone(deferrable_loads=[M.DeferrableLoad("ev", "Z9", np.ones(4),
+                                                  0.5, 1)]),
+     ["deferrable[ev].zone: unknown zone 'Z9'"]),
+    (_one_zone(deferrable_loads=[M.DeferrableLoad("ev", "Z1", np.ones(3),
+                                                  0.5, 1)]),
+     ["deferrable[ev].base_profile: series length 3 != 4"]),
+    (_one_zone(sink=sh.sink_spec(zones=["Z9"])),
+     ["sink.allowed_zones: unknown zone 'Z9'"]),
+    (_one_zone(sink=sh.sink_spec(zones=[])),
+     ["sink.allowed_zones: empty; use None to allow every zone"]),
+    (_one_zone(storage_sizing_mode="free"),
+     ["scenario.storage_sizing_mode: unknown mode 'free'"]),
+], ids=["zone-without-nse", "cluster-kind", "cluster-zone", "cap-factor-length",
+        "line-endpoints-equal", "line-to-unknown-zone", "policy-kind",
+        "policy-without-zones", "standard-without-id", "deferrable-zone",
+        "deferrable-profile-length", "sink-zone-unknown", "sink-zones-empty",
+        "storage-sizing-mode"])
+def test_each_refusal_names_its_entity_field_and_rule(sc, found):
+    assert [str(v) for v in validate(sc)] == found
+
+
 def test_stored_energy_beyond_float_range_is_reported():
     """Under independent energy sizing the energy-capacity column's lower
     bound is existing_cap * duration, which would overflow to inf, no

@@ -437,6 +437,22 @@ class TestParserErrors:
             parse_mps(self.HEAD + body)
 
 
+    @pytest.mark.parametrize("body, expected", [
+        ("OBJSENSE\n    MAX\n",
+         "line 9: OBJSENSE section unsupported (minimization assumed)"),
+        ("RHS\n RHS  r1\n",
+         "line 10: RHS entries come in (set, row, value) groups"),
+        ("RHS\n RHS  OBJ  5.0\n",
+         "line 10: objective-row RHS (constant term) unsupported"),
+        ("BOUNDS\n UP BND  x\n", "line 10: malformed BOUNDS entry"),
+    ], ids=["objsense", "rhs-pair-short", "objective-rhs", "bounds-short"])
+    def test_unsupported_or_malformed_section_refused(self, body, expected):
+        text = self.HEAD + " x  r1  1.0\n x  r2  1.0\n" + body + "ENDATA\n"
+        with pytest.raises(MPSError) as exc:
+            parse_mps(text)
+        assert str(exc.value) == expected
+
+
 class TestSmallPieces:
     """The writer formats and the parser reads in pieces of _CHUNK lines or
     32 * _CHUNK characters; tiny pieces must give the same bytes, the same

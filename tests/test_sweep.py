@@ -163,15 +163,27 @@ class TestRunSweep:
         assert [c.warm_start for c in cold.cells] == [True, True, False, False]
 
     @pytest.mark.parametrize("capex, prices, pairs", [
-        ((200.0, 800.0, 1400.0), (50.0,), [(0, None), (2, 1)]),
-        ((200.0, 800.0), (30.0, 60.0), [(2, 0), (3, 1)]),
-        ((800.0, 200.0, 1400.0), (50.0,), [(1, None), (2, 0)]),
-        ((500.0,), (30.0, 60.0), [(0, None), (1, None)]),
+        ((200.0, 800.0, 1400.0), (50.0,),
+         [[(1400.0, 50.0), (800.0, 50.0)], [(200.0, 50.0)]]),
+        ((200.0, 800.0), (30.0, 60.0),
+         [[(800.0, 30.0), (200.0, 30.0)], [(800.0, 60.0), (200.0, 60.0)]]),
+        ((800.0, 200.0, 1400.0), (50.0,),
+         [[(1400.0, 50.0), (800.0, 50.0)], [(200.0, 50.0)]]),
+        ((500.0,), (30.0, 60.0), [[(500.0, 30.0)], [(500.0, 60.0)]]),
     ], ids=["3x1", "2x2", "unsorted-capex", "single-capex"])
     def test_pairs_within_a_base_price_highest_capex_first(self, capex,
                                                            prices, pairs):
-        got = sweep_mod._pairs(SweepGrid(capex, prices).cells())
-        assert list(got.items()) == pairs
+        assert sweep_mod._pairs(SweepGrid(capex, prices)) == pairs
+
+    def test_signed_zeros_are_two_cells(self, small_scenario, swept,
+                                        monkeypatch):
+        """0.0 and -0.0 are equal as numbers but are two cells of a grid,
+        with two labels; each keeps its own result."""
+        monkeypatch.setattr(sweep_mod, "_solve_cell", lambda args: (
+            sweep_mod.CellResult(*args[2:4], "optimal"), None))
+        result = run_sweep(small_scenario, SweepGrid((0.0, -0.0), (30.0,)),
+                           reference=swept.reference)
+        assert [c.cell_id for c in result.cells] == ["cx0_bp30", "cx-0_bp30"]
 
     @pytest.mark.parametrize("outcome", ["error", "iteration_limit"])
     def test_second_cell_of_a_failed_first_starts_from_the_reference(
