@@ -44,7 +44,7 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    scenario, _ = load_config(args.config)
+    scenario = load_scenario(args.config)
     if args.no_sink:
         scenario = scenario.without_sink()
     lp, vmap = assemble(scenario)
@@ -82,12 +82,12 @@ def cmd_sweep(args):
         print("no sweep grid: add sweep.txt to the config or pass --grid",
               file=sys.stderr)
         return 2
-    digest = config_hash(args.config)
     out = Path(args.out or "sweep_out")
     if args.mps_only:
         paths = write_cell_mps(scenario, grid, out)
         print(f"wrote {len(paths)} MPS files under {out / 'mps'}")
         return 0
+    digest = config_hash(args.config, args.grid)   # of the files this run read
     result = run_sweep(scenario, grid, parallelism=args.threads)
     path = emit(result, out, config_digest=digest)
     failed = [c for c in result.cells if c.status != OPTIMAL]

@@ -284,13 +284,16 @@ def _manifest_num(man, key, default=None, filename="scenario.txt",
     return _key_number(filename, key, man[key], integer)
 
 
-def config_hash(config_dir):
-    """Stable digest over every regular file in the configuration directory."""
+def config_hash(config_dir, grid=None):
+    """Stable digest over every regular file in the configuration directory,
+    with the grid file `grid`, when given, hashed as its sweep.txt."""
+    files = {p.name: p for p in Path(config_dir).glob("*") if p.is_file()}
+    if grid is not None:
+        files["sweep.txt"] = Path(grid)
     h = hashlib.sha256()
-    for p in sorted(Path(config_dir).glob("*")):
-        if p.is_file():
-            h.update(p.name.encode())
-            h.update(p.read_bytes())
+    for name in sorted(files):
+        h.update(name.encode())
+        h.update(files[name].read_bytes())
     return h.hexdigest()
 
 

@@ -17,8 +17,10 @@ first did not end optimal).  The higher-capex cell builds the smaller sink,
 so its optimum lies between the reference and its lower-capex partner.  The
 pairs depend on the grid alone, so every cell starts from the same basis at
 any parallelism.  One failed cell is recorded and the rest of the sweep
-continues.  A worker process that dies breaks its pool, so every cell not
-yet finished is then recorded as an error and the finished ones are kept.
+continues.  Cells run in worker processes at every parallelism, one worker
+included, so a worker process that dies breaks its pool, not the sweep:
+every cell not yet finished is then recorded as an error and the finished
+ones are kept.
 Results are in grid order, so the output is identical at any parallelism.
 """
 
@@ -47,7 +49,8 @@ class SweepGrid:
     ValueError with the `model.Violation` of the first rule it breaks: an
     axis is empty, a capex fails `model.sink_cost_violations`, a base
     price's demand curve cannot be built or tops `model.BIG`, or two cells
-    share a `cell_id`.  Each axis is held as a tuple of floats."""
+    share a `cell_id`.  Each axis is held as a tuple of floats, -0.0 as
+    0.0."""
     capex_values: tuple      # $/kW of input capacity
     base_prices: tuple       # $/MWh-input starting value per scenario
     finance: FinanceSpec = DEFAULT_FINANCE
@@ -56,7 +59,7 @@ class SweepGrid:
     def __post_init__(self):
         for name, field in (("capex_values", "capex"),
                             ("base_prices", "base_price")):
-            axis = tuple(float(v) for v in getattr(self, name))
+            axis = tuple(float(v) + 0.0 for v in getattr(self, name))
             if not axis:
                 raise ValueError(Violation("grid", field,
                                            "must have at least one value"))
@@ -178,47 +181,41 @@ def _pairs(grid):
 
 
 def run_sweep(scenario, grid, parallelism=1, reference=None):
-    """Solve every grid cell (optionally in parallel) against the reference:
-    the given `run_reference` report, or a fresh one when none is given.
-    Each cell of a pair (see the module docstring) starts from the previous
-    cell's optimum, or from the reference's basis when there is none.  Each
-    cell records its iteration count and whether it started from a basis."""
+    """Solve every grid cell in `min(parallelism, pairs)` worker processes
+    against the reference: the given `run_reference` report, or a fresh one
+    when none is given.  Each cell of a pair (see the module docstring)
+    starts from the previous cell's optimum, or from the reference's basis
+    when there is none.  Each cell records its iteration count and whether
+    it started from a basis."""
     ref = reference or run_reference(scenario)
     pairs = _pairs(grid)
-    finished = {}   # by cell_id: 0.0 and -0.0 are one key but two cells
+    finished = {}
 
     def task(cell, basis=None):
         return (scenario, grid, *cell, ref,
                 ref.basis if basis is None else basis)
 
-    if parallelism > 1:
-        # at most one task of each pair is in flight, so more workers idle
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(pairs))) as pool:
-            # a future's pair: its own cell, then the cells not yet submitted
-            running = {pool.submit(_solve_cell, task(p[0])): p for p in pairs}
-            while running:
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    cell, *rest = running.pop(future)
-                    try:
-                        result, basis = future.result()
-                    except BrokenProcessPool as exc:  # a worker died
-                        result, basis = _error_cell(*cell, exc), None
-                    finished[cell_id(*cell)] = result
-                    try:
-                        if rest:
-                            running[pool.submit(_solve_cell,
-                                                task(rest[0], basis))] = rest
-                    except BrokenProcessPool as exc:  # the pool is already broken
-                        finished.update((cell_id(*c), _error_cell(*c, exc))
-                                        for c in rest)
-    else:
-        for pair in pairs:
-            basis = None
-            for cell in pair:
-                finished[cell_id(*cell)], basis = _solve_cell(task(cell, basis))
+    # at most one task of each pair is in flight, so more workers idle
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(pairs))) as pool:
+        # a future's pair: its own cell, then the cells not yet submitted
+        running = {pool.submit(_solve_cell, task(p[0])): p for p in pairs}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                cell, *rest = running.pop(future)
+                try:
+                    result, basis = future.result()
+                except BrokenProcessPool as exc:  # a worker died
+                    result, basis = _error_cell(*cell, exc), None
+                finished[cell] = result
+                try:
+                    if rest:
+                        running[pool.submit(_solve_cell,
+                                            task(rest[0], basis))] = rest
+                except BrokenProcessPool as exc:  # the pool is already broken
+                    finished.update((c, _error_cell(*c, exc)) for c in rest)
     return SweepResult(scenario.name, grid, ref,
-                       [finished[cell_id(*c)] for c in grid.cells()])
+                       [finished[c] for c in grid.cells()])
 
 
 def write_cell_mps(scenario, grid, out_dir):

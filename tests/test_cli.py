@@ -13,6 +13,7 @@ from sinkplan import cli, mps, runner, simplex
 from sinkplan.cli import main
 from sinkplan.formulation import assemble
 from sinkplan.lp import certify
+from sinkplan.sweep import SweepResult
 
 
 def run(capsys, *argv):
@@ -109,6 +110,21 @@ class TestSolve:
         assert code == 0
         assert "average_price = " in out
         assert len(calls) == 1
+
+    def test_reads_no_sweep_txt(self, capsys, tiny_config, tmp_path):
+        """solve reads no grid, so a fault in sweep.txt is not its fault;
+        validate checks the whole config and still refuses it."""
+        config = tmp_path / "tiny"
+        shutil.copytree(tiny_config, config)
+        sweep_txt = config / "sweep.txt"
+        sweep_txt.write_text(sweep_txt.read_text().replace(
+            "capex_usd_per_kw = 200, 800", "capex_usd_per_kw = -5"))
+        code, out, _ = run(capsys, "solve", str(config))
+        assert code == 0
+        assert "sink_capacity_mw = " in out
+        code, _, err = run(capsys, "validate", str(config))
+        assert (code, err) == (1, "error: sweep.txt: key 'capex_usd_per_kw': "
+                                  "must be in [0, 1e+30], got -5.0\n")
 
     def test_run_without_an_optimum_prints_its_status(self, capsys,
                                                       tiny_config, monkeypatch):
@@ -260,6 +276,49 @@ class TestSweepCommand:
         assert code == 0
         assert [p.name for p in (tmp_path / "o" / "mps").iterdir()] == [
             "cx200_bp50.mps"]
+
+    @staticmethod
+    def manifest_hash(capsys, monkeypatch, config, *argv):
+        """The config_hash a sweep of `config` hands to `emit`; nothing is
+        solved or written."""
+        digests = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **kw: SweepResult(
+            "tiny", None, None, []))
+        monkeypatch.setattr(cli, "emit", lambda result, out, config_digest: (
+            digests.append(config_digest) or out / "results.csv"))
+        assert run(capsys, "sweep", str(config), *map(str, argv))[0] == 0
+        return digests[0]
+
+    @staticmethod
+    def grids(tmp_path):
+        """Two grid files of different cells."""
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("capex_usd_per_kw = 200\nbase_price_usd_per_mwh = 50\n")
+        b.write_text("capex_usd_per_kw = 800\nbase_price_usd_per_mwh = 20\n")
+        return a, b
+
+    def test_grid_run_hashes_its_grid(self, capsys, monkeypatch, tiny_config,
+                                      tmp_path):
+        a, b = self.grids(tmp_path)
+        assert (self.manifest_hash(capsys, monkeypatch, tiny_config, "--grid", a)
+                != self.manifest_hash(capsys, monkeypatch, tiny_config, "--grid", b))
+
+    def test_grid_run_hash_ignores_sweep_txt(self, capsys, monkeypatch,
+                                             tiny_config, tmp_path):
+        a, _ = self.grids(tmp_path)
+        config = tmp_path / "tiny"
+        shutil.copytree(tiny_config, config)
+        before = self.manifest_hash(capsys, monkeypatch, config, "--grid", a)
+        sweep_txt = config / "sweep.txt"
+        sweep_txt.write_text(sweep_txt.read_text() + "# edited\n")
+        assert self.manifest_hash(capsys, monkeypatch, config, "--grid", a) == before
+
+    def test_own_grid_passed_as_grid_hashes_as_a_plain_run(
+            self, capsys, monkeypatch, tiny_config):
+        assert self.manifest_hash(
+            capsys, monkeypatch, tiny_config,
+            "--grid", tiny_config / "sweep.txt") == self.manifest_hash(
+            capsys, monkeypatch, tiny_config)
 
     def test_config_without_a_grid_is_refused(self, capsys, tiny_config,
                                               tmp_path):

@@ -385,6 +385,16 @@ class TestGridFile:
                 "cell label 'cx200_bp50'")):
             load_grid(p)
 
+    def test_signed_zeros_rejected(self, tmp_path):
+        """-0 is read as 0, so it repeats 0."""
+        p = tmp_path / "grid.txt"
+        p.write_text("capex_usd_per_kw = 0, -0\n"
+                     "base_price_usd_per_mwh = 50\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "grid.txt: key 'capex_usd_per_kw': 0.0 and 0.0 share the "
+                "cell label 'cx0_bp50'")):
+            load_grid(p)
+
     @pytest.mark.parametrize("key", ["capex_usd_per_kw", "base_price_usd_per_mwh"])
     def test_empty_axis_rejected(self, tmp_path, key):
         p = tmp_path / "grid.txt"

@@ -1,9 +1,11 @@
 """Sweep orchestration: determinism, emission, isolation, and LP economics."""
 
+import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,13 +30,13 @@ from sinkplan.sweep import (
 _SOLVE_CELL = sweep_mod._solve_cell
 
 
-def _cell_that_kills_its_worker(args):
+def _cell_that_kills_its_worker(args, delay=0.0):
     """Sweep cell whose worker process dies at cx800_bp60, the first cell of
-    the bp60 pair, after giving the other worker time to finish the bp30
-    pair."""
+    the bp60 pair, after `delay` seconds: time for another worker, when
+    there is one, to finish the bp30 pair."""
     _, _, capex, base_price, _, _ = args
     if (capex, base_price) == (800.0, 60.0):
-        time.sleep(3.0)
+        time.sleep(delay)
         os._exit(1)
     return _SOLVE_CELL(args)
 
@@ -114,7 +116,7 @@ class TestRunSweep:
                                                  monkeypatch):
         """At most one cell of each pair is in flight, and the pool forks
         all its workers at the first submit, so a worker beyond the pairs
-        would only idle."""
+        would only idle.  One worker is a pool too."""
         asked = []
 
         def pool(max_workers):
@@ -122,11 +124,13 @@ class TestRunSweep:
             return ProcessPoolExecutor(max_workers=min(max_workers, 2))
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", pool)
-        result = run_sweep(small_scenario, small_grid, parallelism=4,
-                           reference=swept.reference)
-        assert asked == [2]
-        assert [c.report.to_row() for c in result.cells] == [
-            c.report.to_row() for c in swept.cells]
+        for parallelism in (1, 4):
+            result = run_sweep(small_scenario, small_grid,
+                               parallelism=parallelism,
+                               reference=swept.reference)
+            assert [c.report.to_row() for c in result.cells] == [
+                c.report.to_row() for c in swept.cells]
+        assert asked == [1, 2]
 
     def test_cells_start_from_the_reference_basis(self, small_scenario,
                                                   small_grid, swept,
@@ -141,6 +145,8 @@ class TestRunSweep:
             starts[cell], bases[cell] = start, solved.basis_by_name()
             return solved
 
+        # threads, so the starts are recorded in this process
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setattr(sweep_mod, "solve_scenario", recording)
         result = run_sweep(small_scenario, small_grid, parallelism=1,
                            reference=swept.reference)
@@ -175,16 +181,6 @@ class TestRunSweep:
                                                            prices, pairs):
         assert sweep_mod._pairs(SweepGrid(capex, prices)) == pairs
 
-    def test_signed_zeros_are_two_cells(self, small_scenario, swept,
-                                        monkeypatch):
-        """0.0 and -0.0 are equal as numbers but are two cells of a grid,
-        with two labels; each keeps its own result."""
-        monkeypatch.setattr(sweep_mod, "_solve_cell", lambda args: (
-            sweep_mod.CellResult(*args[2:4], "optimal"), None))
-        result = run_sweep(small_scenario, SweepGrid((0.0, -0.0), (30.0,)),
-                           reference=swept.reference)
-        assert [c.cell_id for c in result.cells] == ["cx0_bp30", "cx-0_bp30"]
-
     @pytest.mark.parametrize("outcome", ["error", "iteration_limit"])
     def test_second_cell_of_a_failed_first_starts_from_the_reference(
             self, small_scenario, small_grid, swept, monkeypatch, outcome):
@@ -202,6 +198,7 @@ class TestRunSweep:
             return replace(solved, solution=replace(solved.solution,
                                                     status=outcome))
 
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", ThreadPoolExecutor)
         monkeypatch.setattr(sweep_mod, "solve_scenario", first_fails)
         result = run_sweep(small_scenario, small_grid, parallelism=1,
                            reference=swept.reference)
@@ -246,24 +243,28 @@ class TestRunSweep:
 
     def test_dead_worker_is_isolated(self, small_scenario, small_grid,
                                      swept, monkeypatch):
-        # module-level stand-in, so the pool can pickle it by reference
-        monkeypatch.setattr(sweep_mod, "_solve_cell",
-                            _cell_that_kills_its_worker)
-        result = run_sweep(small_scenario, small_grid, parallelism=2,
-                           reference=swept.reference)
-        assert [c.cell_id for c in result.cells] == [
-            c.cell_id for c in swept.cells]
-        # the bp30 pair finished; cx800_bp60 died with its worker, and its
-        # second cell, cx200_bp60, could no longer be submitted
-        dead = {"cx200_bp60", "cx800_bp60"}
-        for c, ref in zip(result.cells, swept.cells):
-            if c.cell_id in dead:
-                assert c.status == "error"
-                assert c.error.startswith("BrokenProcessPool")
-                assert "BrokenProcessPool" in c.traceback
-            else:
-                assert c.status == "optimal"
-                assert c.report.to_row() == ref.report.to_row()
+        """One worker runs both first cells before any second cell, so only
+        cx800_bp30 finishes before cx800_bp60 kills it; with two, the other
+        worker finishes the bp30 pair first.  The sweep returns either way."""
+        for parallelism, delay, alive in (
+                (1, 0.0, {"cx800_bp30"}),
+                (2, 3.0, {"cx800_bp30", "cx200_bp30"})):
+            # module-level stand-in, so the pool can pickle it by reference
+            monkeypatch.setattr(sweep_mod, "_solve_cell", partial(
+                _cell_that_kills_its_worker, delay=delay))
+            result = run_sweep(small_scenario, small_grid,
+                               parallelism=parallelism,
+                               reference=swept.reference)
+            assert [c.cell_id for c in result.cells] == [
+                c.cell_id for c in swept.cells]
+            for c, ref in zip(result.cells, swept.cells):
+                if c.cell_id in alive:
+                    assert c.status == "optimal"
+                    assert c.report.to_row() == ref.report.to_row()
+                else:
+                    assert c.status == "error"
+                    assert c.error.startswith("BrokenProcessPool")
+                    assert "BrokenProcessPool" in c.traceback
 
 
 WARM_CASES = ["small", "tiny"] + [f"random{seed}" for seed in range(6)]
@@ -308,11 +309,13 @@ class TestGridRules:
          "1000000.0 and 1000001.0 share the cell label 'cx1e+06_bp50'"),
         (dict(capex_values=(200.0, 200.0)), "capex",
          "200.0 and 200.0 share the cell label 'cx200_bp50'"),
+        (dict(capex_values=(0.0, -0.0)), "capex",
+         "0.0 and 0.0 share the cell label 'cx0_bp50'"),
         (dict(capex_values=()), "capex", "must have at least one value"),
         (dict(base_prices=()), "base_price", "must have at least one value"),
     ], ids=["negative-capex", "curve-top-above-big", "infinite-base-price",
-            "capex-sharing-a-label", "repeated-capex", "empty-capex",
-            "empty-base-prices"])
+            "capex-sharing-a-label", "repeated-capex", "signed-zeros",
+            "empty-capex", "empty-base-prices"])
     def test_grid_made_in_code_refuses(self, kwargs, field, rule):
         with pytest.raises(ValueError) as exc:
             SweepGrid(**{"capex_values": (200.0,), "base_prices": (50.0,),
@@ -333,6 +336,10 @@ class TestGridRules:
         assert grid.capex_values == (200.0, 800.0)
         assert grid.base_prices == (50.0, 80.0)
         assert all(type(v) is float for v in grid.capex_values + grid.base_prices)
+
+    def test_negative_zero_is_held_as_zero(self):
+        grid = SweepGrid((-0.0,), (30.0,))
+        assert math.copysign(1.0, grid.capex_values[0]) == 1.0
 
 
 class TestWarmStart:
