@@ -1,8 +1,9 @@
 """Run the bundled capex x base-price sweep on the one-day system.
 
 Each cell re-derives the sink annuity and demand curve, solves, and reports
-against the shared no-sink reference.  Results land in sweep_out/ as
-results.csv plus per-cell price-duration curves.
+against the shared no-sink reference.  The results are written to a
+temporary directory, as `sinkplan sweep` writes them: results.csv plus
+per-cell price-duration curves and a manifest.
 """
 
 import tempfile

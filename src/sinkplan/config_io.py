@@ -285,15 +285,18 @@ def _manifest_num(man, key, default=None, filename="scenario.txt",
 
 
 def config_hash(config_dir, grid=None):
-    """Stable digest over every regular file in the configuration directory,
-    with the grid file `grid`, when given, hashed as its sweep.txt."""
-    files = {p.name: p for p in Path(config_dir).glob("*") if p.is_file()}
-    if grid is not None:
-        files["sweep.txt"] = Path(grid)
+    """Stable digest over the files a sweep of the configuration directory
+    reads, where they exist: scenario.txt, the tables of `SCHEMAS` and
+    sweep.txt, for which the grid file `grid` stands in when given.  Other
+    files in the directory do not move it."""
+    cdir = Path(config_dir)
+    files = {name: cdir / name for name in ("scenario.txt", *SCHEMAS)}
+    files["sweep.txt"] = cdir / "sweep.txt" if grid is None else Path(grid)
     h = hashlib.sha256()
     for name in sorted(files):
-        h.update(name.encode())
-        h.update(files[name].read_bytes())
+        if files[name].is_file():
+            h.update(name.encode())
+            h.update(files[name].read_bytes())
     return h.hexdigest()
 
 

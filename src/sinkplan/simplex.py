@@ -486,7 +486,6 @@ def _update_pricing(ws, q, jl, alpha, pivot):
     else:
         theta = ws.d[q] / pivot
         ws.d -= theta * alpha
-        ws.d[ws.basis] = 0.0
         ws.d[jl] = -theta
     wq = ws.weights[q]
     np.maximum(ws.weights, np.square(alpha / pivot) * wq, out=ws.weights)

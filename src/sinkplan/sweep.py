@@ -218,10 +218,18 @@ def run_sweep(scenario, grid, parallelism=1, reference=None):
                        [finished[c] for c in grid.cells()])
 
 
+def _emptied(directory, pattern):
+    """`directory`, made if missing, without its files matching `pattern`."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for old in directory.glob(pattern):
+        old.unlink()
+    return directory
+
+
 def write_cell_mps(scenario, grid, out_dir):
-    """Emit one MPS file per grid cell without solving anything."""
-    out = Path(out_dir) / "mps"
-    out.mkdir(parents=True, exist_ok=True)
+    """Emit one MPS file per grid cell, without solving anything, into
+    `out_dir/mps/`, whose earlier `*.mps` files are deleted first."""
+    out = _emptied(Path(out_dir) / "mps", "*.mps")
     paths = []
     for cx, bp in grid.cells():
         cell = cell_scenario(scenario, grid, cx, bp)
@@ -233,43 +241,29 @@ def write_cell_mps(scenario, grid, out_dir):
 
 
 def emit(result, out_dir, config_digest=""):
-    """Write results.csv, per-cell price-duration curves and the run
-    manifest; `write_cell_mps` writes the cells' MPS files."""
+    """Write results.csv, the run manifest and a price-duration curve per
+    optimal cell into `price_duration/`, whose earlier `*.csv` files are
+    deleted first; `write_cell_mps` writes the cells' MPS files."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    pd_dir = _emptied(out / "price_duration", "*.csv")
+    lines = []
+
+    def line(*fields):
+        # in free text a comma would split its field and a newline its row
+        lines.append(",".join(f.replace(",", ";").replace("\n", " ") for f in fields))
 
     ref_row = result.reference.to_row()
-    header = ["cell", "capex_usd_per_kw", "base_price_usd_per_mwh",
-              *ref_row.keys(), "error"]
-    lines = [",".join(header)]
-
-    def fmt(cell_name, capex, base_price, row, error):
-        rec = {k: "" for k in header}
-        rec.update(row)
-        rec["cell"] = cell_name
-        rec["capex_usd_per_kw"] = capex
-        rec["base_price_usd_per_mwh"] = base_price
-        rec["error"] = error
-        # free text: a comma would split its field and a newline its row
-        for k in ("scenario", "error"):
-            rec[k] = rec[k].replace(",", ";").replace("\n", " ")
-        return ",".join(str(rec[k]) for k in header)
-
-    lines.append(fmt("reference", "", "", ref_row, ""))
+    line("cell", "capex_usd_per_kw", "base_price_usd_per_mwh", *ref_row, "error")
+    line("reference", "", "", *ref_row.values(), "")
     for c in result.cells:
         row = c.report.to_row() if c.report else {"status": c.status}
-        lines.append(fmt(c.cell_id, repr(c.capex), repr(c.base_price), row, c.error))
+        line(c.cell_id, repr(c.capex), repr(c.base_price),
+             *(row.get(k, "") for k in ref_row), c.error)
+        if c.report:
+            curve = c.report.price_duration_curve.tolist()   # floats: plain reprs
+            body = "".join(f"{k + 1},{p!r}\n" for k, p in enumerate(curve))
+            (pd_dir / f"{c.cell_id}.csv").write_text(f"rank,price_usd_per_mwh\n{body}")
     (out / "results.csv").write_text("\n".join(lines) + "\n")
-
-    pd_dir = out / "price_duration"
-    pd_dir.mkdir(exist_ok=True)
-    for c in result.cells:
-        if c.report is None:
-            continue
-        body = ["rank,price_usd_per_mwh"]
-        curve = c.report.price_duration_curve.tolist()   # floats: plain reprs
-        body += [f"{k + 1},{p!r}" for k, p in enumerate(curve)]
-        (pd_dir / f"{c.cell_id}.csv").write_text("\n".join(body) + "\n")
 
     manifest = [
         f"tool_version = {__version__}",

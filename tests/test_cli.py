@@ -277,6 +277,21 @@ class TestSweepCommand:
         assert [p.name for p in (tmp_path / "o" / "mps").iterdir()] == [
             "cx200_bp50.mps"]
 
+    def test_mps_only_rerun_keeps_only_its_own_files(self, capsys, tiny_config,
+                                                      tmp_path):
+        """A second --mps-only run into one --out leaves only its own cells'
+        files, as many as it reports."""
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("capex_usd_per_kw = 200, 800\n"
+                     "base_price_usd_per_mwh = 20, 50\n")
+        b.write_text("capex_usd_per_kw = 800\nbase_price_usd_per_mwh = 20\n")
+        for grid in (a, b):
+            code, out, _ = run(capsys, "sweep", str(tiny_config), "--grid",
+                               str(grid), "--mps-only", "--out", str(tmp_path / "o"))
+        assert (code, out.split(" under ")[0]) == (0, "wrote 1 MPS files")
+        assert [p.name for p in (tmp_path / "o" / "mps").iterdir()] == [
+            "cx800_bp20.mps"]
+
     @staticmethod
     def manifest_hash(capsys, monkeypatch, config, *argv):
         """The config_hash a sweep of `config` hands to `emit`; nothing is

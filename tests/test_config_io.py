@@ -499,6 +499,14 @@ def test_config_hash_tracks_content(tmp_path, tiny_config):
     assert config_hash(dst) != a
 
 
+def test_config_hash_ignores_files_no_run_reads(tmp_path, tiny_config):
+    dst = tmp_path / "copy"
+    shutil.copytree(tiny_config, dst)
+    (dst / "notes.txt").write_text("not an input\n")
+    (dst / "load.csv~").write_text("an editor backup\n")
+    assert config_hash(dst) == config_hash(tiny_config)
+
+
 def test_every_schema_column_is_documented_with_its_default():
     """docs/formats.md has a `| column | default |` row for each declared
     column of each table, under the table's own heading."""

@@ -479,6 +479,21 @@ class TestEmit:
             twin = tmp_path / "b" / "price_duration" / f.name
             assert f.read_text() == twin.read_text()
 
+    def test_rerun_keeps_only_the_second_runs_curves(self, swept, tmp_path):
+        emit(swept, tmp_path)
+        emit(replace(swept, cells=swept.cells[:1]), tmp_path)
+        assert [p.stem for p in (tmp_path / "price_duration").iterdir()] == [
+            swept.cells[0].cell_id]
+        assert len((tmp_path / "results.csv").read_text().splitlines()) == 3
+
+    def test_cell_failed_on_rerun_has_no_curve(self, swept, tmp_path):
+        emit(swept, tmp_path)
+        failed = replace(swept.cells[0], status="error", report=None,
+                         error="RuntimeError: synthetic failure")
+        emit(replace(swept, cells=[failed, *swept.cells[1:]]), tmp_path)
+        written = sorted(p.stem for p in (tmp_path / "price_duration").iterdir())
+        assert written == sorted(c.cell_id for c in swept.cells[1:])
+
     def test_scenario_name_with_comma_keeps_every_row_in_shape(self, swept,
                                                                tmp_path):
         named = lambda r: replace(r, scenario_name="a,b\nc")  # noqa: E731
